@@ -63,6 +63,7 @@ from .potential import (
     ChargeSystem,
     POTENTIAL_FIELD_SCALE,
     Path,
+    PrePotentialJet,
     PrePotentialValue,
     Zeta,
     accumulate,
@@ -71,6 +72,8 @@ from .potential import (
     local_scale,
     potential_A,
     potential_matrix,
+    prepotential_jet,
+    prepotential_jet_system,
     prepotential_point,
     prepotential_system,
     zeta_at,

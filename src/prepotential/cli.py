@@ -15,11 +15,16 @@ import math
 import sys
 from pathlib import Path as FsPath
 
-from .errors import PrepotentialError, ScenarioError
-from .fields import ScalarField, faraday_from_hessian, second_partials
+from .errors import (
+    NoRetardedIntersectionError,
+    ObserverOnWorldLineError,
+    PrepotentialError,
+    ScenarioError,
+    SingularAxisError,
+)
 from .loops import ab_phase_report
 from .matrices import validate_relations
-from .potential import prepotential_system
+from .potential import prepotential_jet_system
 from .scenario import CHECK_NAMES, Scenario, load_scenario
 from .verify import DEFAULT_SEED, run_checks
 
@@ -71,33 +76,51 @@ GRID_HEADER = [
 ]
 
 
+# A cell is masked only when the root cause of its failure is geometric:
+# the field is undefined there, not merely hard to compute. Any other
+# failure propagates and exits 3.
+MASK_CAUSES = (SingularAxisError, ObserverOnWorldLineError, NoRetardedIntersectionError)
+
+
+def _root_cause(exc: BaseException) -> BaseException:
+    """Innermost package exception in the cause chain."""
+    while isinstance(exc.__cause__, PrepotentialError):
+        exc = exc.__cause__
+    return exc
+
+
 def _cmd_field_grid(scenario: Scenario, fmt: str, out: str | None) -> int:
     if scenario.grid is None:
         raise ScenarioError("field-grid requires a 'grid' section in the scenario")
-    field = ScalarField.from_system(scenario.charges)
     rows = []
-    masked_count = 0
+    masked: dict[str, int] = {}
     nan = float("nan")
     for point in scenario.grid.points():
         coords = [point.x0, point.x1, point.x2, point.x3]
         try:
-            s = prepotential_system(scenario.charges, point).value
-            # one Hessian per point carries the field and both residuals
-            H = second_partials(field, point)
-            f = faraday_from_hessian(H)
-            wave = abs(H[0, 0] - H[1, 1] - H[2, 2] - H[3, 3])
-            lap = abs(H[1, 1] + H[2, 2] + H[3, 3])
-            rows.append(coords + [
-                s.real, s.imag,
-                float(f.electric[0]), float(f.electric[1]), float(f.electric[2]),
-                float(f.magnetic[0]), float(f.magnetic[1]), float(f.magnetic[2]),
-                wave, lap, 0,
-            ])
-        except PrepotentialError:
-            masked_count += 1
+            # one retarded solve per charge carries S, the field and both residuals
+            jet = prepotential_jet_system(scenario.charges, point)
+        except PrepotentialError as exc:
+            cause = _root_cause(exc)
+            if not isinstance(cause, MASK_CAUSES):
+                raise
+            reason = type(cause).__name__
+            masked[reason] = masked.get(reason, 0) + 1
             rows.append(coords + [nan] * 10 + [1])
+            continue
+        s, H, f = jet.value, jet.hessian, jet.field
+        wave = abs(H[0, 0] - H[1, 1] - H[2, 2] - H[3, 3])
+        lap = abs(H[1, 1] + H[2, 2] + H[3, 3])
+        rows.append(coords + [
+            s.real, s.imag,
+            float(f[0].real), float(f[1].real), float(f[2].real),
+            float(f[0].imag), float(f[1].imag), float(f[2].imag),
+            wave, lap, 0,
+        ])
     _write_table(GRID_HEADER, rows, fmt, out, "field-grid")
-    print(f"field-grid: {len(rows)} cells, {masked_count} masked", file=sys.stderr)
+    reasons = ", ".join(f"{name}: {n}" for name, n in sorted(masked.items()))
+    print(f"field-grid: {len(rows)} cells, {sum(masked.values())} masked"
+          + (f" ({reasons})" if reasons else ""), file=sys.stderr)
     return EXIT_OK
 
 

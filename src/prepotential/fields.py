@@ -28,6 +28,8 @@ from .matrices import rho, upsilon, upsilon_bar
 from .potential import (
     Charge,
     ChargeSystem,
+    UNIFORM_FIELD_CALIBRATION,
+    _velocity_field,
     local_scale,
     potential_A,
     potential_matrix,
@@ -296,11 +298,6 @@ def faraday_from_A(
     return _contract_dA(dA)
 
 
-# Overall factor pinning the direct uniform-motion formula to the textbook
-# field: with honest index lowering of a, the bare contraction comes out
-# as -1/2 of the physical field. Fixed once here, verified by tests.
-UNIFORM_FIELD_CALIBRATION = -2.0
-
 _DENOM_FLOOR = 1e-12
 
 
@@ -320,12 +317,7 @@ def faraday_uniform(q: float, a, u) -> FaradayVector:
         raise DegenerateDenominatorError(
             f"a.u = {au:.3e} is not positive at scale {amax:.3e}"
         )
-    a_low = _METRIC_SIGNS * av
-    comps = [
-        UNIFORM_FIELD_CALIBRATION * q * (a_low @ (rho(j) @ uv)) / au**3
-        for j in (1, 2, 3)
-    ]
-    return FaradayVector.from_array(comps)
+    return FaradayVector.from_array(_velocity_field(q, av, uv))
 
 
 def coulomb_oracle(q: float, xvec3) -> FaradayVector:

@@ -1,11 +1,13 @@
 """The complex invariant zeta, the scalar pre-potential S = q ln(zeta),
-superposition over discrete charges, the conjugated 4-potential, and
-branch-tracked accumulation of S-differences along paths.
+its closed-form derivatives, superposition over discrete charges, the
+conjugated 4-potential, and branch-tracked accumulation of S-differences
+along paths.
 
-Branch policy: derivatives and path increments are always principal
-logarithms of zeta ratios between nearby points, never differences of
-independently branched logarithms. Multi-valuedness enters only through
-path accumulation.
+Branch policy: finite differences and path increments are always
+principal logarithms of zeta ratios between nearby points, never
+differences of independently branched logarithms; closed-form derivatives
+of ln(zeta) are single-valued. Multi-valuedness enters only through path
+accumulation.
 """
 
 from __future__ import annotations
@@ -25,12 +27,10 @@ from .errors import (
     SingularAxisError,
     StepTooLargeError,
 )
-from .matrices import METRIC, conjugation_C
+from .matrices import METRIC, conjugation_C, rho
 from .spacetime import (
+    METRIC_SIGNS,
     FourVector,
-    RestLine,
-    SampledLine,
-    UniformLine,
     WorldLine,
     minkowski_dot,
     retarded_null_vector,
@@ -39,6 +39,7 @@ from .spacetime import (
 __all__ = [
     "Zeta",
     "PrePotentialValue",
+    "PrePotentialJet",
     "Charge",
     "ChargeSystem",
     "Path",
@@ -47,6 +48,8 @@ __all__ = [
     "zeta_at",
     "prepotential_point",
     "prepotential_system",
+    "prepotential_jet",
+    "prepotential_jet_system",
     "gradient_S",
     "potential_A",
     "delta_S_along_path",
@@ -68,13 +71,18 @@ class Zeta:
     value: complex
 
 
-def zeta_of(a, null_tol: float = _DEFAULT_NULL_TOL) -> Zeta:
-    """Invariant ratio (a1 - i a2)/(a0 + a3) of a null vector, computed
-    from whichever of the two equivalent quotients is better conditioned.
+# The two equivalent quotients for zeta as (numerator, denominator) linear
+# forms in (a0, a1, a2, a3): (a1 - i a2)/(a0 + a3) and (a0 - a3)/(a1 + i a2).
+_QUOTIENT_FORMS = (
+    (np.array([0.0, 1.0, -1j, 0.0]), np.array([1.0, 0.0, 0.0, 1.0 + 0j])),
+    (np.array([1.0, 0.0, 0.0, -1.0 + 0j]), np.array([0.0, 1.0, 1j, 0.0])),
+)
 
-    Accepts a FourVector or any real/complex 4-array that is null in the
-    bilinear sense.
-    """
+
+def _zeta_quotient(a, null_tol: float = _DEFAULT_NULL_TOL):
+    """Numerator, denominator and linear forms of whichever quotient for
+    zeta is better conditioned at the null vector a; the other one loses
+    every digit near the singular axis."""
     if isinstance(a, FourVector):
         av = a.as_array().astype(complex)
     else:
@@ -93,11 +101,21 @@ def zeta_of(a, null_tol: float = _DEFAULT_NULL_TOL) -> Zeta:
         raise SingularAxisError(
             "a1 = a2 = 0: invariant degenerates to 0 or infinity"
         )
-    num1 = av[1] - 1j * av[2]
     den1 = av[0] + av[3]
     if abs(den1) >= abs(av[1] + 1j * av[2]):
-        return Zeta(complex(num1 / den1))
-    return Zeta(complex((av[0] - av[3]) / (av[1] + 1j * av[2])))
+        return av[1] - 1j * av[2], den1, _QUOTIENT_FORMS[0]
+    return av[0] - av[3], av[1] + 1j * av[2], _QUOTIENT_FORMS[1]
+
+
+def zeta_of(a, null_tol: float = _DEFAULT_NULL_TOL) -> Zeta:
+    """Invariant ratio (a1 - i a2)/(a0 + a3) of a null vector, computed
+    from whichever of the two equivalent quotients is better conditioned.
+
+    Accepts a FourVector or any real/complex 4-array that is null in the
+    bilinear sense.
+    """
+    num, den, _ = _zeta_quotient(a, null_tol)
+    return Zeta(complex(num / den))
 
 
 @dataclass(frozen=True)
@@ -200,53 +218,106 @@ def accumulate(start: PrePotentialValue, q: float, delta: complex) -> PrePotenti
     return PrePotentialValue.from_value(start.value + delta, q)
 
 
-def _retarded_velocity(line: WorldLine, tau: float) -> np.ndarray:
-    """Unit 4-velocity of the line at (or around) parameter tau."""
-    if isinstance(line, RestLine):
-        return np.array([1.0, 0.0, 0.0, 0.0])
-    if isinstance(line, UniformLine):
-        return line.velocity_u.as_array()
-    if isinstance(line, SampledLine):
-        taus = line.taus
-        k = int(np.searchsorted(taus, tau, side="right")) - 1
-        k = min(max(k, 0), len(taus) - 2)
-        w = (line.events[k + 1].as_array() - line.events[k].as_array()) / (
-            taus[k + 1] - taus[k]
-        )
-        return w / math.sqrt(minkowski_dot(w, w))
-    raise TypeError(type(line).__name__)
-
-
 def local_scale(charge: Charge, x: FourVector) -> float:
     """Smallest geometric length scale at x for the charge's field:
     spatial retardation distance, the light-cone denominator a.u / u0,
     and the distance from the singular axis. Used to size stencil steps."""
     sol = retarded_null_vector(charge.line, x)
     a = sol.a.as_array()
-    u = _retarded_velocity(charge.line, sol.tau_retarded)
+    u = sol.u.as_array()
     r_spatial = float(np.linalg.norm(a[1:]))
     cone = float(minkowski_dot(a, u)) / float(u[0])
     axis = math.hypot(a[1], a[2])
     return max(min(r_spatial, cone, axis), 1e-300)
 
 
-_REST_AXIS_FLOOR = 1e-12
+# Overall factor pinning the direct uniform-motion formula to the textbook
+# field: with honest index lowering of a, the bare contraction comes out
+# as -1/2 of the physical field. Fixed once here, verified by tests.
+UNIFORM_FIELD_CALIBRATION = -2.0
+
+_ETA = np.diag(METRIC_SIGNS)
+_EYE = np.eye(4)
+_RHO_STACK = np.stack([rho(j) for j in (1, 2, 3)])
 
 
-def _rest_gradient(q: float, position, x: np.ndarray) -> np.ndarray:
-    """Closed-form covariant gradient of S for a charge at rest."""
-    rel = x[1:] - np.asarray(position)
-    r = float(np.linalg.norm(rel))
-    rho2 = rel[0] ** 2 + rel[1] ** 2
-    if rho2 < _REST_AXIS_FLOOR * r * r:
-        raise SingularAxisError("gradient undefined on the singular axis")
-    g1 = (q / rho2) * (rel[0] * rel[2] / r + 1j * rel[1])
-    g2 = (q / rho2) * (rel[1] * rel[2] / r - 1j * rel[0])
-    g3 = -q / r
-    return np.array([0.0j, g1, g2, g3])
+def _velocity_field(q: float, a: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Field 3-vector E + iB of a charge moving with 4-velocity u, from the
+    retarded null vector a: F_j = cal * q * a_mu rho^j[mu,nu] u^nu / (a.u)^3.
+    No validation; a must be null and a.u positive."""
+    a_low = METRIC_SIGNS * a
+    au = float(a_low @ u)
+    return (UNIFORM_FIELD_CALIBRATION * q / au**3) * (_RHO_STACK @ u) @ a_low
 
 
-_GRADIENT_STEP_FACTOR = 1e-5
+@dataclass(frozen=True)
+class PrePotentialJet:
+    """S at an event with its covariant gradient d_nu S, its Hessian
+    d_nu d_lam S, and the field 3-vector E + iB they carry."""
+
+    value: complex
+    gradient: np.ndarray
+    hessian: np.ndarray
+    field: np.ndarray
+
+
+def prepotential_jet(charge: Charge, x: FourVector) -> PrePotentialJet:
+    """S = q ln(zeta(a)) with its first and second derivatives in closed
+    form, from one retarded solve.
+
+    The motion is uniform (4-velocity u) within the segment holding the
+    retarded point, so da^mu/dx^nu = J^mu_nu = delta^mu_nu - u^mu k_nu
+    with k = a_low / (a.u), and by the chain rule
+
+        d S  = q g^T J
+        dd S = q (J^T h J - (g.u) M),  M = dk/dx = (eta - u k^T - k u^T + k k^T) / (a.u)
+
+    (u lowered in M), where g and h are the first and second a-derivatives
+    of ln(zeta) taken from the same quotient that zeta_of uses. The field
+    is the contraction of dd S (faraday_from_hessian) summed in closed
+    form: near the singular axis the Hessian entries grow like 1/rho^2
+    while the field does not, so contracting the rounded matrix would lose
+    about eps * (r/rho)^2 relative.
+    """
+    sol = retarded_null_vector(charge.line, x)
+    a = sol.a.as_array()
+    u = sol.u.as_array()
+    num, den, (n, d) = _zeta_quotient(a)
+    q = charge.q
+    g = n / num - d / den
+    h = np.outer(d, d) / den**2 - np.outer(n, n) / num**2
+    u_low = METRIC_SIGNS * u
+    au = float(a @ u_low)
+    k = METRIC_SIGNS * a / au
+    J = _EYE - np.outer(u, k)
+    M = (_ETA - np.outer(u_low, k) - np.outer(k, u_low) + np.outer(k, k)) / au
+    return PrePotentialJet(
+        q * cmath.log(complex(num / den)),
+        q * (g @ J),
+        q * (J.T @ h @ J - (g @ u) * M),
+        _velocity_field(q, a, u),
+    )
+
+
+def prepotential_jet_system(system: ChargeSystem, x: FourVector) -> PrePotentialJet:
+    """Superposition of prepotential_jet over the system's charges; the
+    value is summed exactly as prepotential_system sums it."""
+    value = 0j
+    gradient = np.zeros(4, dtype=complex)
+    hessian = np.zeros((4, 4), dtype=complex)
+    field = np.zeros(3, dtype=complex)
+    for i, charge in enumerate(system):
+        try:
+            jet = prepotential_jet(charge, x)
+        except PrepotentialError as exc:
+            raise ChargeSystemError(i, str(exc)) from exc
+        value += jet.value
+        gradient += jet.gradient
+        hessian += jet.hessian
+        field += jet.field
+    return PrePotentialJet(value, gradient, hessian, field)
+
+
 _MAX_RATIO_ARG = math.pi / 2.0
 
 
@@ -262,17 +333,12 @@ def _safe_log_ratio(z1: complex, z0: complex) -> complex:
 def gradient_S(charge: Charge, x: FourVector, step: float | None = None) -> np.ndarray:
     """Covariant gradient (d_mu S) as a complex 4-array.
 
-    Rest charges use the closed form; other lines use branch-safe central
-    differences of principal log-ratios.
+    By default the closed form of prepotential_jet; with an explicit step,
+    branch-safe central differences of principal log-ratios.
     """
-    if isinstance(charge.line, RestLine) and step is None:
-        return _rest_gradient(charge.q, charge.line.position, x.as_array())
-    xv = x.as_array()
     if step is None:
-        r = float(np.linalg.norm(xv[1:] - _charge_spatial(charge, x)))
-        # sized by the source distance, capped so one step cannot reach
-        # across the singular axis
-        step = min(_GRADIENT_STEP_FACTOR * max(r, 1.0), 0.2 * local_scale(charge, x))
+        return prepotential_jet(charge, x).gradient
+    xv = x.as_array()
     grad = np.empty(4, dtype=complex)
     for mu in range(4):
         e = np.zeros(4)
@@ -281,11 +347,6 @@ def gradient_S(charge: Charge, x: FourVector, step: float | None = None) -> np.n
         zm = zeta_at(charge, FourVector.from_array(xv - e)).value
         grad[mu] = charge.q * _safe_log_ratio(zp, zm) / (2.0 * step)
     return grad
-
-
-def _charge_spatial(charge: Charge, x: FourVector) -> np.ndarray:
-    sol = retarded_null_vector(charge.line, x)
-    return x.as_array()[1:] - sol.a.as_array()[1:]
 
 
 # Scale applied to the index-lowered conjugation when deriving the

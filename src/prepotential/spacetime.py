@@ -179,27 +179,31 @@ def four_velocity_from_3velocity(v3) -> FourVector:
 
 @dataclass(frozen=True)
 class RetardedSolution:
-    """Retarded intersection: line parameter and the null vector a from
-    the retarded event to the observer (a.a = 0, a0 > 0)."""
+    """Retarded intersection: line parameter, the null vector a from the
+    retarded event to the observer (a.a = 0, a0 > 0), and the unit
+    4-velocity u of the line there (for a sampled line, that of the
+    segment holding the retarded event)."""
 
     tau_retarded: float
     a: FourVector
+    u: FourVector
 
 
 _NULL_CHECK_TOL = 1e-10
 
 
-def _check_solution(tau: float, a: np.ndarray) -> RetardedSolution:
+def _check_solution(tau: float, a: np.ndarray, u: FourVector) -> RetardedSolution:
     a0 = a[0]
     scale = max(a0 * a0, 1e-300)
     if abs(minkowski_dot(a, a)) > _NULL_CHECK_TOL * scale or a0 <= 0:
         raise PrepotentialError(
             f"retarded solver produced an invalid null vector: a={a}, a.a={minkowski_dot(a, a)}"
         )
-    return RetardedSolution(tau, FourVector.from_array(a))
+    return RetardedSolution(tau, FourVector.from_array(a), u)
 
 
 _ON_LINE_FLOOR = 1e-14
+_REST_U = FourVector(1.0, 0.0, 0.0, 0.0)
 
 
 def _retarded_rest(line: RestLine, x: np.ndarray) -> RetardedSolution:
@@ -208,7 +212,7 @@ def _retarded_rest(line: RestLine, x: np.ndarray) -> RetardedSolution:
     if r < _ON_LINE_FLOOR * max(1.0, abs(x[0])):
         raise ObserverOnWorldLineError("observer coincides with the rest charge")
     a = np.array([r, rel[0], rel[1], rel[2]])
-    return _check_solution(x[0] - r, a)
+    return _check_solution(x[0] - r, a, _REST_U)
 
 
 def _retarded_uniform_d(d: np.ndarray, u: np.ndarray) -> tuple[float, np.ndarray]:
@@ -226,7 +230,7 @@ def _retarded_uniform_d(d: np.ndarray, u: np.ndarray) -> tuple[float, np.ndarray
 def _retarded_uniform(line: UniformLine, x: np.ndarray) -> RetardedSolution:
     d = x - line.reference_event.as_array()
     lam, a = _retarded_uniform_d(d, line.velocity_u.as_array())
-    return _check_solution(lam, a)
+    return _check_solution(lam, a, line.velocity_u)
 
 
 def _g_of_tau(line: SampledLine, x: np.ndarray, tau: float) -> float:
@@ -286,7 +290,7 @@ def _retarded_sampled(line: SampledLine, x: np.ndarray) -> RetardedSolution:
             cand = tau - g0 / gp
             if t0 <= cand <= t1:
                 tau = cand
-    return _check_solution(tau, x - _interpolate(line, tau))
+    return _check_solution(tau, x - _interpolate(line, tau), FourVector.from_array(u))
 
 
 def retarded_null_vector(line: WorldLine, observer: FourVector) -> RetardedSolution:

@@ -7,8 +7,12 @@ import math
 import numpy as np
 import pytest
 
+from prepotential import cli
 from prepotential.cli import main
+from prepotential.errors import ChargeSystemError, StepTooLargeError
+from prepotential.fields import boosted_coulomb_oracle, coulomb_oracle
 from prepotential.scenario import bundled_scenario_path
+from prepotential.spacetime import FourVector
 
 REST = str(bundled_scenario_path("rest_charge"))
 UNIFORM = str(bundled_scenario_path("uniform_charge"))
@@ -102,6 +106,89 @@ class TestFieldGrid:
                 continue
             worst = max(worst, np.abs(B - np.cross(v, E)).max() / np.linalg.norm(E))
         assert worst < 1e-4
+
+
+def _grid_rows(tmp_path, doc, capsys=None):
+    scen, out = tmp_path / "grid.json", tmp_path / "grid.csv"
+    scen.write_text(json.dumps(doc))
+    assert main(["field-grid", "--scenario", str(scen), "--out", str(out)]) == 0
+    return list(csv.DictReader(out.read_text().splitlines()))
+
+
+def _max_field_error(row, oracle):
+    got = np.array([float(row[f"E{j}"]) + 1j * float(row[f"B{j}"]) for j in (1, 2, 3)])
+    want = oracle.as_array()
+    return float(np.abs(got - want).max()) / float(np.abs(want).max())
+
+
+class TestFieldGridAccuracy:
+    """Cells where the stencil Hessian gave wrong unmasked fields."""
+
+    def test_cell_next_to_sampled_velocity_jump(self, tmp_path):
+        # at rest until t = -3, then moving at 0.5 along x1; the first cell
+        # is 5e-4 outside the jump's light cone (r = 3), where a stencil
+        # straddles the jump
+        line = {"kind": "sampled", "taus": [-10.0, -3.0, 0.0, 2.0],
+                "events": [[-10, 0, 0, 0], [-3, 0, 0, 0], [0, 1.5, 0, 0], [2, 2.5, 0, 0]]}
+        rows = _grid_rows(tmp_path, {
+            "version": 1,
+            "charges": [{"q": 1.0, "line": line}],
+            "grid": {"time": 0.0, "origin": [0.0, 0.6 * 3.0005, 0.8 * 3.0005],
+                     "axes": [[0.0, 0.6, 0.8]], "extents": [0.5], "resolution": [2]},
+        })
+        assert [r["masked"] for r in rows] == ["0", "0"]
+        for r in rows:
+            # both cells see the charge on its rest segment
+            X = np.array([float(r["x1"]), float(r["x2"]), float(r["x3"])])
+            assert _max_field_error(r, coulomb_oracle(1.0, X)) < 1e-8
+
+    def test_cell_near_moving_charge_axis(self, tmp_path):
+        # charge moving at 0.9 along x1; the first cell sees its retarded
+        # point (t = -1) 0.01 rad off the singular axis
+        rows = _grid_rows(tmp_path, {
+            "version": 1,
+            "charges": [{"q": 1.0, "line": {"kind": "uniform", "event": [0, 0, 0, 0],
+                                            "velocity": [0.9, 0.0, 0.0]}}],
+            "grid": {"time": 1.0,
+                     "origin": [-0.9 + 2 * math.sin(0.01), 0.0, 2 * math.cos(0.01)],
+                     "axes": [[1.0, 0.0, 0.0]], "extents": [1.0], "resolution": [2]},
+        })
+        assert [r["masked"] for r in rows] == ["0", "0"]
+        for r in rows:
+            x = FourVector(*(float(r[k]) for k in ("x0", "x1", "x2", "x3")))
+            oracle = boosted_coulomb_oracle(1.0, [0.9, 0.0, 0.0], x)
+            assert _max_field_error(r, oracle) < 1e-8
+
+
+class TestFieldGridMasking:
+    def test_masks_counted_by_geometric_reason(self, tmp_path, capsys):
+        # cell 0 is on the rest charge's axis; cells 2 and 3 see their past
+        # light cone before the sampled charge's first sample
+        rows = _grid_rows(tmp_path, {
+            "version": 1,
+            "charges": [
+                {"q": 1.0, "line": {"kind": "rest", "position": [0, 0, 0]}},
+                {"q": 1.0, "line": {"kind": "sampled", "taus": [-5.0, 5.0],
+                                    "events": [[-5, 0, 3, 0], [5, 0, 3, 0]]}},
+            ],
+            "grid": {"time": 0.0, "origin": [0.0, 0.0, 1.0], "axes": [[1.0, 0.0, 0.0]],
+                     "extents": [9.0], "resolution": [4]},
+        })
+        assert [r["masked"] for r in rows] == ["1", "0", "1", "1"]
+        err = capsys.readouterr().err
+        assert ("4 cells, 3 masked (NoRetardedIntersectionError: 2, "
+                "SingularAxisError: 1)") in err
+
+    def test_numerical_failure_exits_three(self, tmp_path, monkeypatch):
+        def failing_kernel(system, x):
+            try:
+                raise StepTooLargeError("step crossed too much phase")
+            except StepTooLargeError as exc:
+                raise ChargeSystemError(0, str(exc)) from exc
+
+        monkeypatch.setattr(cli, "prepotential_jet_system", failing_kernel)
+        assert main(["field-grid", "--scenario", REST,
+                     "--out", str(tmp_path / "g.csv")]) == 3
 
 
 class TestExitCodes:

@@ -21,18 +21,27 @@ from prepotential import (
     POTENTIAL_FIELD_SCALE,
     RefinementLimitExceededError,
     RestLine,
+    SampledLine,
+    ScalarField,
     SingularAxisError,
     StepTooLargeError,
     UniformLine,
     accumulate,
+    boosted_coulomb_oracle,
     conjugation_C,
+    coulomb_oracle,
     delta_S_along_path,
+    faraday_from_hessian,
     four_velocity_from_3velocity,
     gradient_S,
     local_scale,
     potential_A,
+    prepotential_jet,
+    prepotential_jet_system,
     prepotential_point,
     prepotential_system,
+    retarded_null_vector,
+    second_partials,
     upsilon,
     zeta_of,
 )
@@ -231,6 +240,143 @@ class TestGradient:
     def test_absurd_step_raises(self):
         with pytest.raises(StepTooLargeError):
             gradient_S(rest_charge(), V(0.0, 1.0, 0.0, 0.0), step=1.9)
+
+
+def _direction(theta, phi, side=1.0):
+    """Unit 3-vector at polar angle theta from the +x3 (side 1) or -x3
+    (side -1) axis."""
+    return np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
+                     side * math.cos(theta)])
+
+
+def _observer(event, distance, direction):
+    """Event whose retarded point on a timelike line through `event` is
+    `event` itself, seen along `direction` at `distance`."""
+    return FourVector.from_array(event + distance * np.array([1.0, *direction]))
+
+
+def _charge_of_kind(kind, q, v3, tau):
+    """A charge of the given line kind moving with 3-velocity v3, and its
+    event at line parameter tau. The sampled line has knots at integer
+    tau, with the velocity turning at each; callers keep tau off them."""
+    if kind == "rest":
+        pos = (0.3, -0.2, 0.1)
+        return Charge(q, RestLine(pos)), np.array([tau, *pos])
+    u = four_velocity_from_3velocity(v3).as_array()
+    if kind == "uniform":
+        ref = np.array([0.2, -0.1, 0.4, 0.3])
+        return Charge(q, UniformLine(FourVector.from_array(ref),
+                                     FourVector.from_array(u))), ref + tau * u
+    # segment k runs with u rotated by 0.3 * k about x3
+    taus = np.arange(-4.0, 5.0)
+    events = [np.array([-4.0, 0.0, 0.0, 0.0])]
+    for k in range(len(taus) - 1):
+        c, s_ = math.cos(0.3 * k), math.sin(0.3 * k)
+        uk = np.array([u[0], c * u[1] - s_ * u[2], s_ * u[1] + c * u[2], u[3]])
+        events.append(events[-1] + uk)
+    line = SampledLine(tuple(taus), tuple(FourVector.from_array(e) for e in events))
+    k = int(math.floor(tau)) + 4
+    return Charge(q, line), events[k] + (tau - math.floor(tau)) * (events[k + 1] - events[k])
+
+
+_speeds = st.tuples(*[st.floats(-0.5, 0.5)] * 3).filter(
+    lambda v: float(np.dot(v, v)) <= 0.81)
+
+
+class TestPrePotentialJet:
+    """The closed-form kernel against the stencil and the textbook oracles."""
+
+    @given(
+        kind=st.sampled_from(["rest", "uniform", "sampled"]),
+        v3=_speeds,
+        knot=st.integers(-3, 3),
+        frac=st.floats(0.3, 0.7),
+        distance=st.floats(0.5, 3.0),
+        theta=st.floats(0.1, math.pi - 0.1),
+        phi=st.floats(0.0, 2.0 * math.pi),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_hessian_matches_stencil(self, kind, v3, knot, frac, distance, theta, phi):
+        # retarded points at least 0.3 of a segment from any knot, and
+        # observers at least 0.1 rad off the singular axis
+        charge, event = _charge_of_kind(kind, 0.8, v3, knot + frac)
+        x = _observer(event, distance, _direction(theta, phi))
+        H = prepotential_jet(charge, x).hessian
+        want = second_partials(ScalarField.from_charge(charge), x)
+        assert np.abs(H - want).max() <= 1e-6 * np.abs(want).max()
+
+    @given(
+        kind=st.sampled_from(["rest", "uniform"]),
+        v3=_speeds,
+        log_theta=st.floats(-6.0, -2.0),
+        phi=st.floats(0.0, 2.0 * math.pi),
+        side=st.sampled_from([1.0, -1.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_field_near_axis_matches_oracle(self, kind, v3, log_theta, phi, side):
+        charge, event = _charge_of_kind(kind, -1.3, v3, -1.0)
+        x = _observer(event, 1.7, _direction(10.0**log_theta, phi, side))
+        F = prepotential_jet(charge, x).field
+        if kind == "rest":
+            want = coulomb_oracle(-1.3, x.spatial - event[1:]).as_array()
+        else:
+            line = charge.line
+            v = line.velocity_u.spatial / line.velocity_u.x0
+            want = boosted_coulomb_oracle(-1.3, v, x, line.reference_event).as_array()
+        assert np.abs(F - want).max() <= 1e-9 * np.abs(want).max()
+
+    def test_field_is_contracted_hessian(self, rng):
+        for kind in ("rest", "uniform", "sampled"):
+            charge, event = _charge_of_kind(kind, 1.1, (0.3, -0.4, 0.5), 0.5)
+            for _ in range(10):
+                theta = rng.uniform(0.2, math.pi - 0.2)
+                x = _observer(event, rng.uniform(0.5, 3.0),
+                              _direction(theta, rng.uniform(0, 2 * math.pi)))
+                jet = prepotential_jet(charge, x)
+                F = faraday_from_hessian(jet.hessian).as_array()
+                assert np.abs(F - jet.field).max() <= 1e-12 * np.abs(jet.field).max()
+
+    def test_hessian_near_axis_uses_stable_quotient(self):
+        # 1e-3 rad from either axis the Hessian entries are ~1e6 times the
+        # field; contracting them keeps ~eps * 1e6 relative only when g and h
+        # come from the quotient that zeta_of picks
+        for kind in ("rest", "uniform"):
+            charge, event = _charge_of_kind(kind, 1.0, (0.3, -0.4, 0.5), 0.0)
+            for side in (1.0, -1.0):
+                for phi in np.linspace(0.0, 2 * math.pi, 7):
+                    x = _observer(event, 1.3, _direction(1e-3, phi, side))
+                    jet = prepotential_jet(charge, x)
+                    F = faraday_from_hessian(jet.hessian).as_array()
+                    assert np.abs(F - jet.field).max() <= 1e-7 * np.abs(jet.field).max()
+
+    def test_retarded_solution_velocity(self):
+        charge, event = _charge_of_kind("sampled", 1.0, (0.3, 0.2, 0.0), 1.5)
+        x = _observer(event, 2.0, _direction(1.0, 0.5))
+        sol = retarded_null_vector(charge.line, x)
+        assert abs(sol.tau_retarded - 1.5) < 1e-9
+        e1, e2 = charge.line.events[5].as_array(), charge.line.events[6].as_array()
+        assert_allclose(sol.u.as_array(), e2 - e1, atol=1e-15)
+
+    def test_system_value_is_prepotential_system(self):
+        system = ChargeSystem((
+            rest_charge(1.0, (0.0, 0.0, 0.0)),
+            Charge(-0.7, UniformLine(V(0, 0.5, 0, 0),
+                                     four_velocity_from_3velocity([0.2, 0.0, 0.4]))),
+        ))
+        x = V(0.3, 1.2, -0.8, 0.9)
+        jet = prepotential_jet_system(system, x)
+        assert jet.value == prepotential_system(system, x).value
+        parts = [prepotential_jet(c, x) for c in system]
+        assert_allclose(jet.hessian, parts[0].hessian + parts[1].hessian, rtol=1e-15)
+        assert_allclose(jet.field, parts[0].field + parts[1].field, rtol=1e-15)
+
+    def test_system_failure_keeps_root_cause(self):
+        good = rest_charge(1.0, (0.0, 0.0, 0.0))
+        bad = rest_charge(1.0, (5.0, 0.0, 0.0))
+        with pytest.raises(ChargeSystemError) as err:
+            prepotential_jet_system(ChargeSystem((good, bad)), V(0.0, 5.0, 0.0, 1.0))
+        assert err.value.index == 1
+        assert isinstance(err.value.__cause__, SingularAxisError)
 
 
 class TestPotentialA:
