@@ -152,15 +152,17 @@ LOOP_HEADER = [
 
 
 def _cmd_loop_phase(scenario: Scenario, fmt: str, out: str | None) -> int:
-    charge = scenario.charges.charges[0]
     rows = []
     had_error = False
     nan = float("nan")
     for i, loop in enumerate(scenario.loops):
         try:
-            rep = ab_phase_report(charge, loop)
+            rep = ab_phase_report(scenario.charges, loop)
+            # one charge: its winding; several: the per-charge windings joined by ';'
+            winding = (rep.windings[0] if len(rep.windings) == 1
+                       else ";".join(str(w) for w in rep.windings))
             rows.append([
-                i, rep.delta_S.real, rep.delta_S.imag, rep.winding,
+                i, rep.delta_S.real, rep.delta_S.imag, winding,
                 rep.residual, rep.samples_used, rep.status,
             ])
         except PrepotentialError as exc:

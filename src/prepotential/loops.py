@@ -14,14 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PathThroughSingularAxisError
+from .errors import ChargeSystemError, PathThroughSingularAxisError, PrepotentialError
 from .potential import (
     SINGULAR_AXIS_FLOOR,
     Charge,
+    ChargeSystem,
     Path,
     _delta_S_counted,
 )
-from .spacetime import FourVector, retarded_null_vector
+from .spacetime import FourVector, retarded_null_vectors
 
 __all__ = [
     "LoopPhaseReport",
@@ -33,28 +34,49 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LoopPhaseReport:
-    """Result of a loop (or two-path) phase measurement."""
+    """Result of a loop (or two-path) phase measurement: the accumulated
+    delta_S summed over the charges, and per charge its crossing-count
+    winding and its own delta_S."""
 
     delta_S: complex
-    winding: int
+    windings: tuple[int, ...]
     residual: float
     samples_used: int
     tolerance: float
+    charge_deltas: tuple[complex, ...]
+
+    @property
+    def winding(self) -> int:
+        """Winding of a one-charge report."""
+        if len(self.windings) != 1:
+            raise ValueError(f"a report over {len(self.windings)} charges has no single winding")
+        return self.windings[0]
 
     @property
     def status(self) -> str:
         return "ok" if self.residual < self.tolerance else "tolerance-exceeded"
 
 
-def _project(charge: Charge, event: FourVector) -> tuple[float, float]:
-    """(a1, -a2) of the charge's retarded null vector; the phase of the
+def _crossing_count(A: np.ndarray, points: np.ndarray) -> int:
+    """Signed number of crossings of the ray {v = 0, u > 0} by the closed
+    projected curve (u, v) = (a1, -a2) of the retarded null vectors A at a
+    closed loop's points; upward crossings count +1. The phase of the
     invariant advances with the polar angle of this planar curve."""
-    a = retarded_null_vector(charge.line, event).a.as_array()
-    if a[1] ** 2 + a[2] ** 2 < SINGULAR_AXIS_FLOOR * (a[0] ** 2 + a[3] ** 2):
+    axial = A[:, 1] ** 2 + A[:, 2] ** 2 < SINGULAR_AXIS_FLOOR * (A[:, 0] ** 2 + A[:, 3] ** 2)
+    if axial.any():
+        event = FourVector.from_array(points[int(np.argmax(axial))])
         raise PathThroughSingularAxisError(
             f"path sample at {event} projects onto the singular axis"
         )
-    return float(a[1]), float(-a[2])
+    u, v = A[:, 1], -A[:, 2]
+    if u[0] != u[-1] or v[0] != v[-1]:
+        u, v = np.append(u, u[0]), np.append(v, v[0])
+    below = v < 0.0
+    k = np.flatnonzero(below[:-1] != below[1:])
+    # crossing point of each sign-changing segment with v = 0
+    u_cross = u[k] + (u[k + 1] - u[k]) * (-v[k]) / (v[k + 1] - v[k])
+    right = u_cross > 0.0
+    return int(np.count_nonzero(right & below[k]) - np.count_nonzero(right & ~below[k]))
 
 
 def winding_number(loop: Path, charge: Charge) -> int:
@@ -62,37 +84,45 @@ def winding_number(loop: Path, charge: Charge) -> int:
     projected curve (u, v) = (a1, -a2); upward crossings count +1."""
     if not loop.closed:
         raise ValueError("winding_number requires a closed path")
-    pts = [_project(charge, e) for e in loop.events]
-    if pts[0] != pts[-1]:
-        pts.append(pts[0])
-    count = 0
-    for (u0, v0), (u1, v1) in zip(pts[:-1], pts[1:]):
-        below0, below1 = v0 < 0.0, v1 < 0.0
-        if below0 == below1:
-            continue
-        # crossing point of the segment with v = 0
-        u_cross = u0 + (u1 - u0) * (-v0) / (v1 - v0)
-        if u_cross > 0.0:
-            count += 1 if below0 else -1
-    return count
-
-
-_BRANCH_QUANTUM = 2.0 * math.pi
+    _, A, _ = retarded_null_vectors(charge.line, loop.points)
+    return _crossing_count(A, loop.points)
 
 
 def ab_phase_report(
-    charge: Charge, loop: Path, tolerance: float | None = None
+    charges: Charge | ChargeSystem, loop: Path, tolerance: float | None = None
 ) -> LoopPhaseReport:
-    """Closed-loop phase report: accumulated delta_S, the crossing-count
-    winding, and the residual against 2*pi*i*q*winding."""
+    """Closed-loop phase report for one charge or a whole system: the
+    accumulated delta_S summed over the charges, the crossing-count winding
+    w_k of each charge, and the residual against 2*pi*i*sum_k q_k*w_k.
+
+    The default tolerance is 1e-8 * max_k |q_k|. For a system, a failure on
+    charge k is raised as ChargeSystemError(k, ...).
+    """
     if not loop.closed:
         raise ValueError("ab_phase_report requires a closed loop")
+    system = isinstance(charges, ChargeSystem)
+    members = charges.charges if system else (charges,)
     if tolerance is None:
-        tolerance = 1e-8 * abs(charge.q)
-    delta, samples = _delta_S_counted(charge, loop)
-    w = winding_number(loop, charge)
-    residual = abs(delta - 2j * math.pi * charge.q * w)
-    return LoopPhaseReport(delta, w, residual, samples, tolerance)
+        tolerance = 1e-8 * max(abs(c.q) for c in members)
+    deltas, windings = [], []
+    samples = 0
+    expected = 0j
+    for k, charge in enumerate(members):
+        try:
+            # the winding comes from the same retarded vectors as the phase
+            delta, used, A = _delta_S_counted(charge, loop)
+            w = _crossing_count(A, loop.points)
+        except PrepotentialError as exc:
+            if not system:
+                raise
+            raise ChargeSystemError(k, str(exc)) from exc
+        deltas.append(delta)
+        windings.append(w)
+        samples += used
+        expected += 2j * math.pi * charge.q * w
+    delta_S = sum(deltas, 0j)
+    return LoopPhaseReport(delta_S, tuple(windings), abs(delta_S - expected), samples,
+                           tolerance, tuple(deltas))
 
 
 def two_path_difference(
@@ -107,18 +137,15 @@ def two_path_difference(
     reversal of path_b."""
     if path_a.closed or path_b.closed:
         raise ValueError("two_path_difference expects open paths")
-    for end in (0, -1):
-        da = path_a.events[end].as_array()
-        db = path_b.events[end].as_array()
-        if np.linalg.norm(da - db) > endpoint_tol:
-            raise ValueError("paths must share their endpoints")
+    ends = np.linalg.norm(path_a.points[[0, -1]] - path_b.points[[0, -1]], axis=1)
+    if (ends > endpoint_tol).any():
+        raise ValueError("paths must share their endpoints")
     if tolerance is None:
         tolerance = 1e-8 * abs(charge.q)
-    delta_a, samples_a = _delta_S_counted(charge, path_a)
-    delta_b, samples_b = _delta_S_counted(charge, path_b)
+    delta_a, samples_a, _ = _delta_S_counted(charge, path_a)
+    delta_b, samples_b, _ = _delta_S_counted(charge, path_b)
     delta = delta_a - delta_b
-    loop_events = list(path_a.events) + list(reversed(path_b.events[1:-1]))
-    loop = Path(tuple(loop_events), closed=True)
+    loop = Path(np.concatenate([path_a.points, path_b.points[-2:0:-1]]), closed=True)
     w = winding_number(loop, charge)
     residual = abs(delta - 2j * math.pi * charge.q * w)
-    return LoopPhaseReport(delta, w, residual, samples_a + samples_b, tolerance)
+    return LoopPhaseReport(delta, (w,), residual, samples_a + samples_b, tolerance, (delta,))

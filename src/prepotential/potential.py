@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,7 @@ from .spacetime import (
     WorldLine,
     minkowski_dot,
     retarded_null_vector,
+    retarded_null_vectors,
 )
 
 __all__ = [
@@ -107,6 +109,31 @@ def _zeta_quotient(a, null_tol: float = _DEFAULT_NULL_TOL):
     return av[0] - av[3], av[1] + 1j * av[2], _QUOTIENT_FORMS[1]
 
 
+def _zeta_quotients(A, null_tol: float = _DEFAULT_NULL_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise _zeta_quotient of an (N, 4) array of null vectors: the
+    numerators and denominators of the quotient it picks for each row,
+    after the same not-null and singular-axis checks."""
+    A = np.asarray(A)
+    mag = np.abs(A)
+    scale = mag.max(axis=1) ** 2
+    if (scale == 0.0).any():
+        raise NotNullError("zero vector has no invariant ratio")
+    nn = np.abs(A[:, 0] * A[:, 0] - A[:, 1] * A[:, 1] - A[:, 2] * A[:, 2] - A[:, 3] * A[:, 3])
+    if (nn > null_tol * scale).any():
+        i = int(np.argmax(nn > null_tol * scale))
+        raise NotNullError(f"vector is not null: |a.a| = {nn[i]:.3e} at scale {scale[i]:.3e}")
+    sq = mag * mag
+    if (sq[:, 1] + sq[:, 2] < SINGULAR_AXIS_FLOOR * (sq[:, 0] + sq[:, 3])).any():
+        raise SingularAxisError(
+            "a1 = a2 = 0: invariant degenerates to 0 or infinity"
+        )
+    den1 = A[:, 0] + A[:, 3]
+    den2 = A[:, 1] + 1j * A[:, 2]
+    first = np.abs(den1) >= np.abs(den2)
+    num = np.where(first, A[:, 1] - 1j * A[:, 2], A[:, 0] - A[:, 3])
+    return num, np.where(first, den1, den2)
+
+
 def zeta_of(a, null_tol: float = _DEFAULT_NULL_TOL) -> Zeta:
     """Invariant ratio (a1 - i a2)/(a0 + a3) of a null vector, computed
     from whichever of the two equivalent quotients is better conditioned.
@@ -147,31 +174,41 @@ class ChargeSystem:
         return len(self.charges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Path:
-    """Polyline of spacetime events; closed paths wrap from the last
-    sample back to the first."""
+    """Polyline of spacetime events, stored as a read-only (N, 4) array of
+    points; closed paths wrap from the last sample back to the first.
 
-    events: tuple[FourVector, ...]
-    closed: bool = False
+    Built from a sequence of FourVector events or from an (N, 4) array.
+    """
 
-    def __post_init__(self):
-        n = len(self.events)
-        if self.closed and n < 3:
+    points: np.ndarray
+    closed: bool
+
+    def __init__(self, events, closed: bool = False):
+        if not isinstance(events, np.ndarray):
+            events = [e.as_array() if isinstance(e, FourVector) else e for e in events]
+        pts = np.array(events, dtype=float)
+        n = len(pts)
+        if closed and n < 3:
             raise ValueError("a closed path needs at least 3 samples")
         if n < 2:
             raise ValueError("a path needs at least 2 samples")
-        for k in range(n - 1):
-            if np.array_equal(self.events[k].as_array(), self.events[k + 1].as_array()):
-                raise ValueError(f"consecutive path samples {k}, {k + 1} coincide")
+        if pts.ndim != 2 or pts.shape[1] != 4:
+            raise ValueError(f"path points must be an (N, 4) array, got shape {pts.shape}")
+        if not np.isfinite(pts).all():
+            raise ValueError("path points must be finite")
+        same = (pts[1:] == pts[:-1]).all(axis=1)
+        if same.any():
+            k = int(np.argmax(same))
+            raise ValueError(f"consecutive path samples {k}, {k + 1} coincide")
+        pts.setflags(write=False)
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "closed", bool(closed))
 
-    def edge_events(self) -> list[tuple[FourVector, FourVector]]:
-        edges = [(self.events[k], self.events[k + 1]) for k in range(len(self.events) - 1)]
-        if self.closed and not np.array_equal(
-            self.events[-1].as_array(), self.events[0].as_array()
-        ):
-            edges.append((self.events[-1], self.events[0]))
-        return edges
+    @cached_property
+    def events(self) -> tuple[FourVector, ...]:
+        return tuple(FourVector.from_array(p) for p in self.points)
 
 
 @dataclass(frozen=True)
@@ -375,59 +412,53 @@ def potential_A(charge: Charge, x: FourVector, step: float | None = None) -> np.
 _DEFAULT_REFINE_DEPTH = 40
 
 
-def _zeta_checked(charge: Charge, x: FourVector) -> complex:
+def _path_zetas(charge: Charge, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """zeta at each row of X and the retarded null vectors it came from."""
+    _, A, _ = retarded_null_vectors(charge.line, X)
     try:
-        return zeta_at(charge, x).value
-    except (SingularAxisError, PrepotentialError) as exc:
-        if isinstance(exc, SingularAxisError):
-            raise PathThroughSingularAxisError(str(exc)) from exc
-        raise
-
-
-def _segment_delta(
-    charge: Charge,
-    e0: np.ndarray,
-    z0: complex,
-    e1: np.ndarray,
-    z1: complex,
-    depth: int,
-    counter: list[int],
-) -> complex:
-    ratio = z1 / z0
-    if abs(cmath.phase(ratio)) < _MAX_RATIO_ARG:
-        return charge.q * cmath.log(ratio)
-    if depth <= 0:
-        raise RefinementLimitExceededError(
-            "path segment could not be refined below the phase guard"
-        )
-    mid = 0.5 * (e0 + e1)
-    zm = _zeta_checked(charge, FourVector.from_array(mid))
-    counter[0] += 1
-    left = _segment_delta(charge, e0, z0, mid, zm, depth - 1, counter)
-    right = _segment_delta(charge, mid, zm, e1, z1, depth - 1, counter)
-    return left + right
+        num, den = _zeta_quotients(A)
+    except SingularAxisError as exc:
+        raise PathThroughSingularAxisError(str(exc)) from exc
+    return num / den, A
 
 
 def _delta_S_counted(
     charge: Charge, path: Path, max_depth: int = _DEFAULT_REFINE_DEPTH
-) -> tuple[complex, int]:
-    edges = path.edge_events()
-    zcache: dict[int, complex] = {}
+) -> tuple[complex, int, np.ndarray]:
+    """delta_S_along_path with the number of samples it evaluated and the
+    retarded null vectors at the path's points.
 
-    def z(ev: FourVector) -> complex:
-        key = id(ev)
-        if key not in zcache:
-            zcache[key] = _zeta_checked(charge, ev)
-        return zcache[key]
-
-    counter = [0]
+    Refinement is level-synchronous: every edge whose zeta ratio swings
+    pi/2 or more is halved, all of them in one batch per level.
+    """
+    P = path.points
+    z, A = _path_zetas(charge, P)
+    if path.closed and not np.array_equal(P[-1], P[0]):
+        e0, e1 = P, np.roll(P, -1, axis=0)
+        z0, z1 = z, np.roll(z, -1)
+    else:
+        e0, e1, z0, z1 = P[:-1], P[1:], z[:-1], z[1:]
     total = 0j
-    for a, b in edges:
-        total += _segment_delta(
-            charge, a.as_array(), z(a), b.as_array(), z(b), max_depth, counter
-        )
-    samples = len({id(e) for e in path.events}) + counter[0]
-    return total, samples
+    splits = 0
+    depth = max_depth
+    while True:
+        ratio = z1 / z0
+        coarse = np.abs(np.angle(ratio)) >= _MAX_RATIO_ARG
+        total += charge.q * np.log(ratio[~coarse]).sum()
+        if not coarse.any():
+            break
+        if depth <= 0:
+            raise RefinementLimitExceededError(
+                "path segment could not be refined below the phase guard"
+            )
+        e0, e1, z0, z1 = e0[coarse], e1[coarse], z0[coarse], z1[coarse]
+        mid = 0.5 * (e0 + e1)
+        zm, _ = _path_zetas(charge, mid)
+        splits += len(mid)
+        e0, e1 = np.concatenate([e0, mid]), np.concatenate([mid, e1])
+        z0, z1 = np.concatenate([z0, zm]), np.concatenate([zm, z1])
+        depth -= 1
+    return complex(total), len(P) + splits, A
 
 
 def delta_S_along_path(
@@ -439,5 +470,4 @@ def delta_S_along_path(
 
     For closed paths the result is 2*pi*i*q times an integer winding.
     """
-    total, _ = _delta_S_counted(charge, path, max_depth)
-    return total
+    return _delta_S_counted(charge, path, max_depth)[0]

@@ -183,24 +183,21 @@ def build_loop(raw: dict, where: str) -> Path:
         _require(samples >= 8, f"{where}.samples must be >= 8")
         total = samples * abs(turns)
         sign = 1.0 if turns > 0 else -1.0
-        events = []
-        for k in range(total):
-            phi = sign * 2.0 * math.pi * abs(turns) * k / total
-            events.append(FourVector(
-                time,
-                center[0] + radius * math.cos(phi),
-                center[1] + radius * math.sin(phi),
-                center[2],
-            ))
-        return Path(tuple(events), closed=True)
+        phi = sign * 2.0 * math.pi * abs(turns) * np.arange(total) / total
+        points = np.empty((total, 4))
+        points[:, 0] = time
+        points[:, 1] = center[0] + radius * np.cos(phi)
+        points[:, 2] = center[1] + radius * np.sin(phi)
+        points[:, 3] = center[2]
+        return Path(points, closed=True)
     if kind == "points":
         events = raw.get("events")
         _require(isinstance(events, list) and len(events) >= 2,
                  f"{where}: points loop needs an 'events' list")
-        evs = tuple(FourVector(*_floats(e, 4, f"{where}.events[{i}]"))
-                    for i, e in enumerate(events))
+        points = np.array([_floats(e, 4, f"{where}.events[{i}]")
+                           for i, e in enumerate(events)])
         try:
-            return Path(evs, closed=bool(raw.get("closed", True)))
+            return Path(points, closed=bool(raw.get("closed", True)))
         except ValueError as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
     raise ScenarioError(f"{where}: unknown loop kind {kind!r}")

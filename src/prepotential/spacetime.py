@@ -30,6 +30,7 @@ __all__ = [
     "fundamental_boost",
     "four_velocity_from_3velocity",
     "retarded_null_vector",
+    "retarded_null_vectors",
 ]
 
 METRIC_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
@@ -305,3 +306,103 @@ def retarded_null_vector(line: WorldLine, observer: FourVector) -> RetardedSolut
     if isinstance(line, SampledLine):
         return _retarded_sampled(line, x)
     raise TypeError(f"unknown world-line type: {type(line).__name__}")
+
+
+def _mdot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise minkowski_dot of (N, 4) arrays, in the same operation order."""
+    return a[:, 0] * b[:, 0] - a[:, 1] * b[:, 1] - a[:, 2] * b[:, 2] - a[:, 3] * b[:, 3]
+
+
+def _check_solutions(A: np.ndarray) -> None:
+    a0 = A[:, 0]
+    nn = _mdot_rows(A, A)
+    bad = (np.abs(nn) > _NULL_CHECK_TOL * np.maximum(a0 * a0, 1e-300)) | (a0 <= 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise PrepotentialError(
+            f"retarded solver produced an invalid null vector: a={A[i]}, a.a={nn[i]}"
+        )
+
+
+def _retarded_uniform_rows(D: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise _retarded_uniform_d: D (N, 4) separations from a point of
+    the line, U (N, 4) or (4,) unit 4-velocities."""
+    U = np.broadcast_to(U, D.shape)
+    du = _mdot_rows(D, U)
+    disc = du * du - _mdot_rows(D, D)
+    if (disc < _ON_LINE_FLOOR**2 * np.maximum(1.0, du * du)).any():
+        raise ObserverOnWorldLineError("observer lies on the uniform world-line")
+    lam = du - np.sqrt(disc)
+    return lam, D - U * lam[:, None]
+
+
+def _g_rows(taus: np.ndarray, E: np.ndarray, X: np.ndarray, tau: np.ndarray):
+    """_g_of_tau per row at parameters tau (N,), and the interpolated events."""
+    k = np.clip(np.searchsorted(taus, tau, side="right") - 1, 0, len(taus) - 2)
+    frac = (tau - taus[k]) / (taus[k + 1] - taus[k])
+    e = E[k] + frac[:, None] * (E[k + 1] - E[k])
+    rel = X[:, 1:] - e[:, 1:]
+    return (X[:, 0] - e[:, 0]) - np.sqrt(np.einsum("ij,ij->i", rel, rel)), e
+
+
+def _retarded_sampled_rows(line: SampledLine, X: np.ndarray):
+    taus = np.asarray(line.taus, dtype=float)
+    E = np.array([e.as_array() for e in line.events])
+    # the last knot as _interpolate evaluates it: the end of the last segment
+    E[-1] = E[-2] + (taus[-1] - taus[-2]) / (taus[-1] - taus[-2]) * (E[-1] - E[-2])
+    rel = X[:, None, 1:] - E[None, :, 1:]
+    G = (X[:, None, 0] - E[None, :, 0]) - np.sqrt(np.einsum("nkj,nkj->nk", rel, rel))
+    if (G[:, 0] < 0).any():
+        raise NoRetardedIntersectionError(
+            "observer's past light cone precedes the sampled range"
+        )
+    if (G[:, -1] > 0).any():
+        raise NoRetardedIntersectionError(
+            "observer's past light cone is beyond the sampled range"
+        )
+    # g is monotone decreasing: the segment starts at the last knot with g >= 0
+    k = np.minimum((G >= 0).sum(axis=1) - 1, len(taus) - 2)
+    t0, t1 = taus[k], taus[k + 1]
+    W = (E[k + 1] - E[k]) / (t1 - t0)[:, None]
+    sw = np.sqrt(_mdot_rows(W, W))
+    U = W / sw[:, None]
+    lam, _ = _retarded_uniform_rows(X - E[k], U)
+    tau = np.clip(t0 + lam / sw, t0, t1)
+    # the scalar solver's safeguarded Newton polish, row by row
+    h = (t1 - t0) * 1e-7
+    g0, _ = _g_rows(taus, E, X, tau)
+    hi, lo = np.minimum(tau + h, t1), np.maximum(tau - h, t0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gp = (_g_rows(taus, E, X, hi)[0] - _g_rows(taus, E, X, lo)[0]) / (hi - lo)
+        cand = tau - g0 / gp
+    take = (h > 0) & (gp != 0) & (t0 <= cand) & (cand <= t1)
+    tau = np.where(take, cand, tau)
+    return tau, X - _g_rows(taus, E, X, tau)[1], U
+
+
+def retarded_null_vectors(line: WorldLine, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched retarded_null_vector over the rows of an (N, 4) array of
+    observer events: line parameters tau (N,), null vectors A (N, 4) and
+    unit 4-velocities U (N, 4), each row as the scalar solver gives it for
+    that event. Raises, for the whole batch, the error the scalar solver
+    raises for any offending row."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != 4:
+        raise ValueError(f"expected an (N, 4) array of events, got shape {X.shape}")
+    if isinstance(line, RestLine):
+        rel = X[:, 1:] - np.asarray(line.position)
+        r = np.sqrt(np.einsum("ij,ij->i", rel, rel))
+        if (r < _ON_LINE_FLOOR * np.maximum(1.0, np.abs(X[:, 0]))).any():
+            raise ObserverOnWorldLineError("observer coincides with the rest charge")
+        A = np.column_stack([r, rel])
+        tau, U = X[:, 0] - r, np.broadcast_to(_REST_U.as_array(), X.shape)
+    elif isinstance(line, UniformLine):
+        u = line.velocity_u.as_array()
+        tau, A = _retarded_uniform_rows(X - line.reference_event.as_array(), u)
+        U = np.broadcast_to(u, X.shape)
+    elif isinstance(line, SampledLine):
+        tau, A, U = _retarded_sampled_rows(line, X)
+    else:
+        raise TypeError(f"unknown world-line type: {type(line).__name__}")
+    _check_solutions(A)
+    return tau, A, U

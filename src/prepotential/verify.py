@@ -25,7 +25,7 @@ from .fields import (
 )
 from .loops import ab_phase_report
 from .matrices import upsilon, validate_relations
-from .potential import Charge, Path, zeta_of
+from .potential import Charge, ChargeSystem, Path, zeta_of
 from .scenario import Scenario
 from .spacetime import (
     FourVector,
@@ -53,7 +53,6 @@ class CheckResult:
 @dataclass(frozen=True)
 class RunReport:
     results: tuple[CheckResult, ...]
-    masked_cells: int = 0
 
     @property
     def all_passed(self) -> bool:
@@ -261,21 +260,21 @@ def _default_loops() -> list[Path]:
 
 def check_loop_phase(rng, tol_scale: float, scenario: Scenario | None = None) -> CheckResult:
     if scenario is not None and scenario.loops:
-        charge = scenario.charges.charges[0]
+        charges = scenario.charges
         loops = list(scenario.loops)
     else:
-        charge = Charge(1.0, RestLine((0.0, 0.0, 0.0)))
+        charges = ChargeSystem((Charge(1.0, RestLine((0.0, 0.0, 0.0))),))
         loops = _default_loops()
-    tol = 1e-8 * abs(charge.q) * tol_scale
+    tol = 1e-8 * max(abs(c.q) for c in charges) * tol_scale
     worst = 0.0
     agree = True
     windings = []
     for loop in loops:
-        rep = ab_phase_report(charge, loop, tolerance=tol)
+        rep = ab_phase_report(charges, loop, tolerance=tol)
         worst = max(worst, rep.residual)
-        rounded = round(rep.delta_S.imag / (2.0 * math.pi * charge.q))
-        agree = agree and (rounded == rep.winding)
-        windings.append(rep.winding)
+        for charge, delta, w in zip(charges, rep.charge_deltas, rep.windings):
+            agree = agree and round(delta.imag / (2.0 * math.pi * charge.q)) == w
+        windings.append(rep.windings[0] if len(rep.windings) == 1 else list(rep.windings))
     return CheckResult(
         "loop-phase",
         worst,

@@ -292,6 +292,50 @@ class TestLoopPhaseCommand:
             assert abs(turns - int(r["winding"])) < 1e-8
             assert r["status"] == "ok"
 
+    @pytest.fixture
+    def opposite_charges(self, tmp_path):
+        """A +1 and a -1 charge, both inside one circle: the system answer
+        is 0, the first charge alone gives -2 pi i."""
+        scen = tmp_path / "pair.json"
+        scen.write_text(json.dumps({
+            "version": 1,
+            "charges": [
+                {"q": 1.0, "line": {"kind": "rest", "position": [0.2, 0.1, 0]}},
+                {"q": -1.0, "line": {"kind": "uniform", "event": [0, -0.3, 0, 0],
+                                     "velocity": [0, 0, 0.5]}},
+            ],
+            "loops": [{"kind": "circle", "center": [0, 0, 0.4], "radius": 1.0}],
+        }))
+        return str(scen)
+
+    def test_opposite_charges_inside_one_loop(self, opposite_charges, tmp_path):
+        out = tmp_path / "pair.csv"
+        assert main(["loop-phase", "--scenario", opposite_charges, "--out", str(out)]) == 0
+        (row,) = csv.DictReader(out.read_text().splitlines())
+        assert abs(complex(float(row["delta_S_re"]), float(row["delta_S_im"]))) < 1e-8
+        assert row["winding"] == "-1;-1"
+        assert row["samples"] == "480"
+        assert row["status"] == "ok"
+        out_json = tmp_path / "pair.json"
+        assert main(["loop-phase", "--scenario", opposite_charges, "--format", "json",
+                     "--out", str(out_json)]) == 0
+        assert json.loads(out_json.read_text())["records"][0]["winding"] == "-1;-1"
+
+    def test_opposite_charges_verify_family(self, opposite_charges, tmp_path):
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--scenario", opposite_charges, "--checks", "loop-phase",
+                     "--out", str(out)]) == 0
+        (row,) = csv.DictReader(out.read_text().splitlines())
+        assert row["passed"] == "1"
+        assert "[-1, -1]" in row["detail"]
+
+    def test_one_charge_winding_is_a_number(self, tmp_path):
+        out = tmp_path / "loops.json"
+        assert main(["loop-phase", "--scenario", REST, "--format", "json",
+                     "--out", str(out)]) == 0
+        records = json.loads(out.read_text())["records"]
+        assert [r["winding"] for r in records] == [-1, 0, 2]
+
     def test_empty_loop_list(self, tmp_path):
         out = tmp_path / "empty.csv"
         assert main(["loop-phase", "--scenario", UNIFORM, "--out", str(out)]) == 0

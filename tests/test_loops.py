@@ -4,15 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from prepotential import (
     Charge,
+    ChargeSystem,
+    ChargeSystemError,
     FourVector,
     Path,
     PathThroughSingularAxisError,
     RestLine,
+    UniformLine,
     ab_phase_report,
     delta_S_along_path,
+    four_velocity_from_3velocity,
     two_path_difference,
     winding_number,
 )
@@ -188,3 +194,132 @@ class TestTwoPathDifference:
         c = rest_charge()
         with pytest.raises(ValueError):
             two_path_difference(c, circle(), self.semicircle(True))
+
+
+def axial_charge(q, position, speed):
+    """A charge whose singular axis is the x3-parallel line through
+    (position[0], position[1]): at rest, or moving along x3."""
+    if speed == 0.0:
+        return Charge(q, RestLine((position[0], position[1], 0.0)))
+    u = four_velocity_from_3velocity([0.0, 0.0, speed])
+    return Charge(q, UniformLine(V(0.0, position[0], position[1], 0.0), u))
+
+
+def circle_points(center, radius, turns, samples=120, height=0.4):
+    """(N, 4) points of a circle in the x1-x2 plane at time 0, starting at
+    center + (radius, 0); negative turns run clockwise."""
+    total = samples * abs(turns)
+    phi = np.sign(turns) * 2 * math.pi * abs(turns) * np.arange(total) / total
+    return np.column_stack([np.zeros(total), center[0] + radius * np.cos(phi),
+                            center[1] + radius * np.sin(phi), np.full(total, height)])
+
+
+def segment_distance(p, q, x):
+    """Distance in the plane from x to the segment p-q."""
+    d = q - p
+    t = min(max(float((x - p) @ d / (d @ d)), 0.0), 1.0)
+    return float(np.linalg.norm(p + t * d - x))
+
+
+_radii = st.one_of(st.floats(0.3, 0.6), st.floats(0.9, 3.0))
+_turns = st.sampled_from([-2, -1, 1, 2])
+_speed = st.one_of(st.just(0.0), st.floats(-0.9, 0.9))
+
+
+class TestLoopProperties:
+    @given(r_a=_radii, r_b=_radii, turns_a=_turns, turns_b=_turns, speed=_speed)
+    @settings(max_examples=60, deadline=None)
+    def test_winding_additive_under_concatenation(self, r_a, r_b, turns_a, turns_b, speed):
+        # two circles through the base point (1.5, 0), each 0.3 or more
+        # from the axis; the concatenation runs one, then the other
+        charge = axial_charge(1.0, (0.0, 0.0), speed)
+        a = circle_points((1.5 - r_a, 0.0), r_a, turns_a)
+        b = circle_points((1.5 - r_b, 0.0), r_b, turns_b)
+        loops = [Path(p, closed=True) for p in (a, b, np.concatenate([a, b]))]
+        w_a, w_b, w_ab = (winding_number(lp, charge) for lp in loops)
+        assert w_ab == w_a + w_b
+        d_a, d_b, d_ab = (delta_S_along_path(charge, lp) for lp in loops)
+        assert abs(d_ab - (d_a + d_b)) < 1e-10
+        assert abs(d_ab - 2j * math.pi * w_ab) < 1e-10
+
+    @given(
+        n=st.integers(4, 8),
+        jitter=st.lists(st.floats(-0.3, 0.3), min_size=8, max_size=8),
+        radii=st.lists(st.floats(0.5, 2.0), min_size=8, max_size=8),
+        center=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+        reverse=st.booleans(),
+        k=st.integers(2, 6),
+        speed=_speed,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_delta_S_independent_of_edge_subdivision(
+        self, n, jitter, radii, center, reverse, k, speed
+    ):
+        theta = 2 * math.pi * (np.arange(n) + np.array(jitter[:n])) / n
+        verts = np.array(center) + np.column_stack(
+            [np.multiply(radii[:n], np.cos(theta)), np.multiply(radii[:n], np.sin(theta))])
+        if reverse:
+            verts = verts[::-1]
+        ends = np.roll(verts, -1, axis=0)
+        assume(min(segment_distance(p, q, np.zeros(2)) for p, q in zip(verts, ends)) > 0.05)
+        fine = np.concatenate([p + np.outer(np.arange(k) / k, q - p)
+                               for p, q in zip(verts, ends)])
+        charge = axial_charge(1.3, (0.0, 0.0), speed)
+        coarse_loop, fine_loop = (
+            Path(np.column_stack([np.zeros(len(v)), v, np.full(len(v), 0.4)]), closed=True)
+            for v in (verts, fine))
+        coarse = delta_S_along_path(charge, coarse_loop)
+        assert abs(delta_S_along_path(charge, fine_loop) - coarse) < 1e-10
+        assert winding_number(coarse_loop, charge) == winding_number(fine_loop, charge)
+
+    @given(
+        charges=st.lists(
+            st.tuples(st.floats(0.5, 2.0), st.sampled_from([1.0, -1.0]),
+                      st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), _speed),
+            min_size=1, max_size=3),
+        radius=st.floats(0.5, 2.5),
+        turns=_turns,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_system_report_is_sum_of_one_charge_reports(self, charges, radius, turns):
+        assume(all(abs(math.hypot(*pos) - radius) > 0.1 for _, _, pos, _ in charges))
+        members = tuple(axial_charge(m * s, pos, v) for m, s, pos, v in charges)
+        loop = Path(circle_points((0.0, 0.0), radius, turns), closed=True)
+        system = ab_phase_report(ChargeSystem(members), loop)
+        ones = [ab_phase_report(c, loop) for c in members]
+        q_max = max(abs(c.q) for c in members)
+        assert abs(system.delta_S - sum(r.delta_S for r in ones)) <= 1e-12 * q_max
+        assert system.windings == tuple(r.winding for r in ones)
+        assert system.samples_used == sum(r.samples_used for r in ones)
+        assert system.tolerance == 1e-8 * q_max
+        assert system.status == "ok"
+
+
+class TestSystemReport:
+    def test_opposite_charges_inside_cancel(self):
+        system = ChargeSystem((axial_charge(1.0, (0.2, 0.1), 0.0),
+                               axial_charge(-1.0, (-0.3, 0.0), 0.5)))
+        rep = ab_phase_report(system, Path(circle_points((0.0, 0.0), 1.0, 1), closed=True))
+        assert rep.windings == (-1, -1)
+        assert abs(rep.delta_S) < 1e-8
+        assert rep.residual < rep.tolerance
+        with pytest.raises(ValueError):
+            rep.winding
+
+    def test_failure_names_the_charge(self):
+        # the loop's first point lies on the second charge's axis
+        system = ChargeSystem((rest_charge(), axial_charge(2.0, (1.0, 0.0), 0.0)))
+        loop = Path(circle_points((0.0, 0.0), 1.0, 1), closed=True)
+        with pytest.raises(ChargeSystemError) as info:
+            ab_phase_report(system, loop)
+        assert info.value.index == 1
+        assert isinstance(info.value.__cause__, PathThroughSingularAxisError)
+
+    def test_path_from_array_matches_path_from_events(self):
+        pts = circle_points((0.3, -0.2), 1.1, 2, samples=40)
+        from_array = Path(pts, closed=True)
+        from_events = Path(tuple(FourVector.from_array(p) for p in pts), closed=True)
+        assert np.array_equal(from_array.points, from_events.points)
+        assert from_array.events == from_events.events
+        a, b = ab_phase_report(rest_charge(), from_array), ab_phase_report(rest_charge(), from_events)
+        assert (a.delta_S, a.windings, a.samples_used) == (b.delta_S, b.windings, b.samples_used)

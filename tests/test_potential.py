@@ -43,8 +43,11 @@ from prepotential import (
     retarded_null_vector,
     second_partials,
     upsilon,
+    zeta_at,
     zeta_of,
 )
+from prepotential.potential import _zeta_quotients
+from prepotential.spacetime import retarded_null_vectors
 
 
 def V(*c):
@@ -377,6 +380,64 @@ class TestPrePotentialJet:
             prepotential_jet_system(ChargeSystem((good, bad)), V(0.0, 5.0, 0.0, 1.0))
         assert err.value.index == 1
         assert isinstance(err.value.__cause__, SingularAxisError)
+
+
+_sights = st.tuples(
+    st.integers(-3, 3), st.floats(0.3, 0.7), st.floats(0.5, 3.0),
+    st.floats(-7.0, 0.0), st.floats(0.0, 2.0 * math.pi), st.sampled_from([1.0, -1.0]))
+
+
+def _sight(kind, v3, sight):
+    """The charge and an observer seeing its line at parameter
+    knot + frac, from `distance` at 10**log_theta rad off the axis."""
+    knot, frac, distance, log_theta, phi, side = sight
+    charge, event = _charge_of_kind(kind, 1.0, v3, knot + frac)
+    return charge, _observer(event, distance, _direction(10.0**log_theta, phi, side))
+
+
+class TestZetaBatch:
+    """_zeta_quotients row by row against the scalar zeta."""
+
+    @given(
+        kind=st.sampled_from(["rest", "uniform", "sampled"]),
+        v3=_speeds,
+        sights=st.lists(_sights, min_size=1, max_size=10),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_zeta_of(self, kind, v3, sights):
+        xs = [_sight(kind, v3, s)[1].as_array() for s in sights]
+        charge = _sight(kind, v3, sights[0])[0]
+        _, A, _ = retarded_null_vectors(charge.line, np.array(xs))
+        num, den = _zeta_quotients(A)
+        for i, a in enumerate(A):
+            want = zeta_of(a).value
+            assert abs(num[i] / den[i] - want) <= 1e-13 * abs(want)
+
+    @given(
+        kind=st.sampled_from(["rest", "uniform", "sampled"]),
+        v3=_speeds,
+        sights=st.lists(_sights, min_size=0, max_size=6),
+        where=st.integers(0, 6),
+        side=st.sampled_from([1.0, -1.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_on_axis_row_raises_scalar_class(self, kind, v3, sights, where, side):
+        charge, event = _charge_of_kind(kind, 1.0, v3, 0.5)
+        x_bad = _observer(event, 1.5, np.array([0.0, 0.0, side]))
+        with pytest.raises(SingularAxisError):
+            zeta_at(charge, x_bad)
+        xs = [_sight(kind, v3, s)[1].as_array() for s in sights]
+        xs.insert(where % (len(xs) + 1), x_bad.as_array())
+        _, A, _ = retarded_null_vectors(charge.line, np.array(xs))
+        with pytest.raises(SingularAxisError):
+            _zeta_quotients(A)
+
+    def test_not_null_row_raises(self):
+        A = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 0.5, 0.0, 0.0]])
+        with pytest.raises(NotNullError):
+            zeta_of(A[1])
+        with pytest.raises(NotNullError):
+            _zeta_quotients(A)
 
 
 class TestPotentialA:

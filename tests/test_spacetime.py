@@ -1,13 +1,18 @@
 """Metric, boosts, and the retarded null-vector solver."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from prepotential import (
     FourVector,
     NoRetardedIntersectionError,
     ObserverOnWorldLineError,
+    PrepotentialError,
     RestLine,
     SampledLine,
     UniformLine,
@@ -16,6 +21,7 @@ from prepotential import (
     minkowski_dot,
     retarded_null_vector,
 )
+from prepotential.spacetime import retarded_null_vectors
 
 
 def V(*c):
@@ -213,3 +219,92 @@ class TestWorldLineValidation:
     def test_four_vector_rejects_nan(self):
         with pytest.raises(ValueError):
             FourVector(float("nan"), 0, 0, 0)
+
+
+_speeds = st.tuples(*[st.floats(-0.9, 0.9)] * 3).filter(
+    lambda v: float(np.dot(v, v)) <= 0.81)
+_events = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+                    st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+
+
+def _line(kind, v3, turn):
+    """A world-line of the kind and the events that lie on it exactly: the
+    rest position, the uniform line's reference event, the sampled line's
+    knots. The 24-knot sampled line turns its velocity by `turn` about x3
+    at every knot and passes through the origin at its middle knot."""
+    if kind == "rest":
+        pos = (0.3, -0.2, 0.1)
+        return RestLine(pos), [np.array([t, *pos]) for t in (-1.0, 0.5)]
+    u = four_velocity_from_3velocity(v3).as_array()
+    if kind == "uniform":
+        ref = np.array([0.2, -0.1, 0.4, 0.3])
+        line = UniformLine(FourVector.from_array(ref), FourVector.from_array(u))
+        return line, [ref]
+    steps = []
+    for k in range(23):
+        c, s_ = math.cos(turn * k), math.sin(turn * k)
+        steps.append([u[0], c * u[1] - s_ * u[2], s_ * u[1] + c * u[2], u[3]])
+    knots = np.vstack([np.zeros(4), np.cumsum(steps, axis=0)])
+    knots -= knots[12]
+    taus = tuple(float(t) for t in range(-12, 12))
+    line = SampledLine(taus, tuple(FourVector.from_array(e) for e in knots))
+    return line, list(knots[1:-1])
+
+
+def _scalar(line, x):
+    """The scalar solution at x, or the exception it raises."""
+    try:
+        return retarded_null_vector(line, FourVector.from_array(x))
+    except PrepotentialError as exc:
+        return exc
+
+
+class TestRetardedBatch:
+    """retarded_null_vectors row by row against the scalar solver."""
+
+    @given(
+        kind=st.sampled_from(["rest", "uniform", "sampled"]),
+        v3=_speeds,
+        turn=st.floats(-0.4, 0.4),
+        events=st.lists(_events, min_size=1, max_size=12),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_scalar(self, kind, v3, turn, events):
+        line, _ = _line(kind, v3, turn)
+        X = np.array(events, dtype=float)
+        sols = [_scalar(line, x) for x in X]
+        X = X[[not isinstance(s, PrepotentialError) for s in sols]]
+        sols = [s for s in sols if not isinstance(s, PrepotentialError)]
+        if not sols:
+            return
+        tau, A, U = retarded_null_vectors(line, X)
+        for i, sol in enumerate(sols):
+            a = sol.a.as_array()
+            assert abs(tau[i] - sol.tau_retarded) <= 1e-13 * max(1.0, abs(sol.tau_retarded))
+            assert np.abs(A[i] - a).max() <= 1e-13 * np.abs(a).max()
+            assert np.abs(U[i] - sol.u.as_array()).max() <= 1e-13 * sol.u.x0
+
+    @given(
+        kind=st.sampled_from(["rest", "uniform", "sampled"]),
+        v3=_speeds,
+        turn=st.floats(-0.4, 0.4),
+        events=st.lists(_events, min_size=0, max_size=8),
+        bad=st.integers(0, 100),
+        where=st.integers(0, 8),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_offending_row_raises_scalar_class(self, kind, v3, turn, events, bad, where):
+        # an event on the line, or for a sampled line one whose past cone
+        # misses the sampled range, among events the scalar solver accepts
+        line, on_line = _line(kind, v3, turn)
+        offenders = on_line + ([np.array([-100.0, 0, 0, 0]), np.array([100.0, 0, 0, 0])]
+                               if kind == "sampled" else [])
+        x_bad = offenders[bad % len(offenders)]
+        expected = _scalar(line, x_bad)
+        assert isinstance(expected, PrepotentialError)
+        good = [x for x in np.array(events, dtype=float).reshape(-1, 4)
+                if not isinstance(_scalar(line, x), PrepotentialError)]
+        good.insert(where % (len(good) + 1), x_bad)
+        with pytest.raises(type(expected)) as info:
+            retarded_null_vectors(line, np.array(good))
+        assert type(info.value) is type(expected)
