@@ -180,6 +180,7 @@ class Path:
     points; closed paths wrap from the last sample back to the first.
 
     Built from a sequence of FourVector events or from an (N, 4) array.
+    Two paths are equal when their points and closedness are.
     """
 
     points: np.ndarray
@@ -205,6 +206,15 @@ class Path:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "closed", bool(closed))
+
+    def __eq__(self, other):
+        if not isinstance(other, Path):
+            return NotImplemented
+        return self.closed == other.closed and np.array_equal(self.points, other.points)
+
+    def __hash__(self):
+        # + 0.0 maps -0.0 to 0.0, so equal paths hash alike
+        return hash((self.closed, self.points.shape, (self.points + 0.0).tobytes()))
 
     @cached_property
     def events(self) -> tuple[FourVector, ...]:

@@ -336,50 +336,6 @@ def _retarded_uniform_rows(D: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np
     return lam, D - U * lam[:, None]
 
 
-def _g_rows(taus: np.ndarray, E: np.ndarray, X: np.ndarray, tau: np.ndarray):
-    """_g_of_tau per row at parameters tau (N,), and the interpolated events."""
-    k = np.clip(np.searchsorted(taus, tau, side="right") - 1, 0, len(taus) - 2)
-    frac = (tau - taus[k]) / (taus[k + 1] - taus[k])
-    e = E[k] + frac[:, None] * (E[k + 1] - E[k])
-    rel = X[:, 1:] - e[:, 1:]
-    return (X[:, 0] - e[:, 0]) - np.sqrt(np.einsum("ij,ij->i", rel, rel)), e
-
-
-def _retarded_sampled_rows(line: SampledLine, X: np.ndarray):
-    taus = np.asarray(line.taus, dtype=float)
-    E = np.array([e.as_array() for e in line.events])
-    # the last knot as _interpolate evaluates it: the end of the last segment
-    E[-1] = E[-2] + (taus[-1] - taus[-2]) / (taus[-1] - taus[-2]) * (E[-1] - E[-2])
-    rel = X[:, None, 1:] - E[None, :, 1:]
-    G = (X[:, None, 0] - E[None, :, 0]) - np.sqrt(np.einsum("nkj,nkj->nk", rel, rel))
-    if (G[:, 0] < 0).any():
-        raise NoRetardedIntersectionError(
-            "observer's past light cone precedes the sampled range"
-        )
-    if (G[:, -1] > 0).any():
-        raise NoRetardedIntersectionError(
-            "observer's past light cone is beyond the sampled range"
-        )
-    # g is monotone decreasing: the segment starts at the last knot with g >= 0
-    k = np.minimum((G >= 0).sum(axis=1) - 1, len(taus) - 2)
-    t0, t1 = taus[k], taus[k + 1]
-    W = (E[k + 1] - E[k]) / (t1 - t0)[:, None]
-    sw = np.sqrt(_mdot_rows(W, W))
-    U = W / sw[:, None]
-    lam, _ = _retarded_uniform_rows(X - E[k], U)
-    tau = np.clip(t0 + lam / sw, t0, t1)
-    # the scalar solver's safeguarded Newton polish, row by row
-    h = (t1 - t0) * 1e-7
-    g0, _ = _g_rows(taus, E, X, tau)
-    hi, lo = np.minimum(tau + h, t1), np.maximum(tau - h, t0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gp = (_g_rows(taus, E, X, hi)[0] - _g_rows(taus, E, X, lo)[0]) / (hi - lo)
-        cand = tau - g0 / gp
-    take = (h > 0) & (gp != 0) & (t0 <= cand) & (cand <= t1)
-    tau = np.where(take, cand, tau)
-    return tau, X - _g_rows(taus, E, X, tau)[1], U
-
-
 def retarded_null_vectors(line: WorldLine, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched retarded_null_vector over the rows of an (N, 4) array of
     observer events: line parameters tau (N,), null vectors A (N, 4) and
@@ -401,7 +357,12 @@ def retarded_null_vectors(line: WorldLine, X) -> tuple[np.ndarray, np.ndarray, n
         tau, A = _retarded_uniform_rows(X - line.reference_event.as_array(), u)
         U = np.broadcast_to(u, X.shape)
     elif isinstance(line, SampledLine):
-        tau, A, U = _retarded_sampled_rows(line, X)
+        # row by row through the scalar bisection; a vectorised one is left
+        # until a workload evaluates paths round sampled lines
+        sols = [_retarded_sampled(line, x) for x in X]
+        tau = np.array([s.tau_retarded for s in sols], dtype=float)
+        A = np.array([s.a.as_array() for s in sols], dtype=float).reshape(-1, 4)
+        U = np.array([s.u.as_array() for s in sols], dtype=float).reshape(-1, 4)
     else:
         raise TypeError(f"unknown world-line type: {type(line).__name__}")
     _check_solutions(A)

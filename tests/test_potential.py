@@ -579,3 +579,12 @@ class TestLocalScale:
             Path((V(0, 1, 0, 0), V(0, 1, 0, 0)))
         with pytest.raises(ValueError):
             Path((V(0, 1, 0, 0), V(0, 0, 1, 0)), closed=True)
+
+    def test_path_equality_by_value(self):
+        events = (V(0, 1, 0, 0), V(0, 0, 1, 0), V(0, -0.0, 0, 1))
+        a = Path(events, closed=True)
+        b = Path(np.array([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]), closed=True)
+        assert a == b and hash(a) == hash(b)
+        assert a != Path(events, closed=False)
+        assert a != Path(events[:2])
+        assert a != Path((V(0, 1, 0, 0), V(0, 0, 1, 0), V(0, 0, 0, 2)), closed=True)
