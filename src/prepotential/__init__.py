@@ -74,10 +74,12 @@ from .potential import (
     potential_matrix,
     prepotential_jet,
     prepotential_jet_system,
+    prepotential_jets,
     prepotential_point,
     prepotential_system,
     zeta_at,
     zeta_of,
+    zetas_of,
 )
 from .scenario import Scenario, bundled_scenario_path, load_scenario, parse_scenario
 from .spacetime import (

@@ -13,18 +13,15 @@ import io
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path as FsPath
 
-from .errors import (
-    NoRetardedIntersectionError,
-    ObserverOnWorldLineError,
-    PrepotentialError,
-    ScenarioError,
-    SingularAxisError,
-)
+import numpy as np
+
+from .errors import ROW_FAILURES, PrepotentialError, ScenarioError
 from .loops import ab_phase_report
 from .matrices import validate_relations
-from .potential import prepotential_jet_system
+from .potential import prepotential_jets
 from .scenario import CHECK_NAMES, Scenario, load_scenario
 from .verify import DEFAULT_SEED, run_checks
 
@@ -76,48 +73,32 @@ GRID_HEADER = [
 ]
 
 
-# A cell is masked only when the root cause of its failure is geometric:
-# the field is undefined there, not merely hard to compute. Any other
-# failure propagates and exits 3.
-MASK_CAUSES = (SingularAxisError, ObserverOnWorldLineError, NoRetardedIntersectionError)
-
-
-def _root_cause(exc: BaseException) -> BaseException:
-    """Innermost package exception in the cause chain."""
-    while isinstance(exc.__cause__, PrepotentialError):
-        exc = exc.__cause__
-    return exc
-
-
 def _cmd_field_grid(scenario: Scenario, fmt: str, out: str | None) -> int:
     if scenario.grid is None:
         raise ScenarioError("field-grid requires a 'grid' section in the scenario")
+    X = scenario.grid.array()
+    # one retarded solve per charge over the whole grid carries S, the
+    # field and both residuals; a cell is masked only for a geometric
+    # failure, any other failure raises and exits 3
+    jet, failure = prepotential_jets(scenario.charges, X)
+    H = jet.hessian
+    wave = np.abs(H[:, 0, 0] - H[:, 1, 1] - H[:, 2, 2] - H[:, 3, 3])
+    lap = np.abs(H[:, 1, 1] + H[:, 2, 2] + H[:, 3, 3])
     rows = []
-    masked: dict[str, int] = {}
     nan = float("nan")
-    for point in scenario.grid.points():
-        coords = [point.x0, point.x1, point.x2, point.x3]
-        try:
-            # one retarded solve per charge carries S, the field and both residuals
-            jet = prepotential_jet_system(scenario.charges, point)
-        except PrepotentialError as exc:
-            cause = _root_cause(exc)
-            if not isinstance(cause, MASK_CAUSES):
-                raise
-            reason = type(cause).__name__
-            masked[reason] = masked.get(reason, 0) + 1
+    for coords, s, f, w, lp, code in zip(X.tolist(), jet.value.tolist(), jet.field.tolist(),
+                                         wave.tolist(), lap.tolist(), failure.tolist()):
+        if code:
             rows.append(coords + [nan] * 10 + [1])
             continue
-        s, H, f = jet.value, jet.hessian, jet.field
-        wave = abs(H[0, 0] - H[1, 1] - H[2, 2] - H[3, 3])
-        lap = abs(H[1, 1] + H[2, 2] + H[3, 3])
         rows.append(coords + [
             s.real, s.imag,
-            float(f[0].real), float(f[1].real), float(f[2].real),
-            float(f[0].imag), float(f[1].imag), float(f[2].imag),
-            wave, lap, 0,
+            f[0].real, f[1].real, f[2].real,
+            f[0].imag, f[1].imag, f[2].imag,
+            w, lp, 0,
         ])
     _write_table(GRID_HEADER, rows, fmt, out, "field-grid")
+    masked = Counter(ROW_FAILURES[code][0].__name__ for code in failure[failure != 0])
     reasons = ", ".join(f"{name}: {n}" for name, n in sorted(masked.items()))
     print(f"field-grid: {len(rows)} cells, {sum(masked.values())} masked"
           + (f" ({reasons})" if reasons else ""), file=sys.stderr)

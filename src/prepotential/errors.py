@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the per-row
+failure codes of the batched evaluation."""
+
+import numpy as np
 
 
 class PrepotentialError(Exception):
@@ -58,3 +61,24 @@ class ChargeSystemError(PrepotentialError):
 
 class ScenarioError(PrepotentialError):
     """A scenario configuration file is invalid."""
+
+
+# Geometric failures of single rows in a batched evaluation: code k > 0 in
+# a failure array means that row fails with ROW_FAILURES[k] (class and
+# message); 0 marks a good row.
+ON_REST_CHARGE, ON_LINE, BEFORE_RANGE, BEYOND_RANGE, ON_AXIS = 1, 2, 3, 4, 5
+ROW_FAILURES = (
+    None,
+    (ObserverOnWorldLineError, "observer coincides with the rest charge"),
+    (ObserverOnWorldLineError, "observer lies on the uniform world-line"),
+    (NoRetardedIntersectionError, "observer's past light cone precedes the sampled range"),
+    (NoRetardedIntersectionError, "observer's past light cone is beyond the sampled range"),
+    (SingularAxisError, "a1 = a2 = 0: invariant degenerates to 0 or infinity"),
+)
+
+
+def raise_first_failure(failure: np.ndarray) -> None:
+    """Raise the class of the first failing row, with its message."""
+    if failure.any():
+        cls, message = ROW_FAILURES[failure[np.flatnonzero(failure)[0]]]
+        raise cls(message)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spacetime import fundamental_boost
+from .spacetime import METRIC_SIGNS, fundamental_boost
 
 __all__ = [
     "ComplexMatrix4",
@@ -38,7 +38,7 @@ __all__ = [
 ComplexMatrix4 = np.ndarray
 
 IDENTITY4 = np.eye(4, dtype=complex)
-METRIC = np.diag([1.0, -1.0, -1.0, -1.0]).astype(complex)
+METRIC = np.diag(METRIC_SIGNS).astype(complex)
 
 _RHO = (
     0.5 * np.array(

@@ -12,7 +12,6 @@ accumulation.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -20,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    ON_AXIS,
     ChargeSystemError,
     NotNullError,
     PathThroughSingularAxisError,
@@ -27,15 +27,17 @@ from .errors import (
     RefinementLimitExceededError,
     SingularAxisError,
     StepTooLargeError,
+    raise_first_failure,
 )
 from .matrices import METRIC, conjugation_C, rho
 from .spacetime import (
     METRIC_SIGNS,
     FourVector,
     WorldLine,
+    _mdot_rows,
     minkowski_dot,
     retarded_null_vector,
-    retarded_null_vectors,
+    retarded_rows,
 )
 
 __all__ = [
@@ -47,11 +49,13 @@ __all__ = [
     "Path",
     "POTENTIAL_FIELD_SCALE",
     "zeta_of",
+    "zetas_of",
     "zeta_at",
     "prepotential_point",
     "prepotential_system",
     "prepotential_jet",
     "prepotential_jet_system",
+    "prepotential_jets",
     "gradient_S",
     "potential_A",
     "delta_S_along_path",
@@ -73,65 +77,52 @@ class Zeta:
     value: complex
 
 
-# The two equivalent quotients for zeta as (numerator, denominator) linear
-# forms in (a0, a1, a2, a3): (a1 - i a2)/(a0 + a3) and (a0 - a3)/(a1 + i a2).
-_QUOTIENT_FORMS = (
-    (np.array([0.0, 1.0, -1j, 0.0]), np.array([1.0, 0.0, 0.0, 1.0 + 0j])),
-    (np.array([1.0, 0.0, 0.0, -1.0 + 0j]), np.array([0.0, 1.0, 1j, 0.0])),
-)
+# The two equivalent quotients for zeta, (a1 - i a2)/(a0 + a3) and
+# (a0 - a3)/(a1 + i a2), as linear forms in (a0, a1, a2, a3): row p of each
+# table belongs to quotient p.
+_NUMERATORS = np.array([[0.0, 1.0, -1j, 0.0], [1.0, 0.0, 0.0, -1.0]])
+_DENOMINATORS = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1j, 0.0]])
 
 
-def _zeta_quotient(a, null_tol: float = _DEFAULT_NULL_TOL):
-    """Numerator, denominator and linear forms of whichever quotient for
-    zeta is better conditioned at the null vector a; the other one loses
-    every digit near the singular axis."""
-    if isinstance(a, FourVector):
-        av = a.as_array().astype(complex)
-    else:
-        av = np.asarray(a, dtype=complex)
-        if av.shape != (4,):
-            raise ValueError(f"expected 4 components, got shape {av.shape}")
-    scale = float(np.abs(av).max()) ** 2
-    if scale == 0.0:
-        raise NotNullError("zero vector has no invariant ratio")
-    nn = minkowski_dot(av, av)
-    if abs(nn) > null_tol * scale:
-        raise NotNullError(f"vector is not null: |a.a| = {abs(nn):.3e} at scale {scale:.3e}")
-    transverse = abs(av[1]) ** 2 + abs(av[2]) ** 2
-    axial = abs(av[0]) ** 2 + abs(av[3]) ** 2
-    if transverse < SINGULAR_AXIS_FLOOR * axial:
-        raise SingularAxisError(
-            "a1 = a2 = 0: invariant degenerates to 0 or infinity"
-        )
-    den1 = av[0] + av[3]
-    if abs(den1) >= abs(av[1] + 1j * av[2]):
-        return av[1] - 1j * av[2], den1, _QUOTIENT_FORMS[0]
-    return av[0] - av[3], av[1] + 1j * av[2], _QUOTIENT_FORMS[1]
-
-
-def _zeta_quotients(A, null_tol: float = _DEFAULT_NULL_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise _zeta_quotient of an (N, 4) array of null vectors: the
-    numerators and denominators of the quotient it picks for each row,
-    after the same not-null and singular-axis checks."""
+def _zeta_quotients(A, null_tol: float = _DEFAULT_NULL_TOL):
+    """For each row of an (N, 4) array of null vectors, the numerator and
+    denominator of whichever quotient for zeta is better conditioned there
+    (the other one loses every digit near the singular axis), the index
+    (N,) of that quotient in _NUMERATORS and _DENOMINATORS, and failure
+    codes: ON_AXIS for rows on the singular axis, whose num and den are
+    NaN. Rows of NaN (failed upstream) stay NaN. A row that is zero or not
+    null raises NotNullError for the batch.
+    """
     A = np.asarray(A)
-    mag = np.abs(A)
-    scale = mag.max(axis=1) ** 2
+    sq = np.abs(A)
+    scale = sq.max(axis=1) ** 2
     if (scale == 0.0).any():
         raise NotNullError("zero vector has no invariant ratio")
-    nn = np.abs(A[:, 0] * A[:, 0] - A[:, 1] * A[:, 1] - A[:, 2] * A[:, 2] - A[:, 3] * A[:, 3])
+    nn = np.abs(_mdot_rows(A, A))
     if (nn > null_tol * scale).any():
         i = int(np.argmax(nn > null_tol * scale))
         raise NotNullError(f"vector is not null: |a.a| = {nn[i]:.3e} at scale {scale[i]:.3e}")
-    sq = mag * mag
-    if (sq[:, 1] + sq[:, 2] < SINGULAR_AXIS_FLOOR * (sq[:, 0] + sq[:, 3])).any():
-        raise SingularAxisError(
-            "a1 = a2 = 0: invariant degenerates to 0 or infinity"
-        )
+    sq *= sq
+    on_axis = sq[:, 1] + sq[:, 2] < SINGULAR_AXIS_FLOOR * (sq[:, 0] + sq[:, 3])
     den1 = A[:, 0] + A[:, 3]
     den2 = A[:, 1] + 1j * A[:, 2]
     first = np.abs(den1) >= np.abs(den2)
     num = np.where(first, A[:, 1] - 1j * A[:, 2], A[:, 0] - A[:, 3])
-    return num, np.where(first, den1, den2)
+    den = np.where(first, den1, den2)
+    failure = on_axis.astype(np.int8)
+    if failure.any():
+        num[on_axis] = den[on_axis] = np.nan
+        failure *= ON_AXIS
+    return num, den, (~first).astype(np.intp), failure
+
+
+def zetas_of(A, null_tol: float = _DEFAULT_NULL_TOL) -> np.ndarray:
+    """zeta of each row of an (N, 4) array of null vectors, real or
+    complex, from the better-conditioned quotient; raises the error of the
+    first failing row."""
+    num, den, _, failure = _zeta_quotients(A, null_tol)
+    raise_first_failure(failure)
+    return num / den
 
 
 def zeta_of(a, null_tol: float = _DEFAULT_NULL_TOL) -> Zeta:
@@ -141,8 +132,10 @@ def zeta_of(a, null_tol: float = _DEFAULT_NULL_TOL) -> Zeta:
     Accepts a FourVector or any real/complex 4-array that is null in the
     bilinear sense.
     """
-    num, den, _ = _zeta_quotient(a, null_tol)
-    return Zeta(complex(num / den))
+    av = a.as_array() if isinstance(a, FourVector) else np.asarray(a)
+    if av.shape != (4,):
+        raise ValueError(f"expected 4 components, got shape {av.shape}")
+    return Zeta(complex(zetas_of(av[None], null_tol)[0]))
 
 
 @dataclass(frozen=True)
@@ -236,16 +229,24 @@ class PrePotentialValue:
         return cls(value, branch)
 
 
+def _zeta_rows(charge: Charge, X) -> tuple[np.ndarray, np.ndarray]:
+    """zeta at each row of an (N, 4) array of events and the retarded null
+    vectors it came from; raises the error of the first failing row."""
+    _, A, _, failure = retarded_rows(charge.line, X)
+    num, den, _, on_axis = _zeta_quotients(A)
+    raise_first_failure(np.where(failure != 0, failure, on_axis))
+    return num / den, A
+
+
 def zeta_at(charge: Charge, x: FourVector) -> Zeta:
     """Invariant of the charge's retarded null vector at the event x."""
-    sol = retarded_null_vector(charge.line, x)
-    return zeta_of(sol.a)
+    return Zeta(complex(_zeta_rows(charge, x.as_array()[None])[0][0]))
 
 
 def prepotential_point(charge: Charge, x: FourVector) -> PrePotentialValue:
     """S(x) = q ln(zeta) on the principal branch."""
-    z = zeta_at(charge, x).value
-    return PrePotentialValue(charge.q * cmath.log(z), 0)
+    z, _ = _zeta_rows(charge, x.as_array()[None])
+    return PrePotentialValue(complex(charge.q * np.log(z[0])), 0)
 
 
 def prepotential_system(system: ChargeSystem, x: FourVector) -> PrePotentialValue:
@@ -288,19 +289,20 @@ _EYE = np.eye(4)
 _RHO_STACK = np.stack([rho(j) for j in (1, 2, 3)])
 
 
-def _velocity_field(q: float, a: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Field 3-vector E + iB of a charge moving with 4-velocity u, from the
-    retarded null vector a: F_j = cal * q * a_mu rho^j[mu,nu] u^nu / (a.u)^3.
-    No validation; a must be null and a.u positive."""
-    a_low = METRIC_SIGNS * a
-    au = float(a_low @ u)
-    return (UNIFORM_FIELD_CALIBRATION * q / au**3) * (_RHO_STACK @ u) @ a_low
+def _velocity_fields(q: float, A: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Field 3-vectors E + iB (N, 3) of a charge moving with 4-velocities U
+    (N, 4), from the retarded null vectors A (N, 4): F_j = cal * q *
+    a_mu rho^j[mu,nu] u^nu / (a.u)^3. No validation; each a must be null
+    and a.u positive."""
+    F = np.einsum("jmk,nk,nm->nj", _RHO_STACK, U, METRIC_SIGNS * A)
+    return (UNIFORM_FIELD_CALIBRATION * q / _mdot_rows(A, U) ** 3)[:, None] * F
 
 
 @dataclass(frozen=True)
 class PrePotentialJet:
     """S at an event with its covariant gradient d_nu S, its Hessian
-    d_nu d_lam S, and the field 3-vector E + iB they carry."""
+    d_nu d_lam S, and the field 3-vector E + iB they carry; evaluated over
+    N events, each field gains a leading axis of length N."""
 
     value: complex
     gradient: np.ndarray
@@ -308,9 +310,10 @@ class PrePotentialJet:
     field: np.ndarray
 
 
-def prepotential_jet(charge: Charge, x: FourVector) -> PrePotentialJet:
+def _jet_rows(charge: Charge, X) -> tuple[PrePotentialJet, np.ndarray]:
     """S = q ln(zeta(a)) with its first and second derivatives in closed
-    form, from one retarded solve.
+    form at each row of an (N, 4) array of events, from one retarded
+    solve, and the rows' failure codes (failing rows hold NaN).
 
     The motion is uniform (4-velocity u) within the segment holding the
     retarded point, so da^mu/dx^nu = J^mu_nu = delta^mu_nu - u^mu k_nu
@@ -326,24 +329,63 @@ def prepotential_jet(charge: Charge, x: FourVector) -> PrePotentialJet:
     while the field does not, so contracting the rounded matrix would lose
     about eps * (r/rho)^2 relative.
     """
-    sol = retarded_null_vector(charge.line, x)
-    a = sol.a.as_array()
-    u = sol.u.as_array()
-    num, den, (n, d) = _zeta_quotient(a)
+    _, A, U, failure = retarded_rows(charge.line, X)
+    num, den, pick, on_axis = _zeta_quotients(A)
+    n, d = _NUMERATORS[pick], _DENOMINATORS[pick]
     q = charge.q
-    g = n / num - d / den
-    h = np.outer(d, d) / den**2 - np.outer(n, n) / num**2
-    u_low = METRIC_SIGNS * u
-    au = float(a @ u_low)
-    k = METRIC_SIGNS * a / au
-    J = _EYE - np.outer(u, k)
-    M = (_ETA - np.outer(u_low, k) - np.outer(k, u_low) + np.outer(k, k)) / au
-    return PrePotentialJet(
-        q * cmath.log(complex(num / den)),
-        q * (g @ J),
-        q * (J.T @ h @ J - (g @ u) * M),
-        _velocity_field(q, a, u),
-    )
+    # failing rows carry NaN through the arithmetic
+    with np.errstate(invalid="ignore"):
+        g = n / num[:, None] - d / den[:, None]
+        h = (d[:, :, None] * d[:, None, :]) / (den**2)[:, None, None] - (
+            n[:, :, None] * n[:, None, :]) / (num**2)[:, None, None]
+        U_low = METRIC_SIGNS * U
+        au = _mdot_rows(A, U)
+        K = METRIC_SIGNS * A / au[:, None]
+        J = _EYE - U[:, :, None] * K[:, None, :]
+        M = (_ETA - U_low[:, :, None] * K[:, None, :] - K[:, :, None] * U_low[:, None, :]
+             + K[:, :, None] * K[:, None, :]) / au[:, None, None]
+        gu = np.einsum("ni,ni->n", g, U)
+        jet = PrePotentialJet(
+            q * np.log(num / den),
+            q * np.einsum("ni,nij->nj", g, J),
+            q * (np.swapaxes(J, 1, 2) @ h @ J - gu[:, None, None] * M),
+            _velocity_fields(q, A, U),
+        )
+    return jet, np.where(failure != 0, failure, on_axis)
+
+
+def prepotential_jets(system: ChargeSystem, X) -> tuple[PrePotentialJet, np.ndarray]:
+    """Superposition of the closed-form jets over the system's charges at
+    each row of an (N, 4) array of events, with per-row failure codes
+    (errors.ROW_FAILURES): a row fails with the first failing charge's
+    code and holds NaN. A numerical failure on charge k raises
+    ChargeSystemError(k, ...) for the batch."""
+    X = np.asarray(X, dtype=float)
+    failure = np.zeros(len(X), dtype=np.int8)
+    value = np.zeros(len(X), dtype=complex)
+    gradient = np.zeros((len(X), 4), dtype=complex)
+    hessian = np.zeros((len(X), 4, 4), dtype=complex)
+    field = np.zeros((len(X), 3), dtype=complex)
+    for i, charge in enumerate(system):
+        try:
+            jet, fail = _jet_rows(charge, X)
+        except PrepotentialError as exc:
+            raise ChargeSystemError(i, str(exc)) from exc
+        failure = np.where(failure != 0, failure, fail)
+        value += jet.value
+        gradient += jet.gradient
+        hessian += jet.hessian
+        field += jet.field
+    return PrePotentialJet(value, gradient, hessian, field), failure
+
+
+def prepotential_jet(charge: Charge, x: FourVector) -> PrePotentialJet:
+    """S = q ln(zeta(a)) with its first and second derivatives and the
+    field in closed form at one event (see _jet_rows)."""
+    jet, failure = _jet_rows(charge, x.as_array()[None])
+    raise_first_failure(failure)
+    return PrePotentialJet(complex(jet.value[0]), jet.gradient[0], jet.hessian[0],
+                           jet.field[0])
 
 
 def prepotential_jet_system(system: ChargeSystem, x: FourVector) -> PrePotentialJet:
@@ -365,16 +407,22 @@ def prepotential_jet_system(system: ChargeSystem, x: FourVector) -> PrePotential
     return PrePotentialJet(value, gradient, hessian, field)
 
 
+# A principal log-ratio of zeta between two samples is a faithful local
+# difference of ln(zeta) only while the ratio's phase stays below this.
 _MAX_RATIO_ARG = math.pi / 2.0
 
 
-def _safe_log_ratio(z1: complex, z0: complex) -> complex:
+def _log_ratios(z1: np.ndarray, z0: np.ndarray) -> np.ndarray:
+    """Principal logarithms of z1 / z0 row by row; raises StepTooLargeError
+    when any ratio swings _MAX_RATIO_ARG or more."""
     ratio = z1 / z0
-    if abs(cmath.phase(ratio)) >= _MAX_RATIO_ARG:
+    phase = np.angle(ratio)
+    coarse = np.abs(phase) >= _MAX_RATIO_ARG
+    if coarse.any():
         raise StepTooLargeError(
-            f"zeta ratio swings {cmath.phase(ratio):.3f} rad across one step"
+            f"zeta ratio swings {phase[np.argmax(coarse)]:.3f} rad across one step"
         )
-    return cmath.log(ratio)
+    return np.log(ratio)
 
 
 def gradient_S(charge: Charge, x: FourVector, step: float | None = None) -> np.ndarray:
@@ -386,14 +434,8 @@ def gradient_S(charge: Charge, x: FourVector, step: float | None = None) -> np.n
     if step is None:
         return prepotential_jet(charge, x).gradient
     xv = x.as_array()
-    grad = np.empty(4, dtype=complex)
-    for mu in range(4):
-        e = np.zeros(4)
-        e[mu] = step
-        zp = zeta_at(charge, FourVector.from_array(xv + e)).value
-        zm = zeta_at(charge, FourVector.from_array(xv - e)).value
-        grad[mu] = charge.q * _safe_log_ratio(zp, zm) / (2.0 * step)
-    return grad
+    z, _ = _zeta_rows(charge, np.concatenate([xv + step * _EYE, xv - step * _EYE]))
+    return charge.q * _log_ratios(z[:4], z[4:]) / (2.0 * step)
 
 
 # Scale applied to the index-lowered conjugation when deriving the
@@ -424,12 +466,10 @@ _DEFAULT_REFINE_DEPTH = 40
 
 def _path_zetas(charge: Charge, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """zeta at each row of X and the retarded null vectors it came from."""
-    _, A, _ = retarded_null_vectors(charge.line, X)
     try:
-        num, den = _zeta_quotients(A)
+        return _zeta_rows(charge, X)
     except SingularAxisError as exc:
         raise PathThroughSingularAxisError(str(exc)) from exc
-    return num / den, A
 
 
 def _delta_S_counted(

@@ -82,25 +82,24 @@ class GridSpec:
     extents: tuple[float, ...]
     resolution: tuple[int, ...]
 
+    def array(self) -> np.ndarray:
+        """The grid's events as an (N, 4) array in row-major axis order
+        (the last axis varies fastest)."""
+        ticks = np.meshgrid(*(np.linspace(0.0, ext, res)
+                              for ext, res in zip(self.extents, self.resolution)),
+                            indexing="ij")
+        pos = np.asarray(self.origin, dtype=float)
+        for t, ax in zip(ticks, self.axes):
+            pos = pos + t.reshape(-1, 1) * np.asarray(ax, dtype=float)
+        X = np.empty((len(pos), 4))
+        X[:, 0] = self.time
+        X[:, 1:] = pos
+        return X
+
     def points(self):
         """Yield FourVector grid points in row-major axis order."""
-        axes = [np.asarray(a, dtype=float) for a in self.axes]
-        ticks = [
-            np.linspace(0.0, ext, res)
-            for ext, res in zip(self.extents, self.resolution)
-        ]
-        origin = np.asarray(self.origin, dtype=float)
-        index = [0] * len(axes)
-        total = int(np.prod(self.resolution))
-        for flat in range(total):
-            rem = flat
-            for i in reversed(range(len(axes))):
-                index[i] = rem % self.resolution[i]
-                rem //= self.resolution[i]
-            pos = origin.copy()
-            for i, ax in enumerate(axes):
-                pos = pos + ticks[i][index[i]] * ax
-            yield FourVector(self.time, pos[0], pos[1], pos[2])
+        for row in self.array():
+            yield FourVector.from_array(row)
 
 
 @dataclass(frozen=True)

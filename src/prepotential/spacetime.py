@@ -9,14 +9,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
 
 from .errors import (
-    NoRetardedIntersectionError,
-    ObserverOnWorldLineError,
+    BEFORE_RANGE,
+    BEYOND_RANGE,
+    ON_LINE,
+    ON_REST_CHARGE,
     PrepotentialError,
+    raise_first_failure,
 )
 
 __all__ = [
@@ -31,6 +35,7 @@ __all__ = [
     "four_velocity_from_3velocity",
     "retarded_null_vector",
     "retarded_null_vectors",
+    "retarded_rows",
 ]
 
 METRIC_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
@@ -164,6 +169,17 @@ class SampledLine:
                     f"consecutive samples {k}..{k + 1} are not timelike-separated"
                 )
 
+    @cached_property
+    def segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Knot parameters (K,) and events (K, 4); per segment, the unit
+        4-velocity (K-1, 4) and the line parameter per unit proper time
+        (K-1,)."""
+        taus = np.array(self.taus, dtype=float)
+        E = np.array([e.as_array() for e in self.events])
+        dE = np.diff(E, axis=0)
+        norm = np.sqrt(_mdot_rows(dE, dE))
+        return taus, E, dE / norm[:, None], np.diff(taus) / norm
+
 
 WorldLine = Union[RestLine, UniformLine, SampledLine]
 
@@ -191,126 +207,14 @@ class RetardedSolution:
 
 
 _NULL_CHECK_TOL = 1e-10
-
-
-def _check_solution(tau: float, a: np.ndarray, u: FourVector) -> RetardedSolution:
-    a0 = a[0]
-    scale = max(a0 * a0, 1e-300)
-    if abs(minkowski_dot(a, a)) > _NULL_CHECK_TOL * scale or a0 <= 0:
-        raise PrepotentialError(
-            f"retarded solver produced an invalid null vector: a={a}, a.a={minkowski_dot(a, a)}"
-        )
-    return RetardedSolution(tau, FourVector.from_array(a), u)
-
-
 _ON_LINE_FLOOR = 1e-14
-_REST_U = FourVector(1.0, 0.0, 0.0, 0.0)
-
-
-def _retarded_rest(line: RestLine, x: np.ndarray) -> RetardedSolution:
-    rel = x[1:] - np.asarray(line.position)
-    r = float(np.linalg.norm(rel))
-    if r < _ON_LINE_FLOOR * max(1.0, abs(x[0])):
-        raise ObserverOnWorldLineError("observer coincides with the rest charge")
-    a = np.array([r, rel[0], rel[1], rel[2]])
-    return _check_solution(x[0] - r, a, _REST_U)
-
-
-def _retarded_uniform_d(d: np.ndarray, u: np.ndarray) -> tuple[float, np.ndarray]:
-    # (d - u*lam)^2 = 0 with u.u = 1: lam = d.u - sqrt((d.u)^2 - d.d),
-    # the minus root is the past-cone (a0 > 0) intersection.
-    du = minkowski_dot(d, u)
-    dd = minkowski_dot(d, d)
-    disc = du * du - dd  # squared rest-frame distance, >= 0
-    if disc < _ON_LINE_FLOOR**2 * max(1.0, du * du):
-        raise ObserverOnWorldLineError("observer lies on the uniform world-line")
-    lam = du - math.sqrt(disc)
-    return lam, d - u * lam
-
-
-def _retarded_uniform(line: UniformLine, x: np.ndarray) -> RetardedSolution:
-    d = x - line.reference_event.as_array()
-    lam, a = _retarded_uniform_d(d, line.velocity_u.as_array())
-    return _check_solution(lam, a, line.velocity_u)
-
-
-def _g_of_tau(line: SampledLine, x: np.ndarray, tau: float) -> float:
-    """(x0 - line_x0(tau)) - |xvec - line_xvec(tau)|; monotone decreasing."""
-    e = _interpolate(line, tau)
-    return (x[0] - e[0]) - float(np.linalg.norm(x[1:] - e[1:]))
-
-
-def _interpolate(line: SampledLine, tau: float) -> np.ndarray:
-    taus = line.taus
-    k = int(np.searchsorted(taus, tau, side="right")) - 1
-    k = min(max(k, 0), len(taus) - 2)
-    t0, t1 = taus[k], taus[k + 1]
-    frac = (tau - t0) / (t1 - t0)
-    e0 = line.events[k].as_array()
-    e1 = line.events[k + 1].as_array()
-    return e0 + frac * (e1 - e0)
-
-
-def _retarded_sampled(line: SampledLine, x: np.ndarray) -> RetardedSolution:
-    taus = line.taus
-    if _g_of_tau(line, x, taus[0]) < 0:
-        raise NoRetardedIntersectionError(
-            "observer's past light cone precedes the sampled range"
-        )
-    if _g_of_tau(line, x, taus[-1]) > 0:
-        raise NoRetardedIntersectionError(
-            "observer's past light cone is beyond the sampled range"
-        )
-    # bisect for the sign change (g is monotone decreasing), then solve the
-    # uniform-motion segment exactly
-    lo, hi = 0, len(taus) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _g_of_tau(line, x, taus[mid]) >= 0:
-            lo = mid
-        else:
-            hi = mid
-    k = lo
-    t0, t1 = taus[k], taus[k + 1]
-    e0 = line.events[k].as_array()
-    w = (line.events[k + 1].as_array() - e0) / (t1 - t0)  # timelike, w.w > 0
-    d = x - e0
-    ww = minkowski_dot(w, w)
-    u = w / math.sqrt(ww)
-    lam, a = _retarded_uniform_d(d, u)
-    tau = t0 + lam / math.sqrt(ww)
-    tau = min(max(tau, t0), t1)
-    # one safeguarded Newton step on g to polish against interpolation rounding
-    h = (t1 - t0) * 1e-7
-    g0 = _g_of_tau(line, x, tau)
-    if h > 0:
-        gp = (_g_of_tau(line, x, min(tau + h, t1)) - _g_of_tau(line, x, max(tau - h, t0))) / (
-            min(tau + h, t1) - max(tau - h, t0)
-        )
-        if gp != 0:
-            cand = tau - g0 / gp
-            if t0 <= cand <= t1:
-                tau = cand
-    return _check_solution(tau, x - _interpolate(line, tau), FourVector.from_array(u))
-
-
-def retarded_null_vector(line: WorldLine, observer: FourVector) -> RetardedSolution:
-    """Solve for the retarded intersection of observer's past light cone
-    with the world-line; closed form for rest/uniform lines, per-segment
-    closed form for sampled lines."""
-    x = observer.as_array()
-    if isinstance(line, RestLine):
-        return _retarded_rest(line, x)
-    if isinstance(line, UniformLine):
-        return _retarded_uniform(line, x)
-    if isinstance(line, SampledLine):
-        return _retarded_sampled(line, x)
-    raise TypeError(f"unknown world-line type: {type(line).__name__}")
+_E0 = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def _mdot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise minkowski_dot of (N, 4) arrays, in the same operation order."""
-    return a[:, 0] * b[:, 0] - a[:, 1] * b[:, 1] - a[:, 2] * b[:, 2] - a[:, 3] * b[:, 3]
+    """Row-wise minkowski_dot of (N, 4) arrays, real or complex; each row's
+    result does not depend on the other rows."""
+    return np.einsum("ij,ij,j->i", a, b, METRIC_SIGNS)
 
 
 def _check_solutions(A: np.ndarray) -> None:
@@ -324,46 +228,90 @@ def _check_solutions(A: np.ndarray) -> None:
         )
 
 
-def _retarded_uniform_rows(D: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise _retarded_uniform_d: D (N, 4) separations from a point of
-    the line, U (N, 4) or (4,) unit 4-velocities."""
-    U = np.broadcast_to(U, D.shape)
-    du = _mdot_rows(D, U)
-    disc = du * du - _mdot_rows(D, D)
-    if (disc < _ON_LINE_FLOOR**2 * np.maximum(1.0, du * du)).any():
-        raise ObserverOnWorldLineError("observer lies on the uniform world-line")
-    lam = du - np.sqrt(disc)
-    return lam, D - U * lam[:, None]
+def _sampled_segments(line: SampledLine, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index k of the segment [tau_k, tau_k+1] holding each row's retarded
+    point, by bisection on g(tau) = (x0 - line0(tau)) - |x - line(tau)|,
+    monotone decreasing, at the knots; and the failure codes of the rows
+    whose past light cone misses the sampled range."""
+    _, E, _, _ = line.segments
+
+    def g(k):
+        rel = X[:, 1:] - E[k, 1:]
+        return (X[:, 0] - E[k, 0]) - np.sqrt(np.einsum("ij,ij->i", rel, rel))
+
+    last = len(E) - 1
+    failure = np.zeros(len(X), dtype=np.int8)
+    failure[g(last) > 0] = BEYOND_RANGE
+    failure[g(0) < 0] = BEFORE_RANGE
+    lo, hi = np.zeros(len(X), dtype=np.intp), np.full(len(X), last)
+    while (split := hi - lo > 1).any():
+        mid = (lo + hi) // 2
+        ahead = g(mid) >= 0
+        lo = np.where(split & ahead, mid, lo)
+        hi = np.where(split & ~ahead, mid, hi)
+    return lo, failure
 
 
-def retarded_null_vectors(line: WorldLine, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched retarded_null_vector over the rows of an (N, 4) array of
-    observer events: line parameters tau (N,), null vectors A (N, 4) and
-    unit 4-velocities U (N, 4), each row as the scalar solver gives it for
-    that event. Raises, for the whole batch, the error the scalar solver
-    raises for any offending row."""
+def retarded_rows(
+    line: WorldLine, X
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Retarded intersections for the rows of an (N, 4) array of observer
+    events: line parameters tau (N,), null vectors A (N, 4), the line's
+    unit 4-velocities U (N, 4) there, and failure codes (N,) indexing
+    errors.ROW_FAILURES, 0 for a good row. A failing row holds NaN in tau
+    and A; a numerical failure raises for the whole batch.
+
+    Every line kind moves uniformly within a segment, so one formula
+    solves them all. For an event R of the segment, its parameter t and
+    its unit 4-velocity U, split D = x - R into s = D.U along U and the
+    rest-frame separation P = D - s U; with r = sqrt(-P.P) the past-cone
+    point is a = P + r U, at tau = t + (s - r) * (parameter per unit
+    proper time). A rest line is uniform motion with U = e0; a sampled
+    line first finds each row's segment (_sampled_segments).
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != 4:
         raise ValueError(f"expected an (N, 4) array of events, got shape {X.shape}")
+    failure = np.zeros(len(X), dtype=np.int8)
+    on_line = ON_LINE
     if isinstance(line, RestLine):
-        rel = X[:, 1:] - np.asarray(line.position)
-        r = np.sqrt(np.einsum("ij,ij->i", rel, rel))
-        if (r < _ON_LINE_FLOOR * np.maximum(1.0, np.abs(X[:, 0]))).any():
-            raise ObserverOnWorldLineError("observer coincides with the rest charge")
-        A = np.column_stack([r, rel])
-        tau, U = X[:, 0] - r, np.broadcast_to(_REST_U.as_array(), X.shape)
+        R, t, rate, u, on_line = np.array([0.0, *line.position]), 0.0, 1.0, _E0, ON_REST_CHARGE
+        U = np.repeat(u[None], len(X), axis=0)
     elif isinstance(line, UniformLine):
-        u = line.velocity_u.as_array()
-        tau, A = _retarded_uniform_rows(X - line.reference_event.as_array(), u)
-        U = np.broadcast_to(u, X.shape)
+        R, t, rate, u = line.reference_event.as_array(), 0.0, 1.0, line.velocity_u.as_array()
+        U = np.repeat(u[None], len(X), axis=0)
     elif isinstance(line, SampledLine):
-        # row by row through the scalar bisection; a vectorised one is left
-        # until a workload evaluates paths round sampled lines
-        sols = [_retarded_sampled(line, x) for x in X]
-        tau = np.array([s.tau_retarded for s in sols], dtype=float)
-        A = np.array([s.a.as_array() for s in sols], dtype=float).reshape(-1, 4)
-        U = np.array([s.u.as_array() for s in sols], dtype=float).reshape(-1, 4)
+        k, failure = _sampled_segments(line, X)
+        taus, E, seg_u, seg_rate = line.segments
+        R, t, rate, U = E[k], taus[k], seg_rate[k], seg_u[k]
     else:
         raise TypeError(f"unknown world-line type: {type(line).__name__}")
+    D = X - R
+    s = _mdot_rows(D, U)
+    P = D - U * s[:, None]
+    r2 = -_mdot_rows(P, P)  # squared rest-frame distance, >= 0
+    failure[(failure == 0) & (r2 < _ON_LINE_FLOOR**2 * np.maximum(1.0, s * s))] = on_line
+    r = np.sqrt(np.maximum(r2, 0.0))
+    A = P + U * r[:, None]
+    tau = t + rate * (s - r)
+    if failure.any():
+        A[failure != 0] = np.nan
+        tau[failure != 0] = np.nan
     _check_solutions(A)
+    return tau, A, U, failure
+
+
+def retarded_null_vectors(line: WorldLine, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """retarded_rows without the failure codes: raises the error of the
+    first failing row instead."""
+    tau, A, U, failure = retarded_rows(line, X)
+    raise_first_failure(failure)
     return tau, A, U
+
+
+def retarded_null_vector(line: WorldLine, observer: FourVector) -> RetardedSolution:
+    """Retarded intersection of the observer's past light cone with the
+    world-line: retarded_null_vectors for one event."""
+    tau, A, U = retarded_null_vectors(line, observer.as_array()[None])
+    return RetardedSolution(float(tau[0]), FourVector.from_array(A[0]),
+                            FourVector.from_array(U[0]))

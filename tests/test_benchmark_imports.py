@@ -7,6 +7,8 @@ with perfbench/ on sys.path.
 """
 
 import importlib
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -27,3 +29,26 @@ def perfbench_on_path(monkeypatch):
 @pytest.mark.parametrize("name", BENCHMARK_MODULES)
 def test_benchmark_module_imports(perfbench_on_path, name):
     importlib.import_module(name)
+
+
+@pytest.mark.parametrize("workload, command", [
+    ("grid-rest", "field-grid"),
+    ("grid-moving", "field-grid"),
+    ("loops", "loop-phase"),
+    ("verify", "verify"),
+])
+def test_traced_pass_and_layer_metrics(perfbench_on_path, tmp_path, workload, command):
+    # the traced rebuilds call the program's public functions (grid points,
+    # a wrapped ScalarField.delta under second_partials, zeta_at, the
+    # retarded solver) the way --trace 1 does, on a reduced scenario
+    generate = importlib.import_module("generate")
+    tracing = importlib.import_module("tracing")
+    doc, side = generate.generate(workload, 7, 0, 0.2)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    tr = tracing.Tracer()
+    passes = [tracing.traced_pass(tr, command, path, tmp_path / "traced.csv",
+                                  side.get("seed"))]
+    metrics = tracing.layer_metrics(tr, command, passes)
+    assert metrics
+    assert all(math.isfinite(v) for v in metrics.values())

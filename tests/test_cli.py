@@ -179,14 +179,37 @@ class TestFieldGridMasking:
         assert ("4 cells, 3 masked (NoRetardedIntersectionError: 2, "
                 "SingularAxisError: 1)") in err
 
+    @pytest.mark.parametrize("order, tally", [
+        ((0, 1), "4 cells, 2 masked (ObserverOnWorldLineError: 1, SingularAxisError: 1)"),
+        ((1, 0), "4 cells, 2 masked (NoRetardedIntersectionError: 1, "
+                 "ObserverOnWorldLineError: 1)"),
+    ])
+    def test_cell_tallied_under_first_failing_charge(self, tmp_path, capsys, order, tally):
+        # cell 0 is on the rest charge's axis and sees its past light cone
+        # before the sampled charge's first sample; cell 3 is on the
+        # sampled charge's line only
+        charges = [
+            {"q": 1.0, "line": {"kind": "rest", "position": [0, 0, 0]}},
+            {"q": -0.5, "line": {"kind": "sampled", "taus": [-2.5, 5.0],
+                                 "events": [[-2.5, 3, 0, 1], [5, 3, 0, 1]]}},
+        ]
+        rows = _grid_rows(tmp_path, {
+            "version": 1,
+            "charges": [charges[i] for i in order],
+            "grid": {"time": 0.0, "origin": [0.0, 0.0, 1.0], "axes": [[1.0, 0.0, 0.0]],
+                     "extents": [3.0], "resolution": [4]},
+        })
+        assert [r["masked"] for r in rows] == ["1", "0", "0", "1"]
+        assert tally in capsys.readouterr().err
+
     def test_numerical_failure_exits_three(self, tmp_path, monkeypatch):
-        def failing_kernel(system, x):
+        def failing_kernel(system, X):
             try:
                 raise StepTooLargeError("step crossed too much phase")
             except StepTooLargeError as exc:
                 raise ChargeSystemError(0, str(exc)) from exc
 
-        monkeypatch.setattr(cli, "prepotential_jet_system", failing_kernel)
+        monkeypatch.setattr(cli, "prepotential_jets", failing_kernel)
         assert main(["field-grid", "--scenario", REST,
                      "--out", str(tmp_path / "g.csv")]) == 3
 
@@ -239,6 +262,17 @@ class TestExitCodes:
 
 
 class TestVerifyCommand:
+    def test_wave_residual_at_marginal_seed(self, tmp_path):
+        # the plain diagonal stencil read 1.07e-5 against 1e-5 at this seed,
+        # at a point 0.41 from the axis; box S now comes from the Richardson
+        # Hessian, with the tolerance unchanged
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--checks", "wave-residual", "--seed", "783907138",
+                     "--out", str(out)]) == 0
+        row = next(csv.DictReader(out.read_text().splitlines()))
+        assert float(row["tolerance"]) == 1e-5
+        assert float(row["max_deviation"]) < 1e-6
+
     def test_selected_checks_pass(self, tmp_path, capsys):
         out = tmp_path / "verify.csv"
         code = main(["verify", "--checks", "matrix-relations,claim1-covariance",

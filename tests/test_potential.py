@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from prepotential import (
     Charge,
@@ -46,7 +46,16 @@ from prepotential import (
     zeta_at,
     zeta_of,
 )
-from prepotential.potential import _zeta_quotients
+from prepotential.errors import ROW_FAILURES
+from prepotential.potential import (
+    _DENOMINATORS,
+    _NUMERATORS,
+    _jet_rows,
+    _zeta_quotients,
+    _zeta_rows,
+    prepotential_jets,
+    zetas_of,
+)
 from prepotential.spacetime import retarded_null_vectors
 
 
@@ -396,7 +405,8 @@ def _sight(kind, v3, sight):
 
 
 class TestZetaBatch:
-    """_zeta_quotients row by row against the scalar zeta."""
+    """_zeta_quotients against the quotient identities and the scalar
+    classes."""
 
     @given(
         kind=st.sampled_from(["rest", "uniform", "sampled"]),
@@ -405,13 +415,24 @@ class TestZetaBatch:
     )
     @settings(max_examples=150, deadline=None)
     def test_rows_match_zeta_of(self, kind, v3, sights):
+        # zeta solves both quotient identities zeta (a0 + a3) = a1 - i a2
+        # and zeta (a1 + i a2) = a0 - a3 to rounding, down to 1e-7 rad off
+        # either axis: a wrongly chosen quotient fails one of them by far
         xs = [_sight(kind, v3, s)[1].as_array() for s in sights]
         charge = _sight(kind, v3, sights[0])[0]
         _, A, _ = retarded_null_vectors(charge.line, np.array(xs))
-        num, den = _zeta_quotients(A)
+        num, den, pick, failure = _zeta_quotients(A)
+        assert not failure.any()
+        # the chosen linear forms give num and den
+        assert_allclose(np.einsum("ni,ni->n", _NUMERATORS[pick], A), num, rtol=1e-15)
+        assert_allclose(np.einsum("ni,ni->n", _DENOMINATORS[pick], A), den, rtol=1e-15)
+        z = num / den
         for i, a in enumerate(A):
-            want = zeta_of(a).value
-            assert abs(num[i] / den[i] - want) <= 1e-13 * abs(want)
+            # the sums formed here round by eps * |a|, scaled up by |zeta|
+            tol = 1e-14 * np.abs(a).max() * max(1.0, abs(z[i]))
+            assert abs(z[i] * (a[0] + a[3]) - (a[1] - 1j * a[2])) <= tol
+            assert abs(z[i] * (a[1] + 1j * a[2]) - (a[0] - a[3])) <= tol
+            assert zeta_of(a).value == z[i]
 
     @given(
         kind=st.sampled_from(["rest", "uniform", "sampled"]),
@@ -422,22 +443,95 @@ class TestZetaBatch:
     )
     @settings(max_examples=100, deadline=None)
     def test_on_axis_row_raises_scalar_class(self, kind, v3, sights, where, side):
+        # the batch flags the on-axis row alone; the scalar call and a
+        # raising batch both give SingularAxisError
         charge, event = _charge_of_kind(kind, 1.0, v3, 0.5)
         x_bad = _observer(event, 1.5, np.array([0.0, 0.0, side]))
         with pytest.raises(SingularAxisError):
             zeta_at(charge, x_bad)
         xs = [_sight(kind, v3, s)[1].as_array() for s in sights]
-        xs.insert(where % (len(xs) + 1), x_bad.as_array())
+        i_bad = where % (len(xs) + 1)
+        xs.insert(i_bad, x_bad.as_array())
         _, A, _ = retarded_null_vectors(charge.line, np.array(xs))
+        num, den, _, failure = _zeta_quotients(A)
+        assert list(np.flatnonzero(failure)) == [i_bad]
+        assert ROW_FAILURES[failure[i_bad]][0] is SingularAxisError
+        assert np.isnan(num[i_bad]) and np.isnan(den[i_bad])
         with pytest.raises(SingularAxisError):
-            _zeta_quotients(A)
+            _zeta_rows(charge, np.array(xs))
 
     def test_not_null_row_raises(self):
+        # a numerical failure raises for the whole batch
         A = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 0.5, 0.0, 0.0]])
         with pytest.raises(NotNullError):
             zeta_of(A[1])
         with pytest.raises(NotNullError):
             _zeta_quotients(A)
+
+
+_null_dirs = st.tuples(*[st.floats(-5.0, 5.0)] * 3).filter(
+    lambda k: math.hypot(k[0], k[1]) >= 1e-3 * max(math.hypot(*k), 1e-3))
+
+
+def _null_rows(dirs):
+    """Future-pointing null vectors (|k|, k), one row per direction."""
+    K = np.array(dirs, dtype=float)
+    return np.column_stack([np.linalg.norm(K, axis=1), K])
+
+
+class TestZetaProperties:
+    """The paper's invariances of zeta, on the batched quotient."""
+
+    @given(dirs=st.lists(_null_dirs, min_size=1, max_size=20),
+           j=st.integers(1, 3), psi=st.floats(-2.0, 2.0))
+    @settings(max_examples=100, deadline=None)
+    def test_invariant_under_half_boosts(self, dirs, j, psi):
+        A = _null_rows(dirs)
+        z0 = zetas_of(A)
+        z1 = zetas_of(A.astype(complex) @ upsilon(j, psi).T)
+        assert (np.abs(z1 - z0) <= 1e-10 * np.maximum(1.0, np.abs(z0))).all()
+
+    @given(dirs=st.lists(_null_dirs, min_size=1, max_size=20),
+           theta=st.floats(-math.pi, math.pi))
+    @settings(max_examples=100, deadline=None)
+    def test_rotation_about_x3_is_a_phase(self, dirs, theta):
+        # a1 - i a2 turns by exp(-i theta); a0 and a3 stay
+        A = _null_rows(dirs)
+        c, s_ = math.cos(theta), math.sin(theta)
+        R = np.array([[1, 0, 0, 0], [0, c, -s_, 0], [0, s_, c, 0], [0, 0, 0, 1]])
+        z0, z1 = zetas_of(A), zetas_of(A @ R.T)
+        assert_allclose(np.abs(z1), np.abs(z0), rtol=1e-13)
+        assert_allclose(z1 / z0, np.exp(-1j * theta), rtol=1e-13)
+
+    @given(
+        kinds=st.lists(st.sampled_from(["rest", "uniform", "sampled"]), min_size=1, max_size=3),
+        qs=st.lists(st.sampled_from([-1.5, -0.4, 0.7, 2.0]), min_size=3, max_size=3),
+        v3=_speeds,
+        sights=st.lists(_sights, min_size=1, max_size=6),
+        bad=st.integers(0, 9),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_system_jet_is_sum_of_charge_jets(self, kinds, qs, v3, sights, bad):
+        # one extra row on charge `bad`'s axis fails; a failing row takes
+        # the code of the first charge that fails there
+        charges, events = zip(*(_charge_of_kind(k, q, v3, 0.5) for k, q in zip(kinds, qs)))
+        X = [_sight(kinds[0], v3, s)[1].as_array() for s in sights]
+        k_bad = bad % len(charges)
+        X.append(_observer(events[k_bad], 1.5, np.array([0.0, 0.0, 1.0])).as_array())
+        X = np.array(X)
+        jet, failure = prepotential_jets(ChargeSystem(charges), X)
+        parts = [_jet_rows(c, X) for c in charges]
+        first = np.zeros(len(X), dtype=np.int8)
+        for _, fail in reversed(parts):
+            first = np.where(fail != 0, fail, first)
+        assert_array_equal(failure, first)
+        assert failure[-1] != 0
+        ok = failure == 0
+        assert np.isnan(jet.value[~ok]).all()
+        for name in ("value", "gradient", "hessian", "field"):
+            got = getattr(jet, name)[ok]
+            want = sum(getattr(p, name)[ok] for p, _ in parts)
+            assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
 
 class TestPotentialA:
