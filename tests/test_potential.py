@@ -531,7 +531,7 @@ class TestZetaProperties:
         for name in ("value", "gradient", "hessian", "field"):
             got = getattr(jet, name)[ok]
             want = sum(getattr(p, name)[ok] for p, _ in parts)
-            assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+            assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max(initial=0.0))
 
 
 class TestPotentialA:

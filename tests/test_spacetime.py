@@ -299,7 +299,7 @@ class TestRetardedBatch:
 
     @given(
         v3=_speeds,
-        steps=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=20),
+        steps=st.lists(st.floats(0.25, 2.0), min_size=1, max_size=20),
         start=st.floats(-12.0, -2.0),
         events=st.lists(_events, min_size=1, max_size=12),
     )
