@@ -42,7 +42,13 @@ from .fields import (
     vacuum_maxwell_residual,
     wave_residual,
 )
-from .loops import LoopPhaseReport, ab_phase_report, two_path_difference, winding_number
+from .loops import (
+    LoopPhaseReport,
+    ab_phase_report,
+    ab_phase_reports,
+    two_path_difference,
+    winding_number,
+)
 from .matrices import (
     RelationCheck,
     RelationReport,
@@ -66,7 +72,6 @@ from .potential import (
     PrePotentialJet,
     PrePotentialValue,
     Zeta,
-    accumulate,
     delta_S_along_path,
     gradient_S,
     local_scale,

@@ -19,7 +19,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from .errors import ROW_FAILURES, PrepotentialError, ScenarioError
-from .loops import ab_phase_report
+from .loops import ab_phase_reports
 from .matrices import validate_relations
 from .potential import prepotential_jets
 from .scenario import CHECK_NAMES, Scenario, load_scenario
@@ -136,19 +136,19 @@ def _cmd_loop_phase(scenario: Scenario, fmt: str, out: str | None) -> int:
     rows = []
     had_error = False
     nan = float("nan")
-    for i, loop in enumerate(scenario.loops):
-        try:
-            rep = ab_phase_report(scenario.charges, loop)
-            # one charge: its winding; several: the per-charge windings joined by ';'
-            winding = (rep.windings[0] if len(rep.windings) == 1
-                       else ";".join(str(w) for w in rep.windings))
-            rows.append([
-                i, rep.delta_S.real, rep.delta_S.imag, winding,
-                rep.residual, rep.samples_used, rep.status,
-            ])
-        except PrepotentialError as exc:
+    # all loops in one batch per charge; a failing loop fails only its row
+    for i, rep in enumerate(ab_phase_reports(scenario.charges, scenario.loops)):
+        if isinstance(rep, PrepotentialError):
             had_error = True
-            rows.append([i, nan, nan, 0, nan, 0, f"ERROR: {exc}"])
+            rows.append([i, nan, nan, 0, nan, 0, f"ERROR: {rep}"])
+            continue
+        # one charge: its winding; several: the per-charge windings joined by ';'
+        winding = (rep.windings[0] if len(rep.windings) == 1
+                   else ";".join(str(w) for w in rep.windings))
+        rows.append([
+            i, rep.delta_S.real, rep.delta_S.imag, winding,
+            rep.residual, rep.samples_used, rep.status,
+        ])
     _write_table(LOOP_HEADER, rows, fmt, out, "loop-phase")
     if had_error:
         return EXIT_RUNTIME

@@ -63,10 +63,11 @@ class ScenarioError(PrepotentialError):
     """A scenario configuration file is invalid."""
 
 
-# Geometric failures of single rows in a batched evaluation: code k > 0 in
-# a failure array means that row fails with ROW_FAILURES[k] (class and
-# message); 0 marks a good row.
-ON_REST_CHARGE, ON_LINE, BEFORE_RANGE, BEYOND_RANGE, ON_AXIS = 1, 2, 3, 4, 5
+# Failures of single rows in a batched evaluation: code k > 0 in a failure
+# array means that row fails with ROW_FAILURES[k] (class and message); 0
+# marks a good row. Codes 1-5 are geometric; NOT_NULL, a solution that
+# fails the solver's null check, is numerical.
+ON_REST_CHARGE, ON_LINE, BEFORE_RANGE, BEYOND_RANGE, ON_AXIS, NOT_NULL = 1, 2, 3, 4, 5, 6
 ROW_FAILURES = (
     None,
     (ObserverOnWorldLineError, "observer coincides with the rest charge"),
@@ -74,6 +75,7 @@ ROW_FAILURES = (
     (NoRetardedIntersectionError, "observer's past light cone precedes the sampled range"),
     (NoRetardedIntersectionError, "observer's past light cone is beyond the sampled range"),
     (SingularAxisError, "a1 = a2 = 0: invariant degenerates to 0 or infinity"),
+    (PrepotentialError, "retarded solver produced an invalid null vector"),
 )
 
 

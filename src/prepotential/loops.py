@@ -20,7 +20,8 @@ from .potential import (
     Charge,
     ChargeSystem,
     Path,
-    _delta_S_counted,
+    _delta_S_paths,
+    _stacked,
 )
 from .spacetime import FourVector, retarded_null_vectors
 
@@ -28,6 +29,7 @@ __all__ = [
     "LoopPhaseReport",
     "winding_number",
     "ab_phase_report",
+    "ab_phase_reports",
     "two_path_difference",
 ]
 
@@ -57,26 +59,24 @@ class LoopPhaseReport:
         return "ok" if self.residual < self.tolerance else "tolerance-exceeded"
 
 
-def _crossing_count(A: np.ndarray, points: np.ndarray) -> int:
-    """Signed number of crossings of the ray {v = 0, u > 0} by the closed
-    projected curve (u, v) = (a1, -a2) of the retarded null vectors A at a
-    closed loop's points; upward crossings count +1. The phase of the
+def _crossing_counts(A: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per closed loop, the signed number of crossings of the ray
+    {v = 0, u > 0} by its projected curve (u, v) = (a1, -a2) of retarded
+    null vectors; upward crossings count +1. The rows of A hold the loops'
+    points, loop after loop, sizes[j] of them for loop j. The phase of the
     invariant advances with the polar angle of this planar curve."""
-    axial = A[:, 1] ** 2 + A[:, 2] ** 2 < SINGULAR_AXIS_FLOOR * (A[:, 0] ** 2 + A[:, 3] ** 2)
-    if axial.any():
-        event = FourVector.from_array(points[int(np.argmax(axial))])
-        raise PathThroughSingularAxisError(
-            f"path sample at {event} projects onto the singular axis"
-        )
+    # each loop closes from its last point back to its first
+    owner, nxt = _stacked(sizes)
     u, v = A[:, 1], -A[:, 2]
-    if u[0] != u[-1] or v[0] != v[-1]:
-        u, v = np.append(u, u[0]), np.append(v, v[0])
     below = v < 0.0
-    k = np.flatnonzero(below[:-1] != below[1:])
+    k = np.flatnonzero(below != below[nxt])
+    k1 = nxt[k]
     # crossing point of each sign-changing segment with v = 0
-    u_cross = u[k] + (u[k + 1] - u[k]) * (-v[k]) / (v[k + 1] - v[k])
+    u_cross = u[k] + (u[k1] - u[k]) * (-v[k]) / (v[k1] - v[k])
     right = u_cross > 0.0
-    return int(np.count_nonzero(right & below[k]) - np.count_nonzero(right & ~below[k]))
+    up = np.bincount(owner[k[right & below[k]]], minlength=len(sizes))
+    down = np.bincount(owner[k[right & ~below[k]]], minlength=len(sizes))
+    return up - down
 
 
 def winding_number(loop: Path, charge: Charge) -> int:
@@ -85,7 +85,61 @@ def winding_number(loop: Path, charge: Charge) -> int:
     if not loop.closed:
         raise ValueError("winding_number requires a closed path")
     _, A, _ = retarded_null_vectors(charge.line, loop.points)
-    return _crossing_count(A, loop.points)
+    axial = A[:, 1] ** 2 + A[:, 2] ** 2 < SINGULAR_AXIS_FLOOR * (A[:, 0] ** 2 + A[:, 3] ** 2)
+    if axial.any():
+        event = FourVector.from_array(loop.points[int(np.argmax(axial))])
+        raise PathThroughSingularAxisError(
+            f"path sample at {event} projects onto the singular axis"
+        )
+    return int(_crossing_counts(A, np.array([len(A)]))[0])
+
+
+def ab_phase_reports(
+    charges: Charge | ChargeSystem, loops, tolerance: float | None = None
+) -> list[LoopPhaseReport | PrepotentialError]:
+    """ab_phase_report for each of a list of closed loops, with the error a
+    failing loop's ab_phase_report raises in its place. All loops are
+    evaluated together, in one batch per charge and refinement level, and
+    a failure affects only its own loop."""
+    if not all(loop.closed for loop in loops):
+        raise ValueError("ab_phase_report requires a closed loop")
+    system = isinstance(charges, ChargeSystem)
+    members = charges.charges if system else (charges,)
+    if tolerance is None:
+        tolerance = 1e-8 * max(abs(c.q) for c in members)
+    if not loops:
+        return []
+    sizes = np.array([len(loop.points) for loop in loops])
+    deltas = np.zeros((len(members), len(loops)), dtype=complex)
+    windings = np.zeros((len(members), len(loops)), dtype=np.intp)
+    samples = np.zeros(len(loops), dtype=np.intp)
+    errors: dict = {}
+    for k, charge in enumerate(members):
+        # the winding comes from the same retarded vectors as the phase
+        deltas[k], used, A, failed = _delta_S_paths(charge, loops)
+        ok = np.ones(len(loops), dtype=bool)
+        ok[list(failed)] = False
+        windings[k, ok] = _crossing_counts(A[np.repeat(ok, sizes)], sizes[ok])
+        samples += used
+        for j, exc in failed.items():
+            if j not in errors:
+                if system:
+                    wrapped = ChargeSystemError(k, str(exc))
+                    wrapped.__cause__ = exc
+                    exc = wrapped
+                errors[j] = exc
+    q = np.array([c.q for c in members])
+    expected = (2j * math.pi * q[:, None] * windings).sum(axis=0)
+    reports: list = []
+    for j in range(len(loops)):
+        if j in errors:
+            reports.append(errors[j])
+            continue
+        delta_S = complex(deltas[:, j].sum())
+        reports.append(LoopPhaseReport(
+            delta_S, tuple(windings[:, j].tolist()), float(abs(delta_S - expected[j])),
+            int(samples[j]), tolerance, tuple(deltas[:, j].tolist())))
+    return reports
 
 
 def ab_phase_report(
@@ -96,33 +150,13 @@ def ab_phase_report(
     w_k of each charge, and the residual against 2*pi*i*sum_k q_k*w_k.
 
     The default tolerance is 1e-8 * max_k |q_k|. For a system, a failure on
-    charge k is raised as ChargeSystemError(k, ...).
+    charge k is raised as ChargeSystemError(k, ...), k the lowest failing
+    charge.
     """
-    if not loop.closed:
-        raise ValueError("ab_phase_report requires a closed loop")
-    system = isinstance(charges, ChargeSystem)
-    members = charges.charges if system else (charges,)
-    if tolerance is None:
-        tolerance = 1e-8 * max(abs(c.q) for c in members)
-    deltas, windings = [], []
-    samples = 0
-    expected = 0j
-    for k, charge in enumerate(members):
-        try:
-            # the winding comes from the same retarded vectors as the phase
-            delta, used, A = _delta_S_counted(charge, loop)
-            w = _crossing_count(A, loop.points)
-        except PrepotentialError as exc:
-            if not system:
-                raise
-            raise ChargeSystemError(k, str(exc)) from exc
-        deltas.append(delta)
-        windings.append(w)
-        samples += used
-        expected += 2j * math.pi * charge.q * w
-    delta_S = sum(deltas, 0j)
-    return LoopPhaseReport(delta_S, tuple(windings), abs(delta_S - expected), samples,
-                           tolerance, tuple(deltas))
+    rep = ab_phase_reports(charges, [loop], tolerance)[0]
+    if isinstance(rep, PrepotentialError):
+        raise rep
+    return rep
 
 
 def two_path_difference(
@@ -142,10 +176,14 @@ def two_path_difference(
         raise ValueError("paths must share their endpoints")
     if tolerance is None:
         tolerance = 1e-8 * abs(charge.q)
-    delta_a, samples_a, _ = _delta_S_counted(charge, path_a)
-    delta_b, samples_b, _ = _delta_S_counted(charge, path_b)
-    delta = delta_a - delta_b
-    loop = Path(np.concatenate([path_a.points, path_b.points[-2:0:-1]]), closed=True)
-    w = winding_number(loop, charge)
+    (delta_a, delta_b), samples, A, errors = _delta_S_paths(charge, [path_a, path_b])
+    if errors:
+        raise errors[min(errors)]
+    delta = complex(delta_a - delta_b)
+    # the loop path_a, then path_b reversed without its endpoints: its
+    # retarded vectors are rows the two paths already hold
+    n_a = len(path_a.points)
+    loop = np.concatenate([A[:n_a], A[n_a:][-2:0:-1]])
+    w = int(_crossing_counts(loop, np.array([len(loop)]))[0])
     residual = abs(delta - 2j * math.pi * charge.q * w)
-    return LoopPhaseReport(delta, (w,), residual, samples_a + samples_b, tolerance, (delta,))
+    return LoopPhaseReport(delta, (w,), residual, int(samples.sum()), tolerance, (delta,))

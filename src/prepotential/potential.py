@@ -19,7 +19,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    NOT_NULL,
     ON_AXIS,
+    ROW_FAILURES,
     ChargeSystemError,
     NotNullError,
     PathThroughSingularAxisError,
@@ -59,7 +61,6 @@ __all__ = [
     "gradient_S",
     "potential_A",
     "delta_S_along_path",
-    "accumulate",
     "local_scale",
 ]
 
@@ -222,12 +223,6 @@ class PrePotentialValue:
     value: complex
     branch_index: int = 0
 
-    @classmethod
-    def from_value(cls, value: complex, q: float) -> "PrePotentialValue":
-        y = (value / q).imag
-        branch = math.ceil(y / (2.0 * math.pi) - 0.5)
-        return cls(value, branch)
-
 
 def _zeta_rows(charge: Charge, X) -> tuple[np.ndarray, np.ndarray]:
     """zeta at each row of an (N, 4) array of events and the retarded null
@@ -258,12 +253,6 @@ def prepotential_system(system: ChargeSystem, x: FourVector) -> PrePotentialValu
         except PrepotentialError as exc:
             raise ChargeSystemError(i, str(exc)) from exc
     return PrePotentialValue(total, 0)
-
-
-def accumulate(start: PrePotentialValue, q: float, delta: complex) -> PrePotentialValue:
-    """Carry a path-accumulated increment onto a starting value, updating
-    the branch index."""
-    return PrePotentialValue.from_value(start.value + delta, q)
 
 
 def local_scale(charge: Charge, x: FourVector) -> float:
@@ -358,8 +347,8 @@ def prepotential_jets(system: ChargeSystem, X) -> tuple[PrePotentialJet, np.ndar
     """Superposition of the closed-form jets over the system's charges at
     each row of an (N, 4) array of events, with per-row failure codes
     (errors.ROW_FAILURES): a row fails with the first failing charge's
-    code and holds NaN. A numerical failure on charge k raises
-    ChargeSystemError(k, ...) for the batch."""
+    code and holds NaN. A numerical failure on charge k, a NOT_NULL row
+    included, raises ChargeSystemError(k, ...) for the batch."""
     X = np.asarray(X, dtype=float)
     failure = np.zeros(len(X), dtype=np.int8)
     value = np.zeros(len(X), dtype=complex)
@@ -369,6 +358,7 @@ def prepotential_jets(system: ChargeSystem, X) -> tuple[PrePotentialJet, np.ndar
     for i, charge in enumerate(system):
         try:
             jet, fail = _jet_rows(charge, X)
+            raise_first_failure(np.where(fail == NOT_NULL, fail, 0))
         except PrepotentialError as exc:
             raise ChargeSystemError(i, str(exc)) from exc
         failure = np.where(failure != 0, failure, fail)
@@ -464,51 +454,99 @@ def potential_A(charge: Charge, x: FourVector, step: float | None = None) -> np.
 _DEFAULT_REFINE_DEPTH = 40
 
 
-def _path_zetas(charge: Charge, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """zeta at each row of X and the retarded null vectors it came from."""
-    try:
-        return _zeta_rows(charge, X)
-    except SingularAxisError as exc:
-        raise PathThroughSingularAxisError(str(exc)) from exc
+def _stacked(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For paths of sizes[j] points stacked path after path: the path each
+    row belongs to, and the row after it, which wraps from each path's
+    last row to its first."""
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    last = np.cumsum(sizes) - 1
+    nxt = np.arange(1, len(owner) + 1)
+    nxt[last] = last - sizes + 1
+    return owner, nxt
 
 
-def _delta_S_counted(
-    charge: Charge, path: Path, max_depth: int = _DEFAULT_REFINE_DEPTH
-) -> tuple[complex, int, np.ndarray]:
-    """delta_S_along_path with the number of samples it evaluated and the
-    retarded null vectors at the path's points.
+def _live(owner: np.ndarray, errors: dict, n: int) -> np.ndarray:
+    """Rows whose path (of n) has no error."""
+    failed = np.zeros(n, dtype=bool)
+    failed[list(errors)] = True
+    return ~failed[owner]
 
-    Refinement is level-synchronous: every edge whose zeta ratio swings
-    pi/2 or more is halved, all of them in one batch per level.
+
+def _path_zetas(charge: Charge, X: np.ndarray, owner: np.ndarray,
+                errors: dict) -> tuple[np.ndarray, np.ndarray]:
+    """zeta at each row of X and the retarded null vectors it came from.
+    Row i belongs to path owner[i]; a path with a failing row gets the
+    error of its first failing row in errors (path index -> error) unless
+    it has one already. Failing rows hold NaN."""
+    _, A, _, failure = retarded_rows(charge.line, X)
+    num, den, _, on_axis = _zeta_quotients(A)
+    failure = np.where(failure != 0, failure, on_axis)
+    bad = np.flatnonzero(failure)
+    if len(bad):
+        paths, first = np.unique(owner[bad], return_index=True)
+        for path, code in zip(paths.tolist(), failure[bad[first]].tolist()):
+            cls, message = ROW_FAILURES[code]
+            if cls is SingularAxisError:
+                cls = PathThroughSingularAxisError
+            errors.setdefault(path, cls(message))
+    with np.errstate(invalid="ignore"):  # NaN rows
+        return num / den, A
+
+
+def _delta_S_paths(
+    charge: Charge, paths, max_depth: int = _DEFAULT_REFINE_DEPTH
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """delta_S_along_path for a list of paths in one batch: per path its
+    delta_S and the number of samples it evaluated, the retarded null
+    vectors at all the paths' points (path after path), and the error of
+    each failed path (path index -> error).
+
+    One retarded solve serves the points of every path. Refinement is
+    level-synchronous across the paths: every edge whose zeta ratio swings
+    pi/2 or more, whichever path it belongs to, is halved, all of them in
+    one batch per level. A path fails at its first failing sample or
+    midpoint, or when an edge still swings that far after max_depth
+    levels; its edges are dropped at once and the other paths go on. A
+    failed path's delta_S and samples mean nothing.
     """
-    P = path.points
-    z, A = _path_zetas(charge, P)
-    if path.closed and not np.array_equal(P[-1], P[0]):
-        e0, e1 = P, np.roll(P, -1, axis=0)
-        z0, z1 = z, np.roll(z, -1)
-    else:
-        e0, e1, z0, z1 = P[:-1], P[1:], z[:-1], z[1:]
-    total = 0j
-    splits = 0
+    n = len(paths)
+    sizes = np.array([len(p.points) for p in paths])
+    P = np.concatenate([p.points for p in paths])
+    owner, nxt = _stacked(sizes)
+    errors: dict = {}
+    z, A = _path_zetas(charge, P, owner, errors)
+    # edge i runs from point i to point nxt[i]; a closed path wraps from
+    # its last point to its first unless the two coincide
+    closed = np.array([p.closed for p in paths])
+    edge = (closed[owner] | (nxt > np.arange(len(P)))) & (P != P[nxt]).any(axis=1)
+    i0 = np.flatnonzero(edge & _live(owner, errors, n))
+    e0, e1, z0, z1, own = P[i0], P[nxt[i0]], z[i0], z[nxt[i0]], owner[i0]
+    total = np.zeros(n, dtype=complex)
+    splits = np.zeros(n, dtype=np.intp)
     depth = max_depth
     while True:
         ratio = z1 / z0
         coarse = np.abs(np.angle(ratio)) >= _MAX_RATIO_ARG
-        total += charge.q * np.log(ratio[~coarse]).sum()
+        np.add.at(total, own[~coarse], np.log(ratio[~coarse]))
         if not coarse.any():
             break
+        e0, e1, z0, z1, own = e0[coarse], e1[coarse], z0[coarse], z1[coarse], own[coarse]
         if depth <= 0:
-            raise RefinementLimitExceededError(
-                "path segment could not be refined below the phase guard"
-            )
-        e0, e1, z0, z1 = e0[coarse], e1[coarse], z0[coarse], z1[coarse]
+            for path in np.unique(own).tolist():
+                errors[path] = RefinementLimitExceededError(
+                    "path segment could not be refined below the phase guard")
+            break
         mid = 0.5 * (e0 + e1)
-        zm, _ = _path_zetas(charge, mid)
-        splits += len(mid)
+        zm, _ = _path_zetas(charge, mid, own, errors)
+        splits += np.bincount(own, minlength=n)
         e0, e1 = np.concatenate([e0, mid]), np.concatenate([mid, e1])
         z0, z1 = np.concatenate([z0, zm]), np.concatenate([zm, z1])
+        own = np.concatenate([own, own])
+        if errors:
+            live = _live(own, errors, n)
+            e0, e1, z0, z1, own = e0[live], e1[live], z0[live], z1[live], own[live]
         depth -= 1
-    return complex(total), len(P) + splits, A
+    return charge.q * total, sizes + splits, A, errors
 
 
 def delta_S_along_path(
@@ -520,4 +558,7 @@ def delta_S_along_path(
 
     For closed paths the result is 2*pi*i*q times an integer winding.
     """
-    return _delta_S_counted(charge, path, max_depth)[0]
+    delta, _, _, errors = _delta_S_paths(charge, [path], max_depth)
+    if errors:
+        raise errors[0]
+    return complex(delta[0])

@@ -17,9 +17,9 @@ import numpy as np
 from .errors import (
     BEFORE_RANGE,
     BEYOND_RANGE,
+    NOT_NULL,
     ON_LINE,
     ON_REST_CHARGE,
-    PrepotentialError,
     raise_first_failure,
 )
 
@@ -217,15 +217,11 @@ def _mdot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij,j->i", a, b, METRIC_SIGNS)
 
 
-def _check_solutions(A: np.ndarray) -> None:
+def _not_null(A: np.ndarray) -> np.ndarray:
+    """Rows of A that fail the solver's null check: |a.a| above
+    _NULL_CHECK_TOL * a0^2, or a0 <= 0."""
     a0 = A[:, 0]
-    nn = _mdot_rows(A, A)
-    bad = (np.abs(nn) > _NULL_CHECK_TOL * np.maximum(a0 * a0, 1e-300)) | (a0 <= 0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise PrepotentialError(
-            f"retarded solver produced an invalid null vector: a={A[i]}, a.a={nn[i]}"
-        )
+    return (np.abs(_mdot_rows(A, A)) > _NULL_CHECK_TOL * np.maximum(a0 * a0, 1e-300)) | (a0 <= 0)
 
 
 def _sampled_segments(line: SampledLine, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -259,7 +255,9 @@ def retarded_rows(
     events: line parameters tau (N,), null vectors A (N, 4), the line's
     unit 4-velocities U (N, 4) there, and failure codes (N,) indexing
     errors.ROW_FAILURES, 0 for a good row. A failing row holds NaN in tau
-    and A; a numerical failure raises for the whole batch.
+    and A. A solution that fails the null check (an event within about
+    1e-6 of a moving line keeps too few digits in a) is a NOT_NULL row
+    too: nothing raises for the whole batch.
 
     Every line kind moves uniformly within a segment, so one formula
     solves them all. For an event R of the segment, its parameter t and
@@ -294,10 +292,10 @@ def retarded_rows(
     r = np.sqrt(np.maximum(r2, 0.0))
     A = P + U * r[:, None]
     tau = t + rate * (s - r)
+    failure[(failure == 0) & _not_null(A)] = NOT_NULL
     if failure.any():
         A[failure != 0] = np.nan
         tau[failure != 0] = np.nan
-    _check_solutions(A)
     return tau, A, U, failure
 
 

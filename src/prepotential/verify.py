@@ -23,7 +23,7 @@ from .fields import (
     FaradayVector,
     second_partials,
 )
-from .loops import ab_phase_report
+from .loops import ab_phase_reports
 from .matrices import upsilon, validate_relations
 from .potential import Charge, ChargeSystem, Path, zetas_of
 from .scenario import Scenario
@@ -32,7 +32,7 @@ from .spacetime import (
     RestLine,
     UniformLine,
     four_velocity_from_3velocity,
-    retarded_null_vector,
+    retarded_null_vectors,
 )
 
 __all__ = ["CheckResult", "RunReport", "run_checks", "DEFAULT_SEED"]
@@ -175,9 +175,10 @@ def check_uniform_motion_triangle(
         u = four_velocity_from_3velocity([0.0, 0.0, speed])
         charge = Charge(q, UniformLine(FourVector(0, 0, 0, 0), u))
         field = ScalarField.from_charge(charge)
-        for x in _triangle_points(rng, speed, points):
+        pts = _triangle_points(rng, speed, points)
+        _, A, _ = retarded_null_vectors(charge.line, np.array([x.as_array() for x in pts]))
+        for x, a in zip(pts, A):
             fs = faraday_from_S(field, x).as_array()
-            a = retarded_null_vector(charge.line, x).a
             fu = faraday_uniform(q, a, u).as_array()
             fo = boosted_coulomb_oracle(q, [0, 0, speed], x).as_array()
             scale = float(np.abs(fo).max())
@@ -212,8 +213,8 @@ def check_wave_residual(
         field = ScalarField.from_charge(charge)
         pts = (_triangle_points(rng, speed, points) if speed
                else [FourVector(0.0, *p) for p in _shell_points(rng, points)])
-        for x in pts:
-            a = retarded_null_vector(charge.line, x).a.as_array()
+        _, A, _ = retarded_null_vectors(charge.line, np.array([x.as_array() for x in pts]))
+        for x, a in zip(pts, A):
             scale = abs(q) / float(np.linalg.norm(a[1:])) ** 2
             # box S from the Richardson Hessian: near the axis the plain
             # diagonal stencil of wave_residual is stuck near 1e-5 of q/R^2
@@ -273,8 +274,9 @@ def check_loop_phase(rng, tol_scale: float, scenario: Scenario | None = None) ->
     worst = 0.0
     agree = True
     windings = []
-    for loop in loops:
-        rep = ab_phase_report(charges, loop, tolerance=tol)
+    for rep in ab_phase_reports(charges, loops, tolerance=tol):
+        if isinstance(rep, PrepotentialError):
+            raise rep
         worst = max(worst, rep.residual)
         for charge, delta, w in zip(charges, rep.charge_deltas, rep.windings):
             agree = agree and round(delta.imag / (2.0 * math.pi * charge.q)) == w

@@ -7,11 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from prepotential import cli
+from prepotential import cli, potential
 from prepotential.cli import main
 from prepotential.errors import ChargeSystemError, StepTooLargeError
 from prepotential.fields import boosted_coulomb_oracle, coulomb_oracle
-from prepotential.scenario import bundled_scenario_path
+from prepotential.scenario import bundled_scenario_path, load_scenario
 from prepotential.spacetime import FourVector
 
 REST = str(bundled_scenario_path("rest_charge"))
@@ -213,6 +213,27 @@ class TestFieldGridMasking:
         assert main(["field-grid", "--scenario", REST,
                      "--out", str(tmp_path / "g.csv")]) == 3
 
+    def test_null_check_row_exits_three(self, tmp_path, capsys):
+        # cell 0 is 3e-8 from a sampled line moving at v = 0.5: its a keeps
+        # too few digits for the solver's null check, a numerical failure
+        u = np.array([2.0, 1.0, 0.0, 0.0]) / math.sqrt(3.0)
+        taus = [-10.0, -4.0, 2.0]
+        scen = tmp_path / "near.json"
+        scen.write_text(json.dumps({
+            "version": 1,
+            "charges": [
+                {"q": 1.0, "line": {"kind": "rest", "position": [0, -3, 0]}},
+                {"q": 1.0, "line": {"kind": "sampled", "taus": taus,
+                                    "events": [(t * u).tolist() for t in taus]}},
+            ],
+            "grid": {"time": 0.0, "origin": [0.0, 3e-8, 0.0], "axes": [[0.0, 1.0, 0.0]],
+                     "extents": [3.0], "resolution": [4]},
+        }))
+        assert main(["field-grid", "--scenario", str(scen),
+                     "--out", str(tmp_path / "g.csv")]) == 3
+        assert ("charge 1: retarded solver produced an invalid null vector"
+                in capsys.readouterr().err)
+
 
 class TestExitCodes:
     def test_missing_scenario_file(self):
@@ -369,6 +390,59 @@ class TestLoopPhaseCommand:
                      "--out", str(out)]) == 0
         records = json.loads(out.read_text())["records"]
         assert [r["winding"] for r in records] == [-1, 0, 2]
+
+    def test_one_solve_per_charge_and_level(self, tmp_path, monkeypatch):
+        # 32 loops round 3 charges: 16 circles and 16 polygons with one
+        # edge 1e-6 to 1e-3 of its length from charge 0's axis, which
+        # refine deeply. The call solves once per charge and level.
+        rng = np.random.default_rng(5)
+        loops = []
+        for i in range(16):
+            loops.append({"kind": "circle", "center": [*rng.uniform(-1, 1, 2), 0.4],
+                          "radius": float(rng.uniform(0.5, 2.0)), "turns": [1, 2, -1, 1][i % 4]})
+            a, b = rng.uniform(0.5, 1.5, 2)
+            gap = 10.0 ** -(3 + i % 4) * (a + b)
+            below = [[float(r * math.cos(t)), float(r * math.sin(t)) - 0.3]
+                     for t, r in zip(np.linspace(-0.2, -math.pi + 0.2, 2 + i % 3),
+                                     rng.uniform(0.5, 1.5, 2 + i % 3))]
+            verts = [[-a, gap], [b, gap]] + below
+            loops.append({"kind": "points", "closed": True,
+                          "events": [[0.0, x, y, 0.4] for x, y in verts]})
+        doc = {
+            "version": 1,
+            "charges": [
+                {"q": 1.0, "line": {"kind": "uniform", "event": [0, 0, 0, 0],
+                                    "velocity": [0, 0, 0.3]}},
+                {"q": -0.7, "line": {"kind": "rest", "position": [1.5, 0.5, 0]}},
+                {"q": 1.3, "line": {"kind": "uniform", "event": [0, -1.0, 1.0, 0],
+                                    "velocity": [0.2, -0.1, 0.4]}},
+            ],
+            "loops": loops,
+        }
+        scen = tmp_path / "loops.json"
+        scen.write_text(json.dumps(doc))
+        calls = []
+
+        def counting(line, X):
+            calls.append(len(X))
+            return solve(line, X)
+
+        solve = potential.retarded_rows
+        monkeypatch.setattr(potential, "retarded_rows", counting)
+        scenario = load_scenario(str(scen))
+        # the deepest refinement level of any loop on any charge, alone:
+        # one solve for its samples, then one per level
+        deepest = 0
+        for loop in scenario.loops:
+            for charge in scenario.charges:
+                calls.clear()
+                potential.delta_S_along_path(charge, loop)
+                deepest = max(deepest, len(calls) - 1)
+        assert deepest >= 15
+        calls.clear()
+        assert main(["loop-phase", "--scenario", str(scen),
+                     "--out", str(tmp_path / "l.csv")]) == 0
+        assert len(calls) <= 3 * (1 + deepest)
 
     def test_empty_loop_list(self, tmp_path):
         out = tmp_path / "empty.csv"

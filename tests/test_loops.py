@@ -14,9 +14,13 @@ from prepotential import (
     FourVector,
     Path,
     PathThroughSingularAxisError,
+    PrepotentialError,
+    RefinementLimitExceededError,
     RestLine,
+    SampledLine,
     UniformLine,
     ab_phase_report,
+    ab_phase_reports,
     delta_S_along_path,
     four_velocity_from_3velocity,
     two_path_difference,
@@ -195,6 +199,27 @@ class TestTwoPathDifference:
         with pytest.raises(ValueError):
             two_path_difference(c, circle(), self.semicircle(True))
 
+    @given(
+        bulge=st.floats(-1.5, 1.5),
+        samples=st.integers(3, 60),
+        height=st.floats(0.1, 1.0),
+        speed=st.one_of(st.just(0.0), st.floats(-0.9, 0.9)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_paths_and_the_closed_loop(self, bulge, samples, height, speed):
+        # the upper unit semicircle against an arc bulging to either side
+        c = axial_charge(1.0, (0.0, 0.0), speed)
+        p = np.linspace(0.0, math.pi, samples)
+        arc = lambda b: Path(np.column_stack(
+            [np.zeros(samples), np.cos(p), b * np.sin(p), np.full(samples, height)]))
+        a, b = arc(1.0), arc(bulge)
+        assume(abs(bulge) > 0.05 and bulge != 1.0)
+        rep = two_path_difference(c, a, b)
+        loop = Path(np.concatenate([a.points, b.points[-2:0:-1]]), closed=True)
+        assert rep.winding == winding_number(loop, c)
+        assert rep.delta_S == delta_S_along_path(c, a) - delta_S_along_path(c, b)
+        assert rep.residual == abs(rep.delta_S - 2j * math.pi * rep.winding)
+
 
 def axial_charge(q, position, speed):
     """A charge whose singular axis is the x3-parallel line through
@@ -323,3 +348,131 @@ class TestSystemReport:
         assert from_array.events == from_events.events
         a, b = ab_phase_report(rest_charge(), from_array), ab_phase_report(rest_charge(), from_events)
         assert (a.delta_S, a.windings, a.samples_used) == (b.delta_S, b.windings, b.samples_used)
+
+
+def bent_line(position, v_early, v_mid, v_late):
+    """A sampled line through (0, position) at t = 0, moving with v_early
+    until t = -10, with v_mid until t = -5 and with v_late after: its
+    velocity jumps at those two knots. Knots run from t = -40 to 10."""
+    x = np.array([0.0, *position])
+    late, mid, early = (np.array([1.0, *v]) for v in (v_late, v_mid, v_early))
+    knots = [x - 5.0 * late - 5.0 * mid - 30.0 * early, x - 5.0 * late - 5.0 * mid,
+             x - 5.0 * late, x, x + 10.0 * late]
+    taus = np.cumsum([0.0] + [math.sqrt(d[0] ** 2 - d[1:] @ d[1:])
+                              for d in np.diff(knots, axis=0)])
+    return SampledLine(tuple(taus), tuple(FourVector.from_array(k) for k in knots))
+
+
+def one_loop_report(charges, loop):
+    """ab_phase_report of one loop, or the error it raises."""
+    try:
+        return ab_phase_report(charges, loop)
+    except PrepotentialError as exc:
+        return exc
+
+
+def assert_same_report(got, want, q_max):
+    if isinstance(want, PrepotentialError):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert got.windings == want.windings
+    assert got.samples_used == want.samples_used
+    assert got.tolerance == want.tolerance
+    assert abs(got.delta_S - want.delta_S) <= 1e-12 * q_max
+
+
+_charge_specs = st.tuples(
+    st.sampled_from(["rest", "uniform", "sampled"]),
+    st.floats(0.4, 2.0) | st.floats(-2.0, -0.4),
+    st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+    st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+)
+_loop_specs = st.tuples(
+    st.sampled_from(["circle", "polygon"]),
+    st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+    st.floats(0.3, 2.5),
+    _turns,
+    st.lists(st.floats(0.5, 1.5), min_size=3, max_size=6),
+    st.floats(0.0, 1.0),
+)
+
+
+def _charge_of(kind, q, pos, v):
+    if kind == "rest":
+        return Charge(q, RestLine((pos[0], pos[1], 0.0)))
+    if kind == "uniform":
+        return Charge(q, UniformLine(V(0.0, pos[0], pos[1], 0.0),
+                                     four_velocity_from_3velocity(v)))
+    return Charge(q, bent_line((pos[0], pos[1], 0.0), v, (v[1], v[2], v[0]), (0.0, 0.0, 0.0)))
+
+
+def _loop_of(kind, center, radius, turns, radii, height):
+    if kind == "circle":
+        return Path(circle_points(center, radius, turns, samples=48, height=height), closed=True)
+    theta = 2 * math.pi * np.arange(len(radii)) / len(radii) * np.sign(turns)
+    verts = np.array(center) + radius * np.column_stack(
+        [np.multiply(radii, np.cos(theta)), np.multiply(radii, np.sin(theta))])
+    return Path(np.column_stack([np.zeros(len(verts)), verts, np.full(len(verts), height)]),
+                closed=True)
+
+
+class TestBatchedReports:
+    """ab_phase_reports evaluates all loops in one batch per charge; each
+    loop's report is the one it gets alone."""
+
+    @given(
+        charges=st.lists(_charge_specs, min_size=1, max_size=3),
+        loops=st.lists(_loop_specs, min_size=1, max_size=6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batched_report_is_one_loop_report(self, charges, loops):
+        system = ChargeSystem(tuple(_charge_of(*c) for c in charges))
+        paths = [_loop_of(*lp) for lp in loops]
+        q_max = max(abs(c.q) for c in system)
+        for got, loop in zip(ab_phase_reports(system, paths), paths):
+            assert_same_report(got, one_loop_report(system, loop), q_max)
+        one = system.charges[0]
+        for got, loop in zip(ab_phase_reports(one, paths), paths):
+            assert_same_report(got, one_loop_report(one, loop), abs(one.q))
+
+    def test_failing_loops_fail_alone(self):
+        # charge 1 is sampled and moves at v = 0.5; the fifth loop has a
+        # sample 3e-8 from it, where a keeps too few digits for the
+        # solver's null check
+        u = four_velocity_from_3velocity([0.5, 0.0, 0.0]).as_array()
+        taus = np.arange(-40.0, 11.0, 2.0)
+        line = SampledLine(tuple(taus), tuple(
+            FourVector.from_array(t * u + np.array([0.0, 0.0, 3.0, 0.0])) for t in taus))
+        system = ChargeSystem((
+            rest_charge(1.0),
+            Charge(-0.5, line),
+            Charge(0.7, UniformLine(V(0, -2, -2, 0), four_velocity_from_3velocity([0.1, 0.2, 0.3]))),
+        ))
+        near = 0.3 * u + np.array([0.0, 0.0, 3.0 + 3e-8, 0.0])
+        good = [Path(circle_points(c, r, 1), closed=True)
+                for c, r in (((0.0, 0.0), 1.0), ((0.3, 3.0), 1.0), ((-2.0, -2.0), 0.5))]
+        # a sample on charge 0's axis, and one near charge 1's line
+        on_axis = Path(np.array([[0, 1, 0, 0.5], [0, 0, 0, 0.5], near, [0, 0, 1, 0.5]]),
+                       closed=True)
+        # the first edge's midpoint is on charge 0's axis
+        mid_on_axis = Path(np.array([[0, -1, 0, 0.4], [0, 1, 0, 0.4], [0, 0, -1, 0.4]],
+                                    dtype=float), closed=True)
+        # an edge 1e-12 from charge 0's axis: still coarse after 40 halvings
+        too_deep = Path(np.array([[0, -7, 1e-12, 0.4], [0, 13, 1e-12, 0.4], [0, 3, -4, 0.4]]),
+                        closed=True)
+        not_null = Path(np.array([near, near + [0, 1, 0.5, 0], near + [0, -0.5, 1, 0]]),
+                        closed=True)
+        loops = [good[0], on_axis, good[1], too_deep, not_null, good[2], mid_on_axis]
+        reports = ab_phase_reports(system, loops)
+        for got, loop in zip(reports, loops):
+            assert_same_report(got, one_loop_report(system, loop), 1.0)
+        # loop index -> (failing charge, cause)
+        failing = {1: (0, PathThroughSingularAxisError), 3: (0, RefinementLimitExceededError),
+                   4: (1, PrepotentialError), 6: (0, PathThroughSingularAxisError)}
+        for j, rep in enumerate(reports):
+            if j in failing:
+                assert type(rep) is ChargeSystemError
+                assert (rep.index, type(rep.__cause__)) == failing[j]
+            else:
+                assert rep.status == "ok"
+        assert str(reports[4]) == "charge 1: retarded solver produced an invalid null vector"

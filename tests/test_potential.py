@@ -17,7 +17,6 @@ from prepotential import (
     NotNullError,
     Path,
     PathThroughSingularAxisError,
-    PrePotentialValue,
     POTENTIAL_FIELD_SCALE,
     RefinementLimitExceededError,
     RestLine,
@@ -26,7 +25,6 @@ from prepotential import (
     SingularAxisError,
     StepTooLargeError,
     UniformLine,
-    accumulate,
     boosted_coulomb_oracle,
     conjugation_C,
     coulomb_oracle,
@@ -159,23 +157,6 @@ class TestPrePotentialPoint:
             want = q * cmath.log((x[0] - 1j * x[1]) / (r + x[2]))
             got = prepotential_point(c, V(0.5, *x)).value
             assert abs(got - want) < 1e-13
-
-    def test_branch_index_bookkeeping(self):
-        q = 2.0
-        # imaginary part of value/q at 3*pi sits one branch above principal
-        v = PrePotentialValue.from_value(q * (0.3 + 3j * math.pi), q)
-        assert v.branch_index == 1
-        # boundary +pi stays principal
-        v2 = PrePotentialValue.from_value(q * 1j * math.pi, q)
-        assert v2.branch_index == 0
-        v3 = PrePotentialValue.from_value(q * (-1j * (math.pi + 1e-6)), q)
-        assert v3.branch_index == -1
-
-    def test_accumulate_updates_branch(self):
-        q = 1.0
-        start = prepotential_point(rest_charge(q), V(0, 1, 0, 0))
-        moved = accumulate(start, q, -4j * math.pi * q)
-        assert moved.branch_index == -2
 
 
 class TestPrePotentialSystem:

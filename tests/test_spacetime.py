@@ -21,7 +21,7 @@ from prepotential import (
     minkowski_dot,
     retarded_null_vector,
 )
-from prepotential.errors import BEFORE_RANGE, BEYOND_RANGE, ON_LINE, ROW_FAILURES
+from prepotential.errors import BEFORE_RANGE, BEYOND_RANGE, NOT_NULL, ON_LINE, ROW_FAILURES
 from prepotential.spacetime import retarded_null_vectors, retarded_rows
 
 
@@ -286,12 +286,8 @@ def _distance_to_polyline(line, x):
 
 def _solves_alone(line, x):
     """False for an event so near the line (~1e-6) that the solver's null
-    check raises for it."""
-    try:
-        retarded_rows(line, x[None])
-    except PrepotentialError:
-        return False
-    return True
+    check flags it (NOT_NULL)."""
+    return retarded_rows(line, x[None])[3][0] != NOT_NULL
 
 
 class TestRetardedBatch:
@@ -343,7 +339,7 @@ class TestRetardedBatch:
         # segment where g changes sign; rows missing the range flagged
         line, _ = _line("sampled", v3, turn)
         # closer than ~1e-6 to the line, a = x - line(tau) keeps too few
-        # digits to pass the solver's null check, which raises for the batch
+        # digits to pass the solver's null check, which flags the row
         X = np.array([e for e in events
                       if not 0 < _distance_to_polyline(line, np.array(e)) < 1e-5])
         if not len(X):
@@ -424,6 +420,23 @@ class TestRetardedBatch:
             if not fail[i]:
                 assert_array_equal(A[i], one[1][0])
                 assert tau[i] == one[0][0]
+
+    def test_null_check_failure_is_flagged_alone(self):
+        # 3e-8 from a segment moving at v = 0.5, a = x - line(tau) carries
+        # rounding of order eps * |x - knot| against a0 ~ 3e-8
+        u = four_velocity_from_3velocity([0.5, 0.0, 0.0]).as_array()
+        taus = (-10.0, -4.0, 2.0)
+        line = SampledLine(taus, tuple(FourVector.from_array(t * u) for t in taus))
+        X = np.array([[0.0, 0.0, 1.0, 0.5], 0.3 * u + [0.0, 0.0, 3e-8, 0.0],
+                      [0.5, -1.0, 0.0, 2.0]])
+        tau, A, U, fail = retarded_rows(line, X)
+        assert fail.tolist() == [0, NOT_NULL, 0]
+        assert np.isnan(A[1]).all() and np.isnan(tau[1])
+        for i in (0, 2):
+            assert_array_equal(A[i], retarded_rows(line, X[i][None])[1][0])
+        with pytest.raises(PrepotentialError,
+                           match="retarded solver produced an invalid null vector"):
+            retarded_null_vectors(line, X)
 
     @given(
         kind=st.sampled_from(["rest", "uniform", "sampled"]),
