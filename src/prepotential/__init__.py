@@ -59,7 +59,6 @@ from .matrices import (
     rho_bar,
     rotation,
     sigma,
-    sigma_bar,
     upsilon,
     upsilon_bar,
     validate_relations,
@@ -78,7 +77,6 @@ from .potential import (
     potential_A,
     potential_matrix,
     prepotential_jet,
-    prepotential_jet_system,
     prepotential_jets,
     prepotential_point,
     prepotential_system,

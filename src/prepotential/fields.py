@@ -26,12 +26,12 @@ from .matrices import rho, upsilon, upsilon_bar
 from .potential import (
     Charge,
     ChargeSystem,
+    NULL_TOL,
     UNIFORM_FIELD_CALIBRATION,
     _log_ratios,
     _velocity_fields,
     _zeta_rows,
     local_scale,
-    potential_A,
     potential_matrix,
     prepotential_point,
 )
@@ -243,23 +243,19 @@ def faraday_from_S(
 
 @dataclass(frozen=True)
 class PotentialField:
-    """Complex 4-covector field A(x), optionally backed by a scalar field
-    and a constant matrix (A = matrix @ grad S). When backed, derivative
-    routes reuse the scalar field's stencil Hessian so that comparisons
-    against faraday_from_S share their discretization error."""
+    """Complex 4-covector field A = matrix @ grad S of a scalar field S and
+    a constant matrix. Derivative routes reuse the scalar field's stencil
+    Hessian, so comparisons against faraday_from_S share their
+    discretization error."""
 
-    value: Callable[[FourVector], np.ndarray]
-    source: ScalarField | None = None
-    matrix: np.ndarray | None = None
+    source: ScalarField
+    matrix: np.ndarray
 
 
 def potential_field(charge: Charge) -> PotentialField:
-    """The charge's 4-potential as a differentiable field object."""
-    return PotentialField(
-        value=lambda x: potential_A(charge, x),
-        source=ScalarField.from_charge(charge),
-        matrix=potential_matrix(),
-    )
+    """The charge's 4-potential (potential_A) as a differentiable field
+    object."""
+    return PotentialField(source=ScalarField.from_charge(charge), matrix=potential_matrix())
 
 
 _FROM_A_STEP_FACTOR = 1e-5
@@ -280,15 +276,14 @@ def faraday_from_A(
     """Field 3-vector from first derivatives of a 4-potential.
 
     Validated against classical electric and magnetic potentials as
-    written (factor 2, metric-raised derivative index). A backed
-    PotentialField contracts the shared scalar-field Hessian; a bare
-    callable is differenced directly.
+    written (factor 2, metric-raised derivative index). A PotentialField
+    contracts its scalar field's stencil Hessian; a bare callable is
+    differenced directly.
     """
-    if isinstance(A, PotentialField) and A.source is not None and A.matrix is not None:
+    if isinstance(A, PotentialField):
         H = second_partials(A.source, x, step)
         dA = H @ A.matrix.T  # d_nu A_mu = sum_lam matrix[mu, lam] H[nu, lam]
         return _contract_dA(dA)
-    fn = A.value if isinstance(A, PotentialField) else A
     xv = x.as_array()
     h = step if step is not None else _FROM_A_STEP_FACTOR * max(
         1.0, float(np.linalg.norm(xv[1:]))
@@ -297,8 +292,8 @@ def faraday_from_A(
     for nu in range(4):
         e = h * _BASIS[nu]
         dA[nu] = (
-            np.asarray(fn(FourVector.from_array(xv + e)), dtype=complex)
-            - np.asarray(fn(FourVector.from_array(xv - e)), dtype=complex)
+            np.asarray(A(FourVector.from_array(xv + e)), dtype=complex)
+            - np.asarray(A(FourVector.from_array(xv - e)), dtype=complex)
         ) / (2.0 * h)
     return _contract_dA(dA)
 
@@ -313,7 +308,7 @@ def faraday_uniform(q: float, a, u) -> FaradayVector:
     av = a.as_array() if isinstance(a, FourVector) else np.asarray(a, dtype=float)
     uv = u.as_array() if isinstance(u, FourVector) else np.asarray(u, dtype=float)
     amax = float(np.abs(av).max())
-    if abs(minkowski_dot(av, av)) > 1e-10 * amax**2:
+    if abs(minkowski_dot(av, av)) > NULL_TOL * amax**2:
         raise NotNullError("a must be null")
     if abs(minkowski_dot(uv, uv) - 1.0) > 1e-9:
         raise ValueError("u must satisfy u.u = 1")

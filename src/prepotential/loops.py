@@ -159,12 +159,15 @@ def ab_phase_report(
     return rep
 
 
+# Largest Euclidean distance at which two paths' endpoints count as shared.
+_ENDPOINT_TOL = 1e-12
+
+
 def two_path_difference(
     charge: Charge,
     path_a: Path,
     path_b: Path,
     tolerance: float | None = None,
-    endpoint_tol: float = 1e-12,
 ) -> LoopPhaseReport:
     """Difference of accumulated S between two open paths sharing both
     endpoints; equals the closed-loop phase of path_a followed by the
@@ -172,7 +175,7 @@ def two_path_difference(
     if path_a.closed or path_b.closed:
         raise ValueError("two_path_difference expects open paths")
     ends = np.linalg.norm(path_a.points[[0, -1]] - path_b.points[[0, -1]], axis=1)
-    if (ends > endpoint_tol).any():
+    if (ends > _ENDPOINT_TOL).any():
         raise ValueError("paths must share their endpoints")
     if tolerance is None:
         tolerance = 1e-8 * abs(charge.q)

@@ -22,7 +22,6 @@ __all__ = [
     "rho",
     "rho_bar",
     "sigma",
-    "sigma_bar",
     "conjugation_C",
     "alpha",
     "upsilon",
@@ -78,11 +77,6 @@ def rho_bar(j: int) -> ComplexMatrix4:
 def sigma(j: int) -> ComplexMatrix4:
     """Rotation-type generator sigma^j = i rho^j."""
     return 1j * _RHO[_axis(j)]
-
-
-def sigma_bar(j: int) -> ComplexMatrix4:
-    """Conjugate rotation generator -i conj(rho^j)."""
-    return -1j * _RHO[_axis(j)].conj()
 
 
 def conjugation_C() -> ComplexMatrix4:

@@ -19,7 +19,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
-    NOT_NULL,
     ON_AXIS,
     ROW_FAILURES,
     ChargeSystemError,
@@ -56,7 +55,6 @@ __all__ = [
     "prepotential_point",
     "prepotential_system",
     "prepotential_jet",
-    "prepotential_jet_system",
     "prepotential_jets",
     "gradient_S",
     "potential_A",
@@ -68,7 +66,9 @@ __all__ = [
 # treated as lying on the singular ray where zeta is 0 or infinite.
 SINGULAR_AXIS_FLOOR = 1e-24
 
-_DEFAULT_NULL_TOL = 1e-10
+# A vector a counts as null when |a.a| is at most this fraction of
+# max_mu |a_mu|^2.
+NULL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ _NUMERATORS = np.array([[0.0, 1.0, -1j, 0.0], [1.0, 0.0, 0.0, -1.0]])
 _DENOMINATORS = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1j, 0.0]])
 
 
-def _zeta_quotients(A, null_tol: float = _DEFAULT_NULL_TOL):
+def _zeta_quotients(A):
     """For each row of an (N, 4) array of null vectors, the numerator and
     denominator of whichever quotient for zeta is better conditioned there
     (the other one loses every digit near the singular axis), the index
@@ -100,8 +100,8 @@ def _zeta_quotients(A, null_tol: float = _DEFAULT_NULL_TOL):
     if (scale == 0.0).any():
         raise NotNullError("zero vector has no invariant ratio")
     nn = np.abs(_mdot_rows(A, A))
-    if (nn > null_tol * scale).any():
-        i = int(np.argmax(nn > null_tol * scale))
+    if (nn > NULL_TOL * scale).any():
+        i = int(np.argmax(nn > NULL_TOL * scale))
         raise NotNullError(f"vector is not null: |a.a| = {nn[i]:.3e} at scale {scale[i]:.3e}")
     sq *= sq
     on_axis = sq[:, 1] + sq[:, 2] < SINGULAR_AXIS_FLOOR * (sq[:, 0] + sq[:, 3])
@@ -117,16 +117,16 @@ def _zeta_quotients(A, null_tol: float = _DEFAULT_NULL_TOL):
     return num, den, (~first).astype(np.intp), failure
 
 
-def zetas_of(A, null_tol: float = _DEFAULT_NULL_TOL) -> np.ndarray:
+def zetas_of(A) -> np.ndarray:
     """zeta of each row of an (N, 4) array of null vectors, real or
     complex, from the better-conditioned quotient; raises the error of the
     first failing row."""
-    num, den, _, failure = _zeta_quotients(A, null_tol)
+    num, den, _, failure = _zeta_quotients(A)
     raise_first_failure(failure)
     return num / den
 
 
-def zeta_of(a, null_tol: float = _DEFAULT_NULL_TOL) -> Zeta:
+def zeta_of(a) -> Zeta:
     """Invariant ratio (a1 - i a2)/(a0 + a3) of a null vector, computed
     from whichever of the two equivalent quotients is better conditioned.
 
@@ -136,7 +136,7 @@ def zeta_of(a, null_tol: float = _DEFAULT_NULL_TOL) -> Zeta:
     av = a.as_array() if isinstance(a, FourVector) else np.asarray(a)
     if av.shape != (4,):
         raise ValueError(f"expected 4 components, got shape {av.shape}")
-    return Zeta(complex(zetas_of(av[None], null_tol)[0]))
+    return Zeta(complex(zetas_of(av[None])[0]))
 
 
 @dataclass(frozen=True)
@@ -347,8 +347,8 @@ def prepotential_jets(system: ChargeSystem, X) -> tuple[PrePotentialJet, np.ndar
     """Superposition of the closed-form jets over the system's charges at
     each row of an (N, 4) array of events, with per-row failure codes
     (errors.ROW_FAILURES): a row fails with the first failing charge's
-    code and holds NaN. A numerical failure on charge k, a NOT_NULL row
-    included, raises ChargeSystemError(k, ...) for the batch."""
+    code and holds NaN. A numerical failure on charge k raises
+    ChargeSystemError(k, ...) for the batch."""
     X = np.asarray(X, dtype=float)
     failure = np.zeros(len(X), dtype=np.int8)
     value = np.zeros(len(X), dtype=complex)
@@ -358,7 +358,6 @@ def prepotential_jets(system: ChargeSystem, X) -> tuple[PrePotentialJet, np.ndar
     for i, charge in enumerate(system):
         try:
             jet, fail = _jet_rows(charge, X)
-            raise_first_failure(np.where(fail == NOT_NULL, fail, 0))
         except PrepotentialError as exc:
             raise ChargeSystemError(i, str(exc)) from exc
         failure = np.where(failure != 0, failure, fail)
@@ -376,25 +375,6 @@ def prepotential_jet(charge: Charge, x: FourVector) -> PrePotentialJet:
     raise_first_failure(failure)
     return PrePotentialJet(complex(jet.value[0]), jet.gradient[0], jet.hessian[0],
                            jet.field[0])
-
-
-def prepotential_jet_system(system: ChargeSystem, x: FourVector) -> PrePotentialJet:
-    """Superposition of prepotential_jet over the system's charges; the
-    value is summed exactly as prepotential_system sums it."""
-    value = 0j
-    gradient = np.zeros(4, dtype=complex)
-    hessian = np.zeros((4, 4), dtype=complex)
-    field = np.zeros(3, dtype=complex)
-    for i, charge in enumerate(system):
-        try:
-            jet = prepotential_jet(charge, x)
-        except PrepotentialError as exc:
-            raise ChargeSystemError(i, str(exc)) from exc
-        value += jet.value
-        gradient += jet.gradient
-        hessian += jet.hessian
-        field += jet.field
-    return PrePotentialJet(value, gradient, hessian, field)
 
 
 # A principal log-ratio of zeta between two samples is a faithful local

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import (
     BEFORE_RANGE,
     BEYOND_RANGE,
-    NOT_NULL,
     ON_LINE,
     ON_REST_CHARGE,
     raise_first_failure,
@@ -206,7 +205,6 @@ class RetardedSolution:
     u: FourVector
 
 
-_NULL_CHECK_TOL = 1e-10
 _ON_LINE_FLOOR = 1e-14
 _E0 = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -215,13 +213,6 @@ def _mdot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise minkowski_dot of (N, 4) arrays, real or complex; each row's
     result does not depend on the other rows."""
     return np.einsum("ij,ij,j->i", a, b, METRIC_SIGNS)
-
-
-def _not_null(A: np.ndarray) -> np.ndarray:
-    """Rows of A that fail the solver's null check: |a.a| above
-    _NULL_CHECK_TOL * a0^2, or a0 <= 0."""
-    a0 = A[:, 0]
-    return (np.abs(_mdot_rows(A, A)) > _NULL_CHECK_TOL * np.maximum(a0 * a0, 1e-300)) | (a0 <= 0)
 
 
 def _sampled_segments(line: SampledLine, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -255,9 +246,7 @@ def retarded_rows(
     events: line parameters tau (N,), null vectors A (N, 4), the line's
     unit 4-velocities U (N, 4) there, and failure codes (N,) indexing
     errors.ROW_FAILURES, 0 for a good row. A failing row holds NaN in tau
-    and A. A solution that fails the null check (an event within about
-    1e-6 of a moving line keeps too few digits in a) is a NOT_NULL row
-    too: nothing raises for the whole batch.
+    and A; every failure is geometric, and nothing raises for the batch.
 
     Every line kind moves uniformly within a segment, so one formula
     solves them all. For an event R of the segment, its parameter t and
@@ -266,6 +255,12 @@ def retarded_rows(
     point is a = P + r U, at tau = t + (s - r) * (parameter per unit
     proper time). A rest line is uniform motion with U = e0; a sampled
     line first finds each row's segment (_sampled_segments).
+
+    P is projected off U a second time: the first projection leaves P.U
+    with rounding of order eps * |D|, which near a moving line far from R
+    is not small against r, and a = P + r U would miss null by 2 r P.U.
+    After the second, P.U is of order eps * r, so a is null to rounding,
+    and a0 > 0 for r > 0 (r U0 >= |P_vec| > |P0|).
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != 4:
@@ -287,12 +282,12 @@ def retarded_rows(
     D = X - R
     s = _mdot_rows(D, U)
     P = D - U * s[:, None]
+    P -= U * _mdot_rows(P, U)[:, None]
     r2 = -_mdot_rows(P, P)  # squared rest-frame distance, >= 0
     failure[(failure == 0) & (r2 < _ON_LINE_FLOOR**2 * np.maximum(1.0, s * s))] = on_line
     r = np.sqrt(np.maximum(r2, 0.0))
     A = P + U * r[:, None]
     tau = t + rate * (s - r)
-    failure[(failure == 0) & _not_null(A)] = NOT_NULL
     if failure.any():
         A[failure != 0] = np.nan
         tau[failure != 0] = np.nan

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from prepotential import cli, potential
 from prepotential.cli import main
 from prepotential.errors import ChargeSystemError, StepTooLargeError
-from prepotential.fields import boosted_coulomb_oracle, coulomb_oracle
+from prepotential.fields import FaradayVector, boosted_coulomb_oracle, coulomb_oracle
 from prepotential.scenario import bundled_scenario_path, load_scenario
 from prepotential.spacetime import FourVector
 
@@ -213,13 +214,12 @@ class TestFieldGridMasking:
         assert main(["field-grid", "--scenario", REST,
                      "--out", str(tmp_path / "g.csv")]) == 3
 
-    def test_null_check_row_exits_three(self, tmp_path, capsys):
-        # cell 0 is 3e-8 from a sampled line moving at v = 0.5: its a keeps
-        # too few digits for the solver's null check, a numerical failure
+    def test_near_line_cell_is_exact(self, tmp_path, capsys):
+        # cell 0 is 3e-8 from a sampled line moving at v = 0.5 and 4.6 from
+        # the knot of its segment
         u = np.array([2.0, 1.0, 0.0, 0.0]) / math.sqrt(3.0)
         taus = [-10.0, -4.0, 2.0]
-        scen = tmp_path / "near.json"
-        scen.write_text(json.dumps({
+        rows = _grid_rows(tmp_path, {
             "version": 1,
             "charges": [
                 {"q": 1.0, "line": {"kind": "rest", "position": [0, -3, 0]}},
@@ -228,11 +228,33 @@ class TestFieldGridMasking:
             ],
             "grid": {"time": 0.0, "origin": [0.0, 3e-8, 0.0], "axes": [[0.0, 1.0, 0.0]],
                      "extents": [3.0], "resolution": [4]},
-        }))
-        assert main(["field-grid", "--scenario", str(scen),
-                     "--out", str(tmp_path / "g.csv")]) == 3
-        assert ("charge 1: retarded solver produced an invalid null vector"
-                in capsys.readouterr().err)
+        })
+        assert [r["masked"] for r in rows] == ["0"] * 4
+        assert "4 cells, 0 masked" in capsys.readouterr().err
+        for r in rows:
+            x = [float(r[k]) for k in ("x1", "x2", "x3")]
+            want = (_exact_uniform_field([0.0, -3.0, 0.0], [0.0] * 3, x)
+                    + _exact_uniform_field([0.0] * 3, u[1:] / u[0], x))
+            assert _max_field_error(r, FaradayVector.from_array(want)) <= 1e-14
+
+
+def _exact_uniform_field(position, velocity, x):
+    """E + iB at time 0 and place x of a unit charge at `position` at time
+    0 moving with `velocity`, from the exact values of the float inputs
+    to 60 digits: E = (1 - v^2) R / (|R|^2 - (R x v)^2)^(3/2) with R the
+    separation from the present position, B = v x E."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        R = [Decimal(float(p)) - Decimal(float(c)) for p, c in zip(x, position)]
+        v = [Decimal(float(c)) for c in velocity]
+        RxV = [R[1] * v[2] - R[2] * v[1], R[2] * v[0] - R[0] * v[2],
+               R[0] * v[1] - R[1] * v[0]]
+        k = (1 - sum(c * c for c in v)) / (
+            sum(c * c for c in R) - sum(c * c for c in RxV)).sqrt() ** 3
+        E = [k * c for c in R]
+        B = [v[1] * E[2] - v[2] * E[1], v[2] * E[0] - v[0] * E[2],
+             v[0] * E[1] - v[1] * E[0]]
+        return np.array([float(e) + 1j * float(b) for e, b in zip(E, B)])
 
 
 class TestExitCodes:

@@ -35,7 +35,6 @@ from prepotential import (
     local_scale,
     potential_A,
     prepotential_jet,
-    prepotential_jet_system,
     prepotential_point,
     prepotential_system,
     retarded_null_vector,
@@ -349,27 +348,6 @@ class TestPrePotentialJet:
         assert abs(sol.tau_retarded - 1.5) < 1e-9
         e1, e2 = charge.line.events[5].as_array(), charge.line.events[6].as_array()
         assert_allclose(sol.u.as_array(), e2 - e1, atol=1e-15)
-
-    def test_system_value_is_prepotential_system(self):
-        system = ChargeSystem((
-            rest_charge(1.0, (0.0, 0.0, 0.0)),
-            Charge(-0.7, UniformLine(V(0, 0.5, 0, 0),
-                                     four_velocity_from_3velocity([0.2, 0.0, 0.4]))),
-        ))
-        x = V(0.3, 1.2, -0.8, 0.9)
-        jet = prepotential_jet_system(system, x)
-        assert jet.value == prepotential_system(system, x).value
-        parts = [prepotential_jet(c, x) for c in system]
-        assert_allclose(jet.hessian, parts[0].hessian + parts[1].hessian, rtol=1e-15)
-        assert_allclose(jet.field, parts[0].field + parts[1].field, rtol=1e-15)
-
-    def test_system_failure_keeps_root_cause(self):
-        good = rest_charge(1.0, (0.0, 0.0, 0.0))
-        bad = rest_charge(1.0, (5.0, 0.0, 0.0))
-        with pytest.raises(ChargeSystemError) as err:
-            prepotential_jet_system(ChargeSystem((good, bad)), V(0.0, 5.0, 0.0, 1.0))
-        assert err.value.index == 1
-        assert isinstance(err.value.__cause__, SingularAxisError)
 
 
 _sights = st.tuples(

@@ -1,6 +1,7 @@
 """Metric, boosts, and the retarded null-vector solver."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from prepotential import (
     minkowski_dot,
     retarded_null_vector,
 )
-from prepotential.errors import BEFORE_RANGE, BEYOND_RANGE, NOT_NULL, ON_LINE, ROW_FAILURES
+from prepotential.errors import BEFORE_RANGE, BEYOND_RANGE, ON_LINE, ROW_FAILURES
 from prepotential.spacetime import retarded_null_vectors, retarded_rows
 
 
@@ -273,6 +274,30 @@ def _on_line(line, tau):
     return np.array([np.interp(tau, line.taus, knots[:, m]) for m in range(4)])
 
 
+def _exact_retarded(line, x):
+    """The sampled line's retarded vector at x from the exact values of
+    the float knots and x, to 60 digits: per segment, the past root lam
+    in [0, 1] of (D - lam W).(D - lam W) = 0 with D = x - knot_k and W
+    the segment's step."""
+    signs = (1, -1, -1, -1)
+
+    def dot(a, b):
+        return sum(s * p * q for s, p, q in zip(signs, a, b))
+
+    with localcontext() as ctx:
+        ctx.prec = 60
+        xs = [Decimal(float(c)) for c in x]
+        knots = [[Decimal(float(c)) for c in e.as_array()] for e in line.events]
+        for e0, e1 in zip(knots[:-1], knots[1:]):
+            D = [p - q for p, q in zip(xs, e0)]
+            W = [p - q for p, q in zip(e1, e0)]
+            dw, ww = dot(D, W), dot(W, W)
+            lam = (dw - (dw * dw - ww * dot(D, D)).sqrt()) / ww
+            if 0 <= lam <= 1:
+                return np.array([float(d - lam * w) for d, w in zip(D, W)])
+    raise ValueError("the past light cone misses the sampled range")
+
+
 def _distance_to_polyline(line, x):
     """Euclidean distance in R^4 from x to the sampled line's polyline."""
     knots = np.array([e.as_array() for e in line.events])
@@ -282,12 +307,6 @@ def _distance_to_polyline(line, x):
         lam = min(max(float((x - e0) @ d) / float(d @ d), 0.0), 1.0)
         best = min(best, float(np.linalg.norm(x - e0 - lam * d)))
     return best
-
-
-def _solves_alone(line, x):
-    """False for an event so near the line (~1e-6) that the solver's null
-    check flags it (NOT_NULL)."""
-    return retarded_rows(line, x[None])[3][0] != NOT_NULL
 
 
 class TestRetardedBatch:
@@ -308,12 +327,7 @@ class TestRetardedBatch:
         knots = tuple(FourVector.from_array(t * u.as_array()) for t in taus)
         sampled = SampledLine(tuple(taus), knots)
         uniform = UniformLine(V(0, 0, 0, 0), u)
-        # rest-frame distance from the line at least 1e-3, computed here:
-        # nearer, a keeps too few digits for the solver's null check
-        X = np.array([x for x in events
-                      if minkowski_dot(x, u) ** 2 - minkowski_dot(x, x) > 1e-6])
-        if not len(X):
-            return
+        X = np.array(events, dtype=float)
         tau_s, A_s, U_s, fail = retarded_rows(sampled, X)
         tau_u, A_u, U_u, _ = retarded_rows(uniform, X)
         for i in range(len(X)):
@@ -338,12 +352,7 @@ class TestRetardedBatch:
         # a null, future-pointing a = x - line(tau), with tau in the
         # segment where g changes sign; rows missing the range flagged
         line, _ = _line("sampled", v3, turn)
-        # closer than ~1e-6 to the line, a = x - line(tau) keeps too few
-        # digits to pass the solver's null check, which flags the row
-        X = np.array([e for e in events
-                      if not 0 < _distance_to_polyline(line, np.array(e)) < 1e-5])
-        if not len(X):
-            return
+        X = np.array(events, dtype=float)
         tau, A, U, fail = retarded_rows(line, X)
         last = len(line.taus) - 1
         for i, x in enumerate(X):
@@ -407,8 +416,7 @@ class TestRetardedBatch:
         line, on_line = _line(kind, v3, turn)
         offenders = on_line + ([np.array([-100.0, 0, 0, 0]), np.array([100.0, 0, 0, 0])]
                                if kind == "sampled" else [])
-        X = np.array([x for x in np.array(events, dtype=float).reshape(-1, 4)
-                      if _solves_alone(line, x)]).reshape(-1, 4)
+        X = np.array(events, dtype=float).reshape(-1, 4)
         i_bad = where % (len(X) + 1)
         X = np.insert(X, i_bad, offenders[bad % len(offenders)], axis=0)
         tau, A, U, fail = retarded_rows(line, X)
@@ -421,22 +429,54 @@ class TestRetardedBatch:
                 assert_array_equal(A[i], one[1][0])
                 assert tau[i] == one[0][0]
 
-    def test_null_check_failure_is_flagged_alone(self):
-        # 3e-8 from a segment moving at v = 0.5, a = x - line(tau) carries
-        # rounding of order eps * |x - knot| against a0 ~ 3e-8
+    def test_near_line_row_is_exact(self):
+        # 3e-8 from a segment moving at v = 0.5 and about 5 from its knot
         u = four_velocity_from_3velocity([0.5, 0.0, 0.0]).as_array()
         taus = (-10.0, -4.0, 2.0)
         line = SampledLine(taus, tuple(FourVector.from_array(t * u) for t in taus))
         X = np.array([[0.0, 0.0, 1.0, 0.5], 0.3 * u + [0.0, 0.0, 3e-8, 0.0],
                       [0.5, -1.0, 0.0, 2.0]])
         tau, A, U, fail = retarded_rows(line, X)
-        assert fail.tolist() == [0, NOT_NULL, 0]
-        assert np.isnan(A[1]).all() and np.isnan(tau[1])
-        for i in (0, 2):
+        assert fail.tolist() == [0, 0, 0]
+        for i in range(3):
+            assert np.abs(A[i] - _exact_retarded(line, X[i])).max() <= 1e-14
             assert_array_equal(A[i], retarded_rows(line, X[i][None])[1][0])
-        with pytest.raises(PrepotentialError,
-                           match="retarded solver produced an invalid null vector"):
-            retarded_null_vectors(line, X)
+        assert abs(minkowski_dot(A[1], A[1])) <= 1e-12 * A[1][0] ** 2
+
+    @given(
+        kind=st.sampled_from(["rest", "uniform", "sampled"]),
+        v3=_speeds,
+        turn=st.floats(-0.4, 0.4),
+        at=st.floats(-10.0, 10.0),
+        direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+            lambda w: float(np.dot(w, w)) > 1e-4),
+        log_distance=st.floats(-9.0, 0.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_rows_near_the_line_are_null(self, kind, v3, turn, at, direction, log_distance):
+        # x = e + d (u + n), with e on the line, u its 4-velocity there and
+        # n a unit vector orthogonal to u: the rest-frame distance is d,
+        # and the retarded vector is d (u + n); on a uniform line, e lies
+        # up to about 10 from the reference event
+        line, _ = _line(kind, v3, turn)
+        if kind == "rest":
+            e, u = np.array([at, *line.position]), np.array([1.0, 0.0, 0.0, 0.0])
+        elif kind == "uniform":
+            u = line.velocity_u.as_array()
+            e = line.reference_event.as_array() + at * u
+        else:
+            e = _on_line(line, at)
+            k = int(np.searchsorted(line.taus, at)) - 1
+            u = line.segments[2][k]
+        w = np.array([0.0, *direction])
+        n = w - minkowski_dot(w, u) * u
+        n /= math.sqrt(-minkowski_dot(n, n))
+        x = e + 10.0**log_distance * (u + n)
+        _, A, _, fail = retarded_rows(line, x[None])
+        a = A[0]
+        assert fail[0] == 0
+        assert a[0] > 0
+        assert abs(minkowski_dot(a, a)) <= 1e-12 * a[0] ** 2
 
     @given(
         kind=st.sampled_from(["rest", "uniform", "sampled"]),
