@@ -34,11 +34,13 @@ from .fields import (
     coulomb_oracle,
     faraday_from_A,
     faraday_from_hessian,
+    faraday_from_hessian_rows,
     faraday_from_S,
     faraday_uniform,
     mixed_em_tensor,
     potential_field,
     second_partials,
+    second_partials_rows,
     vacuum_maxwell_residual,
     wave_residual,
 )
@@ -74,6 +76,7 @@ from .potential import (
     delta_S_along_path,
     gradient_S,
     local_scale,
+    local_scales,
     potential_A,
     potential_matrix,
     prepotential_jet,

@@ -23,7 +23,7 @@ from .loops import ab_phase_reports
 from .matrices import validate_relations
 from .potential import prepotential_jets
 from .scenario import CHECK_NAMES, Scenario, load_scenario
-from .verify import DEFAULT_SEED, run_checks
+from .verify import DEFAULT_SEED, check_tolerance_scale, run_checks
 
 __all__ = ["main"]
 
@@ -167,6 +167,13 @@ def _cmd_relations_dump(fmt: str, out: str | None) -> int:
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
 
 
+def _tolerance_scale(text: str) -> float:
+    try:
+        return check_tolerance_scale(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prepotential",
@@ -183,7 +190,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default=None,
                        help="output format (default: scenario setting or csv)")
-        p.add_argument("--tolerance-scale", type=float, default=1.0,
+        p.add_argument("--tolerance-scale", type=_tolerance_scale, default=1.0,
                        help="multiply every check tolerance by this factor")
 
     common(sub.add_parser("field-grid", help="evaluate S and the field on a grid"),

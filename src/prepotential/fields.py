@@ -11,6 +11,7 @@ derivatives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Union
 
 import numpy as np
@@ -31,11 +32,11 @@ from .potential import (
     _log_ratios,
     _velocity_fields,
     _zeta_rows,
-    local_scale,
+    local_scales,
     potential_matrix,
     prepotential_point,
 )
-from .spacetime import METRIC_SIGNS, FourVector, minkowski_dot
+from .spacetime import METRIC_SIGNS, FourVector, _dot_rows
 
 __all__ = [
     "FaradayVector",
@@ -44,7 +45,9 @@ __all__ = [
     "SECOND_STEP_FACTOR",
     "UNIFORM_FIELD_CALIBRATION",
     "second_partials",
+    "second_partials_rows",
     "faraday_from_hessian",
+    "faraday_from_hessian_rows",
     "faraday_from_S",
     "potential_field",
     "faraday_from_A",
@@ -99,27 +102,29 @@ class FaradayVector:
 class ScalarField:
     """A complex scalar on spacetime with branch-safe differencing.
 
-    value(x) is the principal-branch value at an event; delta(B, A) is
-    S(B) - S(A) for each row of two (N, 4) arrays of events, computed
-    without crossing branch cuts (for charge fields, the sum of principal
-    log-ratios per charge); scale(x) is the local geometric length used
-    to size stencil steps.
+    value(x) is the principal-branch value at an event. delta(X, ib, ia)
+    is S(X[ib]) - S(X[ia]) for index arrays ib, ia into an (N, 4) array
+    of events, each event evaluated once however many pairs use it, and
+    computed without crossing branch cuts (for charge fields, the sum of
+    principal log-ratios per charge). scale(X) is the local geometric
+    length (N,) at each row of an (N, 4) array of events, used to size
+    stencil steps.
     """
 
     value: Callable[[FourVector], complex]
-    delta: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    scale: Callable[[FourVector], float]
+    delta: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    scale: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
     def from_charge(cls, charge: Charge) -> "ScalarField":
-        def delta(B: np.ndarray, A: np.ndarray) -> np.ndarray:
-            z, _ = _zeta_rows(charge, np.concatenate([B, A]))
-            return charge.q * _log_ratios(z[: len(B)], z[len(B):])
+        def delta(X: np.ndarray, ib: np.ndarray, ia: np.ndarray) -> np.ndarray:
+            z, _ = _zeta_rows(charge, X)
+            return charge.q * _log_ratios(z[ib], z[ia])
 
         return cls(
             value=lambda x: prepotential_point(charge, x).value,
             delta=delta,
-            scale=lambda x: local_scale(charge, x),
+            scale=lambda X: local_scales(charge, X),
         )
 
     @classmethod
@@ -128,19 +133,19 @@ class ScalarField:
 
         return cls(
             value=lambda x: sum(m.value(x) for m in members),
-            delta=lambda B, A: sum(m.delta(B, A) for m in members),
-            scale=lambda x: min(m.scale(x) for m in members),
+            delta=lambda X, ib, ia: sum(m.delta(X, ib, ia) for m in members),
+            scale=lambda X: reduce(np.minimum, (m.scale(X) for m in members)),
         )
 
     @classmethod
     def from_function(
         cls, f: Callable[[FourVector], complex], scale: float = 1.0
     ) -> "ScalarField":
-        def delta(B: np.ndarray, A: np.ndarray) -> np.ndarray:
-            return np.array([f(FourVector.from_array(b)) - f(FourVector.from_array(a))
-                             for b, a in zip(B, A)], dtype=complex)
+        def delta(X: np.ndarray, ib: np.ndarray, ia: np.ndarray) -> np.ndarray:
+            S = np.array([f(FourVector.from_array(x)) for x in X], dtype=complex)
+            return S[ib] - S[ia]
 
-        return cls(value=f, delta=delta, scale=lambda x: scale)
+        return cls(value=f, delta=delta, scale=lambda X: np.full(len(X), scale))
 
 
 # Base step factor for second derivatives, applied to the field's local
@@ -153,71 +158,124 @@ SECOND_STEP_FACTOR = 2e-3
 RESIDUAL_STEP_FACTOR = 2e-4
 
 _BASIS = np.eye(4)
+_DIAG = np.arange(4)
 # the six (m, n) index pairs with m < n of the mixed entries
 _M, _N = np.triu_indices(4, 1)
 
+# Stencil events round a centre x at step h, in this order: x, x + h e_m,
+# x - h e_m (m = 0..3), then for each m < n the crosses x + h e_m + h e_n,
+# x + h e_m - h e_n, x - h e_m + h e_n, x - h e_m - h e_n. The pairs (B, A)
+# differenced are, as indices into them: the 8 diagonal pairs (x + h e_m,
+# x) and (x - h e_m, x), then for each m < n the cross paired along the
+# first offset, (x + h e_m + h e_n, x + h e_m - h e_n) and
+# (x - h e_m + h e_n, x - h e_m - h e_n).
+_PAIR_B = np.concatenate([np.arange(1, 9), np.arange(9, 15), np.arange(21, 27)])
+_PAIR_A = np.concatenate([np.zeros(8, dtype=np.intp), np.arange(15, 21),
+                          np.arange(27, 33)])
 
-def _resolve_step(
-    field: ScalarField, x: FourVector, step: float | None, factor: float
-) -> float:
+
+def _squares(h: np.ndarray) -> np.ndarray:
+    """h**2 row by row as Python floats, the way one point's stencil
+    takes it: numpy squares by h * h, which differs from Python's pow in
+    a few rows in 10^4."""
+    return np.array([v**2 for v in h.tolist()])
+
+
+def _where(X: np.ndarray) -> str:
+    return str(FourVector.from_array(X[0])) if len(X) == 1 else f"one of {len(X)} points"
+
+
+def _steps(field: ScalarField, X: np.ndarray, step: float | None, factor: float) -> np.ndarray:
     if step is not None:
-        return step
+        return np.full(len(X), float(step))
     try:
-        return factor * field.scale(x)
+        return factor * field.scale(X)
     except PrepotentialError as exc:
-        raise SingularStencilError(f"no usable stencil scale at {x}: {exc}") from exc
+        raise SingularStencilError(f"no usable stencil scale at {_where(X)}: {exc}") from exc
 
 
-def _stencil_deltas(field: ScalarField, B: np.ndarray, A: np.ndarray, x: FourVector):
-    """field.delta(B, A) in one call. A failing stencil point raises
-    SingularStencilError; StepTooLargeError passes unchanged."""
+def _stencil_deltas(field: ScalarField, X: np.ndarray, h: np.ndarray,
+                    crosses: bool) -> np.ndarray:
+    """The stencil pairs' deltas round each row of X at its step h (N,),
+    from one field.delta call over their distinct events: the 8 diagonal
+    pairs (N, 8), or with the crosses all 20 (N, 20). A failing stencil
+    event raises SingularStencilError; StepTooLargeError passes
+    unchanged."""
+    C = X[:, None, :]
+    E = h[:, None, None] * _BASIS
+    parts = [C, C + E, C - E]
+    if crosses:
+        plus, minus, En = parts[1][:, _M], parts[2][:, _M], E[:, _N]
+        parts += [plus + En, plus - En, minus + En, minus - En]
+    events = np.concatenate(parts, axis=1)
+    n, k = events.shape[:2]
+    offsets = k * np.arange(n)[:, None]
+    pairs = 20 if crosses else 8
     try:
-        return field.delta(B, A)
+        d = field.delta(events.reshape(n * k, 4), (offsets + _PAIR_B[:pairs]).ravel(),
+                        (offsets + _PAIR_A[:pairs]).ravel())
     except StepTooLargeError:
         raise
     except PrepotentialError as exc:
-        raise SingularStencilError(f"stencil point failed near {x}: {exc}") from exc
+        raise SingularStencilError(f"stencil point failed near {_where(X)}: {exc}") from exc
+    return d.reshape(n, pairs)
 
 
-def _hessian_pairs(xv: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Event pairs (B, A) of the plain second-order Hessian stencil: the
-    diagonal pairs (x + h e_m, x) and (x - h e_m, x), then for each m < n
-    the 4-point cross paired along the first offset, (x + h e_m + h e_n,
-    x + h e_m - h e_n) and (x - h e_m + h e_n, x - h e_m - h e_n)."""
-    E = h * _BASIS
-    B = np.concatenate([xv + E, xv - E, xv + E[_M] + E[_N], xv - E[_M] + E[_N]])
-    A = np.concatenate([np.broadcast_to(xv, (8, 4)), xv + E[_M] - E[_N],
-                        xv - E[_M] - E[_N]])
-    return B, A
+def _first_failing_point(stencil: Callable[[np.ndarray], np.ndarray], X) -> np.ndarray:
+    """stencil(X) over an (N, 4) array of centres. When the batch fails,
+    the points are rerun one at a time, so the error raised is the one the
+    first failing point raises alone, naming that point."""
+    X = np.asarray(X, dtype=float)
+    try:
+        return stencil(X)
+    except PrepotentialError:
+        if len(X) == 1:
+            raise
+        for i in range(len(X)):
+            stencil(X[i : i + 1])
+        raise
 
 
-def _hessian_from_deltas(d: np.ndarray, h: float) -> np.ndarray:
-    """The plain Hessian from the 20 deltas of _hessian_pairs at step h."""
-    H = np.diag((d[0:4] + d[4:8]) / h**2)
-    H[_M, _N] = H[_N, _M] = (d[8:14] - d[14:20]) / (4.0 * h**2)
+def _hessian_level(field: ScalarField, X: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The plain Hessians (N, 4, 4) at step h (N,) from one field.delta
+    call."""
+    d = _stencil_deltas(field, X, h, crosses=True)
+    h2 = _squares(h)[:, None]
+    H = np.empty((len(X), 4, 4), dtype=complex)
+    H[:, _DIAG, _DIAG] = (d[:, 0:4] + d[:, 4:8]) / h2
+    H[:, _M, _N] = H[:, _N, _M] = (d[:, 8:14] - d[:, 14:20]) / (4.0 * h2)
     return H
+
+
+def second_partials_rows(
+    field: ScalarField, X, step: float | None = None
+) -> np.ndarray:
+    """Symmetric matrices (N, 4, 4) of second partials S_{,mu nu} at each
+    row of an (N, 4) array of events, by branch-safe central stencils at
+    the base step and half of it, Richardson-combined to cancel the
+    quadratic truncation term. One field.scale call sizes the steps and
+    one field.delta call per step serves every point; row i equals
+    second_partials at X[i]."""
+
+    def stencil(X):
+        h = _steps(field, X, step, SECOND_STEP_FACTOR)
+        coarse = _hessian_level(field, X, h)
+        fine = _hessian_level(field, X, h / 2.0)
+        return (4.0 * fine - coarse) / 3.0
+
+    return _first_failing_point(stencil, X)
 
 
 def second_partials(
     field: ScalarField, x: FourVector, step: float | None = None
 ) -> np.ndarray:
-    """Symmetric 4x4 matrix of second partials S_{,mu nu} by branch-safe
-    central stencils at the base step and half of it, Richardson-combined
-    to cancel the quadratic truncation term. All stencil events go to
-    field.delta in one batch."""
-    h = _resolve_step(field, x, step, SECOND_STEP_FACTOR)
-    xv = x.as_array()
-    B1, A1 = _hessian_pairs(xv, h)
-    B2, A2 = _hessian_pairs(xv, h / 2.0)
-    d = _stencil_deltas(field, np.concatenate([B1, B2]), np.concatenate([A1, A2]), x)
-    coarse = _hessian_from_deltas(d[:20], h)
-    fine = _hessian_from_deltas(d[20:], h / 2.0)
-    return (4.0 * fine - coarse) / 3.0
+    """second_partials_rows at one event: the 4x4 matrix of S_{,mu nu}."""
+    return second_partials_rows(field, x.as_array()[None], step)[0]
 
 
-def faraday_from_hessian(H: np.ndarray) -> FaradayVector:
-    """Contract a (symmetric) matrix of second partials of S into the
-    field 3-vector.
+def faraday_from_hessian_rows(H: np.ndarray) -> np.ndarray:
+    """Contract (symmetric) matrices (N, 4, 4) of second partials of S
+    into field 3-vectors E + iB (N, 3).
 
     Next to a charge's singular axis, at distance rho from it and r from
     the retarded point, the Hessian entries grow like 1/rho^2 while the
@@ -228,10 +286,16 @@ def faraday_from_hessian(H: np.ndarray) -> FaradayVector:
     """
     # The time-time term enters negated: the positive-sign variant agrees
     # for static fields (S_00 = 0) but breaks boost covariance.
-    F1 = H[1, 3] + 1j * H[0, 2]
-    F2 = H[2, 3] - 1j * H[0, 1]
-    F3 = 0.5 * (-H[0, 0] - H[1, 1] - H[2, 2] + H[3, 3])
-    return FaradayVector(complex(F1), complex(F2), complex(F3))
+    F = np.empty((len(H), 3), dtype=complex)
+    F[:, 0] = H[:, 1, 3] + 1j * H[:, 0, 2]
+    F[:, 1] = H[:, 2, 3] - 1j * H[:, 0, 1]
+    F[:, 2] = 0.5 * (-H[:, 0, 0] - H[:, 1, 1] - H[:, 2, 2] + H[:, 3, 3])
+    return F
+
+
+def faraday_from_hessian(H: np.ndarray) -> FaradayVector:
+    """faraday_from_hessian_rows for one 4x4 matrix of second partials."""
+    return FaradayVector.from_array(faraday_from_hessian_rows(np.asarray(H)[None])[0])
 
 
 def faraday_from_S(
@@ -301,23 +365,38 @@ def faraday_from_A(
 _DENOM_FLOOR = 1e-12
 
 
+def _faraday_uniform_rows(q: float, A: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Field 3-vectors (N, 3) of a uniformly moving charge from the
+    retarded null vectors A (N, 4) and the 4-velocities U (N, 4); raises
+    for the first row whose a is not null, whose u.u is not 1 or whose
+    a.u is not positive."""
+    amax = np.abs(A).max(axis=1)
+    aa = A[:, 0] * A[:, 0] - A[:, 1] * A[:, 1] - A[:, 2] * A[:, 2] - A[:, 3] * A[:, 3]
+    uu = U[:, 0] * U[:, 0] - U[:, 1] * U[:, 1] - U[:, 2] * U[:, 2] - U[:, 3] * U[:, 3]
+    au = A[:, 0] * U[:, 0] - A[:, 1] * U[:, 1] - A[:, 2] * U[:, 2] - A[:, 3] * U[:, 3]
+    not_null = np.abs(aa) > NULL_TOL * amax**2
+    not_unit = np.abs(uu - 1.0) > 1e-9
+    degenerate = au <= _DENOM_FLOOR * amax
+    bad = not_null | not_unit | degenerate
+    if bad.any():
+        i = int(np.argmax(bad))
+        if not_null[i]:
+            raise NotNullError("a must be null")
+        if not_unit[i]:
+            raise ValueError("u must satisfy u.u = 1")
+        raise DegenerateDenominatorError(
+            f"a.u = {au[i]:.3e} is not positive at scale {amax[i]:.3e}"
+        )
+    return _velocity_fields(q, A, U)
+
+
 def faraday_uniform(q: float, a, u) -> FaradayVector:
     """Field of a uniformly moving charge directly from the retarded null
     vector a and the 4-velocity u: F_j = cal * q * a_mu rho^j[mu,nu] u^nu
     / (a.u)^3."""
     av = a.as_array() if isinstance(a, FourVector) else np.asarray(a, dtype=float)
     uv = u.as_array() if isinstance(u, FourVector) else np.asarray(u, dtype=float)
-    amax = float(np.abs(av).max())
-    if abs(minkowski_dot(av, av)) > NULL_TOL * amax**2:
-        raise NotNullError("a must be null")
-    if abs(minkowski_dot(uv, uv) - 1.0) > 1e-9:
-        raise ValueError("u must satisfy u.u = 1")
-    au = float(minkowski_dot(av, uv))
-    if au <= _DENOM_FLOOR * amax:
-        raise DegenerateDenominatorError(
-            f"a.u = {au:.3e} is not positive at scale {amax:.3e}"
-        )
-    return FaradayVector.from_array(_velocity_fields(q, av[None], uv[None])[0])
+    return FaradayVector.from_array(_faraday_uniform_rows(q, av[None], uv[None])[0])
 
 
 def coulomb_oracle(q: float, xvec3) -> FaradayVector:
@@ -329,6 +408,34 @@ def coulomb_oracle(q: float, xvec3) -> FaradayVector:
     return FaradayVector.from_EB(q * r3 / r**3, np.zeros(3))
 
 
+def _boosted_coulomb_rows(
+    q: float, velocity3, X: np.ndarray, reference_event: FourVector | None = None
+) -> np.ndarray:
+    """boosted_coulomb_oracle at each row of an (N, 4) array of events,
+    E + iB (N, 3); raises when a row sits at the charge's present
+    position. Norms, dot products and powers are taken row by row the way
+    one event takes them (_dot_rows, Python float powers), so each row
+    equals the one-event oracle bit for bit."""
+    v = np.asarray(velocity3, dtype=float)
+    v2 = float(v @ v)
+    if v2 >= 1.0:
+        raise ValueError("speed must be below 1")
+    ref = reference_event.as_array() if reference_event is not None else np.zeros(4)
+    R = X[:, 1:] - (ref[1:] + v * (X[:, :1] - ref[0]))
+    Rn = np.sqrt(_dot_rows(R, R))
+    if (Rn == 0.0).any():
+        raise DegenerateDenominatorError("field point at the charge's present position")
+    if v2 == 0.0:
+        E = q * R / np.array([r**3 for r in Rn.tolist()])[:, None]
+        return E + 1j * np.zeros_like(E)
+    denom = []
+    for r, rv in zip(Rn.tolist(), _dot_rows(R, v).tolist()):
+        sin2 = 1.0 - rv**2 / (r**2 * v2)
+        denom.append(r**3 * (1.0 - v2 * sin2) ** 1.5)
+    E = q * (1.0 - v2) * R / np.array(denom)[:, None]
+    return E + 1j * np.cross(v, E)
+
+
 def boosted_coulomb_oracle(
     q: float, velocity3, event: FourVector, reference_event: FourVector | None = None
 ) -> FaradayVector:
@@ -337,37 +444,28 @@ def boosted_coulomb_oracle(
     from the present position: E radial from the instantaneous charge
     location with the (1 - v^2)/(1 - v^2 sin^2 th)^{3/2} profile,
     B = v x E."""
-    v = np.asarray(velocity3, dtype=float)
-    v2 = float(v @ v)
-    if v2 >= 1.0:
-        raise ValueError("speed must be below 1")
-    ref = reference_event.as_array() if reference_event is not None else np.zeros(4)
-    x = event.as_array()
-    R = x[1:] - (ref[1:] + v * (x[0] - ref[0]))
-    Rn = float(np.linalg.norm(R))
-    if Rn == 0.0:
-        raise DegenerateDenominatorError("field point at the charge's present position")
-    if v2 == 0.0:
-        return FaradayVector.from_EB(q * R / Rn**3, np.zeros(3))
-    sin2 = 1.0 - (float(R @ v)) ** 2 / (Rn**2 * v2)
-    E = q * (1.0 - v2) * R / (Rn**3 * (1.0 - v2 * sin2) ** 1.5)
-    return FaradayVector.from_EB(E, np.cross(v, E))
+    return FaradayVector.from_array(
+        _boosted_coulomb_rows(q, velocity3, event.as_array()[None], reference_event)[0])
 
 
 def _diagonal_partials(
-    field: ScalarField, x: FourVector, step: float | None
+    field: ScalarField, X, step: float | None
 ) -> np.ndarray:
-    h = _resolve_step(field, x, step, RESIDUAL_STEP_FACTOR)
-    xv = x.as_array()
-    E = h * _BASIS
-    d = _stencil_deltas(field, np.concatenate([xv + E, xv - E]),
-                        np.broadcast_to(xv, (8, 4)), x)
-    return (d[:4] + d[4:]) / h**2
+    """The plain second partials S_{,mu mu} (N, 4) at each row of an
+    (N, 4) array of events, from one field.scale and one field.delta
+    call."""
+
+    def stencil(X):
+        h = _steps(field, X, step, RESIDUAL_STEP_FACTOR)
+        d = _stencil_deltas(field, X, h, crosses=False)
+        return (d[:, :4] + d[:, 4:]) / _squares(h)[:, None]
+
+    return _first_failing_point(stencil, X)
 
 
 def wave_residual(field: ScalarField, x: FourVector, step: float | None = None) -> complex:
     """d'Alembertian S_00 - S_11 - S_22 - S_33 by stencil; ~0 off sources."""
-    d = _diagonal_partials(field, x, step)
+    d = _diagonal_partials(field, x.as_array()[None], step)[0]
     return complex(d[0] - d[1] - d[2] - d[3])
 
 
@@ -376,7 +474,7 @@ def vacuum_maxwell_residual(
 ) -> complex:
     """Spatial Laplacian S_11 + S_22 + S_33 by stencil; ~0 off sources for
     static configurations."""
-    d = _diagonal_partials(field, x, step)
+    d = _diagonal_partials(field, x.as_array()[None], step)[0]
     return complex(d[1] + d[2] + d[3])
 
 

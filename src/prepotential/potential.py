@@ -35,9 +35,8 @@ from .spacetime import (
     METRIC_SIGNS,
     FourVector,
     WorldLine,
+    _dot_rows,
     _mdot_rows,
-    minkowski_dot,
-    retarded_null_vector,
     retarded_rows,
 )
 
@@ -60,6 +59,7 @@ __all__ = [
     "potential_A",
     "delta_S_along_path",
     "local_scale",
+    "local_scales",
 ]
 
 # Points with (a1)^2 + (a2)^2 below this fraction of (a0)^2 + (a3)^2 are
@@ -255,17 +255,25 @@ def prepotential_system(system: ChargeSystem, x: FourVector) -> PrePotentialValu
     return PrePotentialValue(total, 0)
 
 
+def local_scales(charge: Charge, X) -> np.ndarray:
+    """Smallest geometric length scale (N,) at each row of an (N, 4)
+    array of events for the charge's field: spatial retardation distance,
+    the light-cone denominator a.u / u0, and the distance from the
+    singular axis. Used to size stencil steps; raises the error of the
+    first failing row. Each row is computed as one event alone would be
+    (math.hypot per row: np.hypot rounds differently)."""
+    _, A, U, failure = retarded_rows(charge.line, X)
+    raise_first_failure(failure)
+    r_spatial = np.sqrt(_dot_rows(A[:, 1:], A[:, 1:]))
+    cone = (A[:, 0] * U[:, 0] - A[:, 1] * U[:, 1] - A[:, 2] * U[:, 2]
+            - A[:, 3] * U[:, 3]) / U[:, 0]
+    axis = np.array([math.hypot(a1, a2) for a1, a2 in zip(A[:, 1].tolist(), A[:, 2].tolist())])
+    return np.maximum(np.minimum(np.minimum(r_spatial, cone), axis), 1e-300)
+
+
 def local_scale(charge: Charge, x: FourVector) -> float:
-    """Smallest geometric length scale at x for the charge's field:
-    spatial retardation distance, the light-cone denominator a.u / u0,
-    and the distance from the singular axis. Used to size stencil steps."""
-    sol = retarded_null_vector(charge.line, x)
-    a = sol.a.as_array()
-    u = sol.u.as_array()
-    r_spatial = float(np.linalg.norm(a[1:]))
-    cone = float(minkowski_dot(a, u)) / float(u[0])
-    axis = math.hypot(a[1], a[2])
-    return max(min(r_spatial, cone, axis), 1e-300)
+    """local_scales at one event."""
+    return float(local_scales(charge, x.as_array()[None])[0])
 
 
 # Overall factor pinning the direct uniform-motion formula to the textbook

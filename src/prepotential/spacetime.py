@@ -215,6 +215,16 @@ def _mdot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij,j->i", a, b, METRIC_SIGNS)
 
 
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a[i] @ b[i] of real (N, k) arrays (b may be one (k,)
+    row), bit-equal to the 1-D product of each pair and so to
+    np.linalg.norm(a[i]) ** 2 before its root: stacked @ uses the same
+    vector dot kernel, where einsum and matrix-vector @ sum in another
+    order."""
+    b = np.broadcast_to(b, a.shape)
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
 def _sampled_segments(line: SampledLine, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index k of the segment [tau_k, tau_k+1] holding each row's retarded
     point, by bisection on g(tau) = (x0 - line0(tau)) - |x - line(tau)|,

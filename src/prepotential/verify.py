@@ -16,12 +16,12 @@ import numpy as np
 from .errors import PrepotentialError
 from .fields import (
     ScalarField,
-    boosted_coulomb_oracle,
+    _boosted_coulomb_rows,
+    _faraday_uniform_rows,
     claim1_covariance_check,
-    faraday_from_S,
-    faraday_uniform,
+    faraday_from_hessian_rows,
     FaradayVector,
-    second_partials,
+    second_partials_rows,
 )
 from .loops import ab_phase_reports
 from .matrices import upsilon, validate_relations
@@ -31,11 +31,12 @@ from .spacetime import (
     FourVector,
     RestLine,
     UniformLine,
+    _dot_rows,
     four_velocity_from_3velocity,
     retarded_null_vectors,
 )
 
-__all__ = ["CheckResult", "RunReport", "run_checks", "DEFAULT_SEED"]
+__all__ = ["CheckResult", "RunReport", "run_checks", "check_tolerance_scale", "DEFAULT_SEED"]
 
 DEFAULT_SEED = 20240801
 
@@ -77,10 +78,12 @@ def _shell_points(rng, n: int, rmin=0.5, rmax=4.0, axis_guard=0.4) -> list[np.nd
 
 def _random_null(rng) -> np.ndarray:
     k = rng.normal(size=3)
-    while np.linalg.norm(k) < 1e-6 or math.hypot(k[0], k[1]) < 1e-3 * np.linalg.norm(k):
+    n = math.sqrt(k.dot(k))
+    while n < 1e-6 or math.hypot(k[0], k[1]) < 1e-3 * n:
         k = rng.normal(size=3)
-    k *= rng.uniform(0.2, 5.0) / np.linalg.norm(k)
-    return np.array([np.linalg.norm(k), k[0], k[1], k[2]])
+        n = math.sqrt(k.dot(k))
+    k *= rng.uniform(0.2, 5.0) / n
+    return np.array([math.sqrt(k.dot(k)), k[0], k[1], k[2]])
 
 
 def check_matrix_relations(rng, tol_scale: float, scenario=None) -> CheckResult:
@@ -128,14 +131,14 @@ def check_rest_charge_field(
     field = ScalarField.from_charge(charge)
     e_tol = 1e-6 * tol_scale
     b_tol = 1e-8 * tol_scale
-    e_dev = b_dev = 0.0
-    for p in _shell_points(rng, points):
-        x = FourVector(0.0, p[0], p[1], p[2])
-        f = faraday_from_S(field, x)
-        expected = q * p / float(np.linalg.norm(p)) ** 3
-        e_dev = max(e_dev, float(np.abs(f.electric - expected).max())
-                    / float(np.abs(expected).max()))
-        b_dev = max(b_dev, float(np.abs(f.magnetic).max()))
+    P = np.array(_shell_points(rng, points))
+    F = faraday_from_hessian_rows(
+        second_partials_rows(field, np.column_stack([np.zeros(len(P)), P])))
+    r = np.sqrt(_dot_rows(P, P))
+    expected = q * P / np.array([v**3 for v in r.tolist()])[:, None]
+    e_dev = float((np.abs(F.real - expected).max(axis=1)
+                   / np.abs(expected).max(axis=1)).max())
+    b_dev = float(np.abs(F.imag).max())
     passed = e_dev < e_tol and b_dev < b_tol
     # report the sub-check closest to (or over) its tolerance
     dev, tol = (e_dev, e_tol) if e_dev / e_tol >= b_dev / b_tol else (b_dev, b_tol)
@@ -175,16 +178,15 @@ def check_uniform_motion_triangle(
         u = four_velocity_from_3velocity([0.0, 0.0, speed])
         charge = Charge(q, UniformLine(FourVector(0, 0, 0, 0), u))
         field = ScalarField.from_charge(charge)
-        pts = _triangle_points(rng, speed, points)
-        _, A, _ = retarded_null_vectors(charge.line, np.array([x.as_array() for x in pts]))
-        for x, a in zip(pts, A):
-            fs = faraday_from_S(field, x).as_array()
-            fu = faraday_uniform(q, a, u).as_array()
-            fo = boosted_coulomb_oracle(q, [0, 0, speed], x).as_array()
-            scale = float(np.abs(fo).max())
-            dev_su = max(dev_su, float(np.abs(fs - fu).max()) / scale)
-            dev_so = max(dev_so, float(np.abs(fs - fo).max()) / scale)
-            dev_uo = max(dev_uo, float(np.abs(fu - fo).max()) / scale)
+        X = np.array([x.as_array() for x in _triangle_points(rng, speed, points)])
+        _, A, U = retarded_null_vectors(charge.line, X)
+        fs = faraday_from_hessian_rows(second_partials_rows(field, X))
+        fu = _faraday_uniform_rows(q, A, U)
+        fo = _boosted_coulomb_rows(q, [0, 0, speed], X)
+        scale = np.abs(fo).max(axis=1)
+        dev_su = max(dev_su, float((np.abs(fs - fu).max(axis=1) / scale).max()))
+        dev_so = max(dev_so, float((np.abs(fs - fo).max(axis=1) / scale).max()))
+        dev_uo = max(dev_uo, float((np.abs(fu - fo).max(axis=1) / scale).max()))
     passed = dev_su < stencil_tol and dev_so < stencil_tol and dev_uo < exact_tol
     return CheckResult(
         "uniform-motion-triangle",
@@ -213,14 +215,17 @@ def check_wave_residual(
         field = ScalarField.from_charge(charge)
         pts = (_triangle_points(rng, speed, points) if speed
                else [FourVector(0.0, *p) for p in _shell_points(rng, points)])
-        _, A, _ = retarded_null_vectors(charge.line, np.array([x.as_array() for x in pts]))
-        for x, a in zip(pts, A):
-            scale = abs(q) / float(np.linalg.norm(a[1:])) ** 2
-            # box S from the Richardson Hessian: near the axis the plain
-            # diagonal stencil of wave_residual is stuck near 1e-5 of q/R^2
-            # whatever its step
-            H = second_partials(field, x)
-            worst = max(worst, abs(H[0, 0] - H[1, 1] - H[2, 2] - H[3, 3]) / scale)
+        X = np.array([x.as_array() for x in pts])
+        _, A, _ = retarded_null_vectors(charge.line, X)
+        r = np.sqrt(_dot_rows(A[:, 1:], A[:, 1:]))
+        scale = abs(q) / np.array([v**2 for v in r.tolist()])
+        # box S from the Richardson Hessian: near the axis the plain
+        # diagonal stencil of wave_residual is stuck near 1e-5 of q/R^2
+        # whatever its step
+        H = second_partials_rows(field, X)
+        box = H[:, 0, 0] - H[:, 1, 1] - H[:, 2, 2] - H[:, 3, 3]
+        # abs of each complex scalar: numpy's array abs rounds differently
+        worst = max(worst, float((np.array([abs(b) for b in box]) / scale).max()))
     return CheckResult(
         "wave-residual",
         worst,
@@ -302,6 +307,16 @@ _CHECK_FUNCTIONS = {
 }
 
 
+def check_tolerance_scale(scale) -> float:
+    """The tolerance scale as a float; ValueError unless it is finite and
+    above 0. An infinite scale would pass every family vacuously, and a
+    zero, negative or NaN one would fail them all."""
+    scale = float(scale)
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"tolerance scale must be finite and above 0, got {scale!r}")
+    return scale
+
+
 def run_checks(
     names,
     seed: int = DEFAULT_SEED,
@@ -309,7 +324,9 @@ def run_checks(
     scenario: Scenario | None = None,
 ) -> RunReport:
     """Run the named check families with a fresh deterministic generator
-    per family."""
+    per family. Raises ValueError for a tolerance scale that is not
+    finite and above 0, before any family runs."""
+    tolerance_scale = check_tolerance_scale(tolerance_scale)
     results = []
     for name in names:
         if name not in _CHECK_FUNCTIONS:

@@ -8,7 +8,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from prepotential import cli, potential
+from prepotential import cli, potential, spacetime, verify
 from prepotential.cli import main
 from prepotential.errors import ChargeSystemError, StepTooLargeError
 from prepotential.fields import FaradayVector, boosted_coulomb_oracle, coulomb_oracle
@@ -288,6 +288,17 @@ class TestExitCodes:
                      "--tolerance-scale", "1e-20", "--out", str(out)])
         assert code == 1
 
+    @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
+    def test_bad_tolerance_scale_is_a_configuration_error(self, tmp_path, scale, capsys):
+        # inf passed every family vacuously; 0, -1 and nan failed them all
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--checks", "wave-residual", "--tolerance-scale", scale,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "tolerance scale must be finite and above 0" in capsys.readouterr().err
+        with pytest.raises(ValueError):
+            verify.run_checks(["matrix-relations"], tolerance_scale=float(scale))
+
     def test_loop_through_axis_exits_three(self, tmp_path):
         scen = tmp_path / "axis_loop.json"
         scen.write_text(json.dumps({
@@ -356,6 +367,57 @@ class TestVerifyCommand:
         assert main(["verify", "--scenario", str(scen), "--out", str(out)]) == 0
         rows = list(csv.DictReader(out.read_text().splitlines()))
         assert [r["check"] for r in rows] == ["matrix-relations"]
+
+
+# repr(max_deviation) and detail of every family at DEFAULT_SEED, recorded
+# before the stencil families were batched; batching changed no bit
+GOLDEN_VERIFY = [
+    ("matrix-relations", "4.440892098500626e-16",
+     "12 relation families; worst: Lambda equals the real fundamental boost"),
+    ("zeta-invariance", "6.833781207288093e-14",
+     "1000 null vectors x 3 axes x 5 rapidities"),
+    ("rest-charge-field", "4.48639480674486e-10",
+     "E rel dev 3.001e-09 (tol 1e-06); B abs dev 4.486e-10 (tol 1e-08)"),
+    ("uniform-motion-triangle", "1.4707998546195077e-07",
+     "S-vs-direct 1.471e-07, S-vs-oracle 1.471e-07 (tol 1e-04); "
+     "direct-vs-oracle 6.722e-15 (tol 1e-10)"),
+    ("wave-residual", "1.7356200384245208e-08",
+     "|box S| scaled by q/R^2, rest and uniform, 40 points each"),
+    ("claim1-covariance", "7.105427357601002e-15",
+     "100 random field vectors x 3 boost axes"),
+    ("loop-phase", "3.1318056815086258e-15",
+     "windings [2, 1, -1, -2, 0]; crossing oracle vs phase rounding agree: True"),
+]
+
+
+class TestVerifyFamilies:
+    def test_golden_at_default_seed(self):
+        report = verify.run_checks([name for name, _, _ in GOLDEN_VERIFY])
+        got = [(r.name, repr(r.max_deviation), r.detail) for r in report.results]
+        assert got == GOLDEN_VERIFY
+        assert all(type(r.max_deviation) is float for r in report.results)
+
+    @pytest.mark.parametrize("name, most", [
+        # the scale solve and one solve per Richardson level, per charge;
+        # the moving families add one solve for the direct field or the
+        # q/R^2 scale, for each of 3 speeds or 2 charges
+        ("rest-charge-field", 3),
+        ("uniform-motion-triangle", 3 * 4),
+        ("wave-residual", 2 * 4),
+    ])
+    def test_one_solve_per_charge_and_level(self, monkeypatch, name, most):
+        calls = []
+        solve = spacetime.retarded_rows
+
+        def counting(line, X):
+            calls.append(len(X))
+            return solve(line, X)
+
+        monkeypatch.setattr(spacetime, "retarded_rows", counting)
+        monkeypatch.setattr(potential, "retarded_rows", counting)
+        (result,) = verify.run_checks([name]).results
+        assert result.passed
+        assert len(calls) <= most
 
 
 class TestLoopPhaseCommand:

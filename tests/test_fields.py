@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from prepotential import (
@@ -13,9 +15,12 @@ from prepotential import (
     FaradayVector,
     FourVector,
     NotNullError,
+    PrepotentialError,
     RestLine,
+    SampledLine,
     ScalarField,
     SingularStencilError,
+    StepTooLargeError,
     UNIFORM_FIELD_CALIBRATION,
     UniformLine,
     boosted_coulomb_oracle,
@@ -24,15 +29,21 @@ from prepotential import (
     coulomb_oracle,
     faraday_from_A,
     faraday_from_S,
+    faraday_from_hessian,
+    faraday_from_hessian_rows,
     faraday_uniform,
     four_velocity_from_3velocity,
     mixed_em_tensor,
     potential_field,
+    local_scale,
+    local_scales,
     retarded_null_vector,
     second_partials,
+    second_partials_rows,
     vacuum_maxwell_residual,
     wave_residual,
 )
+from prepotential.fields import _diagonal_partials
 
 
 def V(*c):
@@ -342,3 +353,129 @@ class TestClaimOneCovariance:
     def test_zero_rapidity(self, rng):
         f = FaradayVector.from_array(rng.normal(size=3) + 1j * rng.normal(size=3))
         assert claim1_covariance_check(f, 2, 0.0).max_deviation < 1e-15
+
+
+def _line_and_events(kind, v3):
+    """A charge of the given line kind and its event at line parameter
+    tau. The rest charge sits at the origin, the uniform one passes it at
+    tau = 0 with 3-velocity v3, and the sampled one has knots at integer
+    tau from -4 to 4, its velocity turning by 0.3 rad about x3 at each."""
+    if kind == "rest":
+        return Charge(1.0, RestLine((0.0, 0.0, 0.0))), lambda tau: np.array([tau, 0, 0, 0.0])
+    u = four_velocity_from_3velocity(v3).as_array()
+    if kind == "uniform":
+        return (Charge(-1.3, UniformLine(V(0, 0, 0, 0), FourVector.from_array(u))),
+                lambda tau: tau * u)
+    events = [np.array([-4.0, 0.0, 0.0, 0.0])]
+    for k in range(8):
+        c, s = math.cos(0.3 * k), math.sin(0.3 * k)
+        events.append(events[-1] + [u[0], c * u[1] - s * u[2], s * u[1] + c * u[2], u[3]])
+    line = SampledLine(tuple(np.arange(-4.0, 5.0)), tuple(map(FourVector.from_array, events)))
+
+    def event(tau):
+        k = min(int(math.floor(tau)) + 4, 7)
+        return events[k] + (tau + 4 - k) * (events[k + 1] - events[k])
+
+    return Charge(0.7, line), event
+
+
+def _field_of_kind(kind, v3):
+    """(field, its charge or None, the event function of the charge the
+    stencil points are sighted from)."""
+    if kind in ("rest", "uniform", "sampled"):
+        charge, event = _line_and_events(kind, v3)
+        return ScalarField.from_charge(charge), charge, event
+    rest, event = _line_and_events("rest", v3)
+    if kind == "system":
+        u = four_velocity_from_3velocity(v3)
+        other = Charge(-0.6, UniformLine(V(0.0, 1.5, -0.5, 0.2), u))
+        return ScalarField.from_system(ChargeSystem((rest, other))), None, event
+
+    def f(x):
+        v = x.as_array()
+        return complex(np.exp(0.3j * v[0]) * (v[1] + 2j * v[2]) * (1.0 + v[3] ** 2))
+
+    return ScalarField.from_function(f, scale=0.8), None, event
+
+
+_row_speeds = st.tuples(*[st.floats(-0.5, 0.5)] * 3).filter(
+    lambda v: float(np.dot(v, v)) <= 0.64)
+# (tau, distance, theta, phi) of a stencil point sighted from the charge's
+# event at tau, at least 0.3 rad off its singular axis
+_sights = st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(0.5, 3.0),
+                             st.floats(0.3, math.pi - 0.3), st.floats(0.0, 2 * math.pi)),
+                   min_size=1, max_size=6)
+
+
+def _sighted(event, tau, distance, theta, phi):
+    direction = [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
+                 math.cos(theta)]
+    return event(tau) + distance * np.array([1.0, *direction])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PrepotentialError as exc:
+        return exc
+
+
+class TestStencilRows:
+    """Row i of every row stencil equals the one-point call at X[i], bit
+    for bit, and a batch fails exactly as its first failing point does."""
+
+    @given(kind=st.sampled_from(["rest", "uniform", "sampled", "system", "function"]),
+           v3=_row_speeds, sights=_sights)
+    @settings(max_examples=40, deadline=None)
+    def test_rows_equal_single_points(self, kind, v3, sights):
+        field, charge, event = _field_of_kind(kind, v3)
+        X = np.array([_sighted(event, *s) for s in sights])
+        scales = field.scale(X)
+        H = second_partials_rows(field, X)
+        F = faraday_from_hessian_rows(H)
+        D = _diagonal_partials(field, X, None)
+        if charge is not None:
+            assert np.array_equal(local_scales(charge, X), scales)
+        for i, row in enumerate(X):
+            x = FourVector.from_array(row)
+            assert scales[i] == field.scale(X[i:i + 1])[0]
+            if charge is not None:
+                assert scales[i] == local_scale(charge, x)
+            assert np.array_equal(H[i], second_partials(field, x))
+            assert np.array_equal(F[i], faraday_from_hessian(H[i]).as_array())
+            assert np.array_equal(F[i], faraday_from_S(field, x).as_array())
+            assert wave_residual(field, x) == complex(D[i, 0] - D[i, 1] - D[i, 2] - D[i, 3])
+            assert vacuum_maxwell_residual(field, x) == complex(D[i, 1] + D[i, 2] + D[i, 3])
+
+    @given(kind=st.sampled_from(["rest", "uniform", "sampled"]), v3=_row_speeds,
+           sights=_sights, step=st.sampled_from([None, 0.05]),
+           bad=st.lists(st.tuples(st.integers(0, 6), st.sampled_from(["axis", "near", "line"]),
+                                  st.floats(-1.5, 1.5), st.sampled_from([1.0, -1.0])),
+                        min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_batch_fails_as_first_failing_point(self, kind, v3, sights, step, bad):
+        # failing points: on the singular axis, 0.01 rad off it (the fixed
+        # step then swings the phase too far), or on the world-line
+        field, _, event = _field_of_kind(kind, v3)
+        X = [_sighted(event, *s) for s in sights]
+        for at, how, tau, side in bad:
+            off = 0.01 if how == "near" else 0.0
+            theta = off if side > 0 else math.pi - off
+            X.insert(at, _sighted(event, tau, 0.0 if how == "line" else 1.0, theta, 0.0))
+        X = np.array(X)
+        for stencil, one in [
+            (lambda Y: second_partials_rows(field, Y, step),
+             lambda x: second_partials(field, x, step)),
+            (lambda Y: _diagonal_partials(field, Y, step),
+             lambda x: wave_residual(field, x, step)),
+        ]:
+            outcomes = [_outcome(one, FourVector.from_array(row)) for row in X]
+            first = next((o for o in outcomes if isinstance(o, PrepotentialError)), None)
+            if first is None:
+                stencil(X)
+                continue
+            with pytest.raises(PrepotentialError) as info:
+                stencil(X)
+            assert type(info.value) is type(first)
+            assert isinstance(first, (SingularStencilError, StepTooLargeError))
+            assert str(info.value) == str(first)
