@@ -36,7 +36,7 @@ from .potential import (
     potential_matrix,
     prepotential_point,
 )
-from .spacetime import METRIC_SIGNS, FourVector, _dot_rows
+from .spacetime import METRIC_SIGNS, FourVector, _dot_rows, _minkowski_rows
 
 __all__ = [
     "FaradayVector",
@@ -371,9 +371,9 @@ def _faraday_uniform_rows(q: float, A: np.ndarray, U: np.ndarray) -> np.ndarray:
     for the first row whose a is not null, whose u.u is not 1 or whose
     a.u is not positive."""
     amax = np.abs(A).max(axis=1)
-    aa = A[:, 0] * A[:, 0] - A[:, 1] * A[:, 1] - A[:, 2] * A[:, 2] - A[:, 3] * A[:, 3]
-    uu = U[:, 0] * U[:, 0] - U[:, 1] * U[:, 1] - U[:, 2] * U[:, 2] - U[:, 3] * U[:, 3]
-    au = A[:, 0] * U[:, 0] - A[:, 1] * U[:, 1] - A[:, 2] * U[:, 2] - A[:, 3] * U[:, 3]
+    aa = _minkowski_rows(A, A)
+    uu = _minkowski_rows(U, U)
+    au = _minkowski_rows(A, U)
     not_null = np.abs(aa) > NULL_TOL * amax**2
     not_unit = np.abs(uu - 1.0) > 1e-9
     degenerate = au <= _DENOM_FLOOR * amax

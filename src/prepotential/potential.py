@@ -37,6 +37,7 @@ from .spacetime import (
     WorldLine,
     _dot_rows,
     _mdot_rows,
+    _minkowski_rows,
     retarded_rows,
 )
 
@@ -265,8 +266,7 @@ def local_scales(charge: Charge, X) -> np.ndarray:
     _, A, U, failure = retarded_rows(charge.line, X)
     raise_first_failure(failure)
     r_spatial = np.sqrt(_dot_rows(A[:, 1:], A[:, 1:]))
-    cone = (A[:, 0] * U[:, 0] - A[:, 1] * U[:, 1] - A[:, 2] * U[:, 2]
-            - A[:, 3] * U[:, 3]) / U[:, 0]
+    cone = _minkowski_rows(A, U) / U[:, 0]
     axis = np.array([math.hypot(a1, a2) for a1, a2 in zip(A[:, 1].tolist(), A[:, 2].tolist())])
     return np.maximum(np.minimum(np.minimum(r_spatial, cone), axis), 1e-300)
 

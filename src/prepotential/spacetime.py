@@ -215,6 +215,13 @@ def _mdot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij,j->i", a, b, METRIC_SIGNS)
 
 
+def _minkowski_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise minkowski_dot of real (N, 4) arrays in minkowski_dot's own
+    term order, so each row rounds as minkowski_dot of that pair does
+    (_mdot_rows sums in einsum's order)."""
+    return a[:, 0] * b[:, 0] - a[:, 1] * b[:, 1] - a[:, 2] * b[:, 2] - a[:, 3] * b[:, 3]
+
+
 def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise a[i] @ b[i] of real (N, k) arrays (b may be one (k,)
     row), bit-equal to the 1-D product of each pair and so to

@@ -116,13 +116,15 @@ class TestZeta:
         a = np.array([r, k1, k2, k3])
         f1 = (a[1] - 1j * a[2]) / (a[0] + a[3])
         f2 = (a[0] - a[3]) / (a[1] + 1j * a[2])
-        # near the x3 axis a0 - a3 (or a0 + a3) cancels to about rho^2 / 2r,
-        # rho = |(a1, a2)|, so the rounding of r costs the quotient that
-        # divides by it up to about 3 eps (r / rho)^2 relative
-        tol = 1e-10 + 4 * np.finfo(float).eps * (r / math.hypot(k1, k2)) ** 2
-        assert abs(f1 - f2) <= tol * max(abs(f1), abs(f2), 1e-30)
+        # f1 divides by a0 + a3 and f2 by a0 - a3 (through its numerator),
+        # one of which cancels to about rho^2 / 2r near the x3 axis,
+        # rho = |(a1, a2)|: the quotient on the far side of the axis is the
+        # well-conditioned one, and the two agree to 1e-10 only off the axis
+        good = f1 if a[3] >= 0 else f2
         z = zeta_of(a).value
-        assert abs(z - f1) <= tol * max(abs(f1), 1e-30)
+        assert abs(z - good) <= 1e-10 * max(abs(good), 1e-30)
+        if math.hypot(k1, k2) >= 1e-2 * r:
+            assert abs(f1 - f2) <= 1e-10 * max(abs(f1), abs(f2), 1e-30)
 
     def test_invariant_under_half_boosts(self, rng):
         for _ in range(300):
