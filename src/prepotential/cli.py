@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -23,7 +24,7 @@ from .loops import ab_phase_reports
 from .matrices import validate_relations
 from .potential import prepotential_jets
 from .scenario import CHECK_NAMES, Scenario, load_scenario
-from .verify import DEFAULT_SEED, check_tolerance_scale, run_checks
+from .verify import DEFAULT_SEED, UnknownCheckError, check_tolerance_scale, run_checks
 
 __all__ = ["main"]
 
@@ -36,23 +37,30 @@ SCHEMA_VERSION = 1
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        return format(v, ".17g")
-    return str(v)
+    return format(v, ".17g") if isinstance(v, float) else str(v)
 
 
 def _write_table(header, rows, fmt: str, path: str | None, kind: str) -> None:
-    """Serialize a table deterministically; stdout when no path given."""
+    """Serialize a table deterministically; stdout when no path given.
+    `rows` is a list of rows (CSV through csv.writer, which quotes free
+    text) or a float array whose last column holds integers, formatted
+    at once (the field grid, whose last column is `masked`)."""
+    array = isinstance(rows, np.ndarray)
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-        text = buf.getvalue()
+        if array:
+            n, m = rows.shape
+            body = ("%.17g," * (m - 1) + "%d\n") * n % tuple(rows.ravel().tolist())
+            text = ",".join(header) + "\n" + body
+        else:
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_fmt(v) for v in row])
+            text = buf.getvalue()
     else:
+        if array:
+            rows = [row[:-1] + [int(row[-1])] for row in rows.tolist()]
         records = [dict(zip(header, row)) for row in rows]
         for rec in records:
             for k, v in rec.items():
@@ -82,25 +90,18 @@ def _cmd_field_grid(scenario: Scenario, fmt: str, out: str | None) -> int:
     # failure, any other failure raises and exits 3
     jet, failure = prepotential_jets(scenario.charges, X)
     H = jet.hessian
-    wave = np.abs(H[:, 0, 0] - H[:, 1, 1] - H[:, 2, 2] - H[:, 3, 3])
-    lap = np.abs(H[:, 1, 1] + H[:, 2, 2] + H[:, 3, 3])
-    rows = []
-    nan = float("nan")
-    for coords, s, f, w, lp, code in zip(X.tolist(), jet.value.tolist(), jet.field.tolist(),
-                                         wave.tolist(), lap.tolist(), failure.tolist()):
-        if code:
-            rows.append(coords + [nan] * 10 + [1])
-            continue
-        rows.append(coords + [
-            s.real, s.imag,
-            f[0].real, f[1].real, f[2].real,
-            f[0].imag, f[1].imag, f[2].imag,
-            w, lp, 0,
-        ])
-    _write_table(GRID_HEADER, rows, fmt, out, "field-grid")
+    table = np.empty((len(X), len(GRID_HEADER)))
+    table[:, :4] = X
+    table[:, 4], table[:, 5] = jet.value.real, jet.value.imag
+    table[:, 6:9], table[:, 9:12] = jet.field.real, jet.field.imag
+    table[:, 12] = np.abs(H[:, 0, 0] - H[:, 1, 1] - H[:, 2, 2] - H[:, 3, 3])
+    table[:, 13] = np.abs(H[:, 1, 1] + H[:, 2, 2] + H[:, 3, 3])
+    table[:, 14] = failure != 0
+    table[failure != 0, 4:14] = np.nan
+    _write_table(GRID_HEADER, table, fmt, out, "field-grid")
     masked = Counter(ROW_FAILURES[code][0].__name__ for code in failure[failure != 0])
     reasons = ", ".join(f"{name}: {n}" for name, n in sorted(masked.items()))
-    print(f"field-grid: {len(rows)} cells, {sum(masked.values())} masked"
+    print(f"field-grid: {len(X)} cells, {sum(masked.values())} masked"
           + (f" ({reasons})" if reasons else ""), file=sys.stderr)
     return EXIT_OK
 
@@ -112,7 +113,7 @@ def _cmd_verify(scenario, checks, seed, tol_scale, fmt, out) -> int:
     try:
         report = run_checks(checks, seed=seed, tolerance_scale=tol_scale,
                             scenario=scenario)
-    except KeyError as exc:
+    except UnknownCheckError as exc:
         raise ScenarioError(str(exc)) from exc
     rows = [
         [r.name, r.max_deviation, r.tolerance, int(r.passed), r.elapsed_s, r.detail]
@@ -174,7 +175,10 @@ def _tolerance_scale(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args keeps no state
+    between calls."""
     parser = argparse.ArgumentParser(
         prog="prepotential",
         description="Field evaluation and verification for the complex "

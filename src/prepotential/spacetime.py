@@ -285,17 +285,16 @@ def retarded_rows(
     failure = np.zeros(len(X), dtype=np.int8)
     on_line = ON_LINE
     if isinstance(line, RestLine):
-        R, t, rate, u, on_line = np.array([0.0, *line.position]), 0.0, 1.0, _E0, ON_REST_CHARGE
-        U = np.repeat(u[None], len(X), axis=0)
+        R, t, rate, U, on_line = np.array([0.0, *line.position]), 0.0, 1.0, _E0, ON_REST_CHARGE
     elif isinstance(line, UniformLine):
-        R, t, rate, u = line.reference_event.as_array(), 0.0, 1.0, line.velocity_u.as_array()
-        U = np.repeat(u[None], len(X), axis=0)
+        R, t, rate, U = line.reference_event.as_array(), 0.0, 1.0, line.velocity_u.as_array()
     elif isinstance(line, SampledLine):
         k, failure = _sampled_segments(line, X)
         taus, E, seg_u, seg_rate = line.segments
         R, t, rate, U = E[k], taus[k], seg_rate[k], seg_u[k]
     else:
         raise TypeError(f"unknown world-line type: {type(line).__name__}")
+    U = np.broadcast_to(U, X.shape)  # rest and uniform lines: one row, viewed N times
     D = X - R
     s = _mdot_rows(D, U)
     P = D - U * s[:, None]

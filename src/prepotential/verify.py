@@ -36,9 +36,14 @@ from .spacetime import (
     retarded_null_vectors,
 )
 
-__all__ = ["CheckResult", "RunReport", "run_checks", "check_tolerance_scale", "DEFAULT_SEED"]
+__all__ = ["CheckResult", "RunReport", "UnknownCheckError", "run_checks",
+           "check_tolerance_scale", "DEFAULT_SEED"]
 
 DEFAULT_SEED = 20240801
+
+
+class UnknownCheckError(KeyError):
+    """run_checks was given a name that is not a check family."""
 
 
 @dataclass(frozen=True)
@@ -325,12 +330,15 @@ def run_checks(
 ) -> RunReport:
     """Run the named check families with a fresh deterministic generator
     per family. Raises ValueError for a tolerance scale that is not
-    finite and above 0, before any family runs."""
+    finite and above 0, and UnknownCheckError for a name that is not a
+    family, before any family runs."""
     tolerance_scale = check_tolerance_scale(tolerance_scale)
-    results = []
+    names = tuple(names)  # iterated twice: checked, then run
     for name in names:
         if name not in _CHECK_FUNCTIONS:
-            raise KeyError(f"unknown check name {name!r}")
+            raise UnknownCheckError(f"unknown check name {name!r}")
+    results = []
+    for name in names:
         rng = np.random.default_rng(seed)
         t0 = time.perf_counter()
         try:

@@ -1,13 +1,19 @@
 """CLI behavior: output schemas, determinism, exit codes."""
 
 import csv
+import hashlib
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+import prepotential
 from prepotential import cli, potential, spacetime, verify
 from prepotential.cli import main
 from prepotential.errors import ChargeSystemError, StepTooLargeError
@@ -120,6 +126,69 @@ def _max_field_error(row, oracle):
     got = np.array([float(row[f"E{j}"]) + 1j * float(row[f"B{j}"]) for j in (1, 2, 3)])
     want = oracle.as_array()
     return float(np.abs(got - want).max()) / float(np.abs(want).max())
+
+
+def test_grid_array_writes_as_its_rows(tmp_path):
+    # the field grid's array path against the row path of the other tables,
+    # on extreme, signed-zero, infinite, subnormal and NaN values
+    rng = np.random.default_rng(5)
+    table = rng.standard_normal((40, 15)) * 10.0 ** rng.integers(-300, 300, (40, 15))
+    table[:, 14] = rng.integers(0, 2, 40)
+    table[3, 4:14] = np.nan
+    table[5, :4] = -0.0, np.inf, -np.inf, 5e-324
+    rows = [row[:-1] + [int(row[-1])] for row in table.tolist()]
+    for fmt in ("csv", "json"):
+        a, b = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
+        cli._write_table(cli.GRID_HEADER, table, fmt, str(a), "field-grid")
+        cli._write_table(cli.GRID_HEADER, rows, fmt, str(b), "field-grid")
+        assert a.read_bytes() == b.read_bytes()
+
+
+# A rest charge masks cell 3 (x = (2, 3e-8, 0) is on its axis); cell 1 is
+# 3e-8 from a sampled line moving at v = 0.5, the near-line case of
+# TestFieldGridMasking.test_near_line_cell_is_exact.
+_U_HALF = np.array([2.0, 1.0, 0.0, 0.0]) / math.sqrt(3.0)
+MASKED_NEAR_LINE_GRID = {
+    "version": 1,
+    "charges": [
+        {"q": 1.0, "line": {"kind": "rest", "position": [2.0, 3e-8, 1.0]}},
+        {"q": -1.0, "line": {"kind": "sampled", "taus": [-10.0, -4.0, 2.0],
+                             "events": [(t * _U_HALF).tolist() for t in (-10.0, -4.0, 2.0)]}},
+    ],
+    "grid": {"time": 0.0, "origin": [-1.0, 3e-8, 0.0], "axes": [[1.0, 0.0, 0.0]],
+             "extents": [4.0], "resolution": [5]},
+}
+
+# sha256 of the field-grid outputs, recorded while each row was still
+# formatted value by value; formatting the table as one array changed no byte
+GOLDEN_GRID_SHA256 = {
+    ("rest_charge", "csv"): "04e14d6236711f8fa5031f8bd0b6d480178e6d8a69d9878112a7765571127630",
+    ("rest_charge", "json"): "71ffb9e5cea51a26c2354e5dbadd6c4e55056b04a668a7060f0a19f49a9f80f5",
+    ("uniform_charge", "csv"): "74e04cb25de317c65eadf0cb745d600b0a6ce2409e1fa4f956cf85ca240b2945",
+    ("uniform_charge", "json"): "580f9cb7e68fd1fbfad8b911bb666410ba453b69842749597033bcbe8a549ef6",
+    ("masked_near_line", "csv"): "33f02fad1c0037049a01197d5d89aca1d4f147f92f32771d055d9bfcc844763e",
+    ("masked_near_line", "json"): "5cb81ad8c8a590f29eed458aeef2f45e63acd1b12b982a726447b44a18ce1f59",
+}
+
+GOLDEN_GRID_SUMMARY = {
+    "rest_charge": "field-grid: 1331 cells, 11 masked (SingularAxisError: 11)",
+    "uniform_charge": "field-grid: 441 cells, 1 masked (SingularAxisError: 1)",
+    "masked_near_line": "field-grid: 5 cells, 1 masked (SingularAxisError: 1)",
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(GOLDEN_GRID_SHA256))
+def test_field_grid_golden_bytes(tmp_path, capsys, name, fmt):
+    if name == "masked_near_line":
+        scen = tmp_path / "grid.json"
+        scen.write_text(json.dumps(MASKED_NEAR_LINE_GRID))
+    else:
+        scen = bundled_scenario_path(name)
+    out = tmp_path / f"grid.{fmt}"
+    assert main(["field-grid", "--scenario", str(scen), "--format", fmt,
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_GRID_SHA256[name, fmt]
+    assert GOLDEN_GRID_SUMMARY[name] in capsys.readouterr().err
 
 
 class TestFieldGridAccuracy:
@@ -313,6 +382,84 @@ class TestExitCodes:
         rows = out.read_text().splitlines()
         assert len(rows) == 2
         assert "ERROR" in rows[1]
+
+
+class TestCheckNames:
+    def test_no_family_runs_for_a_bad_list(self, monkeypatch, capsys):
+        ran = []
+        for name in ("claim1-covariance", "zeta-invariance"):
+            monkeypatch.setitem(verify._CHECK_FUNCTIONS, name,
+                                lambda rng, tol, scenario, name=name: ran.append(name))
+        with pytest.raises(verify.UnknownCheckError, match="'bogus-check'"):
+            verify.run_checks(["claim1-covariance", "zeta-invariance", "bogus-check"])
+        assert main(["verify", "--checks",
+                     "claim1-covariance,zeta-invariance,bogus-check"]) == 2
+        assert ran == []
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "configuration error" in err and "'bogus-check'" in err
+
+    def test_names_from_a_generator(self):
+        report = verify.run_checks(n for n in ["matrix-relations"])
+        assert [r.name for r in report.results] == ["matrix-relations"]
+
+    def test_key_error_inside_a_family_is_not_a_configuration_error(self, monkeypatch):
+        def broken(rng, tol, scenario):
+            raise KeyError("a lookup inside the family")
+
+        monkeypatch.setitem(verify._CHECK_FUNCTIONS, "matrix-relations", broken)
+        with pytest.raises(KeyError) as info:
+            main(["verify", "--checks", "matrix-relations"])
+        assert not isinstance(info.value, verify.UnknownCheckError)
+
+
+def _without_seconds(argv, out, err):
+    """A verify call's output without its timings: the CSV `seconds`
+    column and the seconds in each stderr line."""
+    if argv[0] != "verify":
+        return out, err
+    rows = list(csv.reader(out.splitlines()))
+    assert rows[0][4] == "seconds"
+    return [r[:4] + r[5:] for r in rows], re.sub(r", [0-9.]+s\)", ")", err)
+
+
+class TestOneParserPerProcess:
+    # each call alone in a fresh process, then all in this one; the bad
+    # usage call sits between two good ones
+    SEQUENCE = (
+        ["verify", "--checks", "matrix-relations"],
+        ["verify"],
+        ["field-grid", "--scenario", REST, "--format", "json"],
+        ["field-grid"],
+        ["field-grid", "--scenario", REST],
+    )
+
+    def test_parser_built_once(self, tmp_path):
+        cli._build_parser.cache_clear()
+        out = str(tmp_path / "r.csv")
+        assert main(["relations-dump", "--out", out]) == 0
+        assert main(["field-grid"]) == 2
+        assert main(["relations-dump", "--format", "json", "--out", out]) == 0
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_calls_match_fresh_processes(self, capsys):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(prepotential.__file__)))
+        alone = [
+            subprocess.run([sys.executable, "-c",
+                            "import sys; from prepotential.cli import main; "
+                            "sys.exit(main(sys.argv[1:]))", *argv],
+                           env=env, capture_output=True, text=True, timeout=120)
+            for argv in self.SEQUENCE
+        ]
+        assert [p.returncode for p in alone] == [0, 0, 0, 2, 0]
+        capsys.readouterr()
+        for argv, p in zip(self.SEQUENCE, alone):
+            code = main(list(argv))
+            got = capsys.readouterr()
+            assert code == p.returncode
+            assert (_without_seconds(argv, got.out, got.err)
+                    == _without_seconds(argv, p.stdout, p.stderr))
 
 
 class TestVerifyCommand:
