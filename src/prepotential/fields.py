@@ -36,7 +36,7 @@ from .potential import (
     potential_matrix,
     prepotential_point,
 )
-from .spacetime import METRIC_SIGNS, FourVector, _dot_rows, _minkowski_rows
+from .spacetime import METRIC_SIGNS, FourVector, _mdot_rows
 
 __all__ = [
     "FaradayVector",
@@ -90,12 +90,6 @@ class FaradayVector:
     @property
     def magnetic(self) -> np.ndarray:
         return self.as_array().imag
-
-    def __add__(self, other: "FaradayVector") -> "FaradayVector":
-        return FaradayVector.from_array(self.as_array() + other.as_array())
-
-    def __rmul__(self, s: complex) -> "FaradayVector":
-        return FaradayVector.from_array(s * self.as_array())
 
 
 @dataclass(frozen=True)
@@ -174,13 +168,6 @@ _PAIR_A = np.concatenate([np.zeros(8, dtype=np.intp), np.arange(15, 21),
                           np.arange(27, 33)])
 
 
-def _squares(h: np.ndarray) -> np.ndarray:
-    """h**2 row by row as Python floats, the way one point's stencil
-    takes it: numpy squares by h * h, which differs from Python's pow in
-    a few rows in 10^4."""
-    return np.array([v**2 for v in h.tolist()])
-
-
 def _where(X: np.ndarray) -> str:
     return str(FourVector.from_array(X[0])) if len(X) == 1 else f"one of {len(X)} points"
 
@@ -240,7 +227,7 @@ def _hessian_level(field: ScalarField, X: np.ndarray, h: np.ndarray) -> np.ndarr
     """The plain Hessians (N, 4, 4) at step h (N,) from one field.delta
     call."""
     d = _stencil_deltas(field, X, h, crosses=True)
-    h2 = _squares(h)[:, None]
+    h2 = (h * h)[:, None]
     H = np.empty((len(X), 4, 4), dtype=complex)
     H[:, _DIAG, _DIAG] = (d[:, 0:4] + d[:, 4:8]) / h2
     H[:, _M, _N] = H[:, _N, _M] = (d[:, 8:14] - d[:, 14:20]) / (4.0 * h2)
@@ -371,9 +358,9 @@ def _faraday_uniform_rows(q: float, A: np.ndarray, U: np.ndarray) -> np.ndarray:
     for the first row whose a is not null, whose u.u is not 1 or whose
     a.u is not positive."""
     amax = np.abs(A).max(axis=1)
-    aa = _minkowski_rows(A, A)
-    uu = _minkowski_rows(U, U)
-    au = _minkowski_rows(A, U)
+    aa = _mdot_rows(A, A)
+    uu = _mdot_rows(U, U)
+    au = _mdot_rows(A, U)
     not_null = np.abs(aa) > NULL_TOL * amax**2
     not_unit = np.abs(uu - 1.0) > 1e-9
     degenerate = au <= _DENOM_FLOOR * amax
@@ -413,26 +400,21 @@ def _boosted_coulomb_rows(
 ) -> np.ndarray:
     """boosted_coulomb_oracle at each row of an (N, 4) array of events,
     E + iB (N, 3); raises when a row sits at the charge's present
-    position. Norms, dot products and powers are taken row by row the way
-    one event takes them (_dot_rows, Python float powers), so each row
-    equals the one-event oracle bit for bit."""
+    position."""
     v = np.asarray(velocity3, dtype=float)
     v2 = float(v @ v)
     if v2 >= 1.0:
         raise ValueError("speed must be below 1")
     ref = reference_event.as_array() if reference_event is not None else np.zeros(4)
     R = X[:, 1:] - (ref[1:] + v * (X[:, :1] - ref[0]))
-    Rn = np.sqrt(_dot_rows(R, R))
+    Rn = np.sqrt(np.einsum("ij,ij->i", R, R))
     if (Rn == 0.0).any():
         raise DegenerateDenominatorError("field point at the charge's present position")
     if v2 == 0.0:
-        E = q * R / np.array([r**3 for r in Rn.tolist()])[:, None]
+        E = q * R / (Rn**3)[:, None]
         return E + 1j * np.zeros_like(E)
-    denom = []
-    for r, rv in zip(Rn.tolist(), _dot_rows(R, v).tolist()):
-        sin2 = 1.0 - rv**2 / (r**2 * v2)
-        denom.append(r**3 * (1.0 - v2 * sin2) ** 1.5)
-    E = q * (1.0 - v2) * R / np.array(denom)[:, None]
+    sin2 = 1.0 - (R @ v) ** 2 / (Rn**2 * v2)
+    E = q * (1.0 - v2) * R / (Rn**3 * (1.0 - v2 * sin2) ** 1.5)[:, None]
     return E + 1j * np.cross(v, E)
 
 
@@ -458,7 +440,7 @@ def _diagonal_partials(
     def stencil(X):
         h = _steps(field, X, step, RESIDUAL_STEP_FACTOR)
         d = _stencil_deltas(field, X, h, crosses=False)
-        return (d[:, :4] + d[:, 4:]) / _squares(h)[:, None]
+        return (d[:, :4] + d[:, 4:]) / (h * h)[:, None]
 
     return _first_failing_point(stencil, X)
 

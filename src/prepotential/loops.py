@@ -16,12 +16,12 @@ import numpy as np
 
 from .errors import ChargeSystemError, PathThroughSingularAxisError, PrepotentialError
 from .potential import (
-    SINGULAR_AXIS_FLOOR,
     Charge,
     ChargeSystem,
     Path,
     _delta_S_paths,
     _stacked,
+    _zeta_quotients,
 )
 from .spacetime import FourVector, retarded_null_vectors
 
@@ -85,9 +85,9 @@ def winding_number(loop: Path, charge: Charge) -> int:
     if not loop.closed:
         raise ValueError("winding_number requires a closed path")
     _, A, _ = retarded_null_vectors(charge.line, loop.points)
-    axial = A[:, 1] ** 2 + A[:, 2] ** 2 < SINGULAR_AXIS_FLOOR * (A[:, 0] ** 2 + A[:, 3] ** 2)
-    if axial.any():
-        event = FourVector.from_array(loop.points[int(np.argmax(axial))])
+    _, _, _, on_axis = _zeta_quotients(A)
+    if on_axis.any():
+        event = FourVector.from_array(loop.points[int(np.argmax(on_axis))])
         raise PathThroughSingularAxisError(
             f"path sample at {event} projects onto the singular axis"
         )

@@ -35,9 +35,7 @@ from .spacetime import (
     METRIC_SIGNS,
     FourVector,
     WorldLine,
-    _dot_rows,
     _mdot_rows,
-    _minkowski_rows,
     retarded_rows,
 )
 
@@ -218,11 +216,9 @@ class Path:
 
 @dataclass(frozen=True)
 class PrePotentialValue:
-    """Value of S together with the count of 2*pi*i*q increments
-    separating it from the principal branch."""
+    """Value of S on the principal branch."""
 
     value: complex
-    branch_index: int = 0
 
 
 def _zeta_rows(charge: Charge, X) -> tuple[np.ndarray, np.ndarray]:
@@ -242,7 +238,7 @@ def zeta_at(charge: Charge, x: FourVector) -> Zeta:
 def prepotential_point(charge: Charge, x: FourVector) -> PrePotentialValue:
     """S(x) = q ln(zeta) on the principal branch."""
     z, _ = _zeta_rows(charge, x.as_array()[None])
-    return PrePotentialValue(complex(charge.q * np.log(z[0])), 0)
+    return PrePotentialValue(complex(charge.q * np.log(z[0])))
 
 
 def prepotential_system(system: ChargeSystem, x: FourVector) -> PrePotentialValue:
@@ -253,7 +249,7 @@ def prepotential_system(system: ChargeSystem, x: FourVector) -> PrePotentialValu
             total += prepotential_point(charge, x).value
         except PrepotentialError as exc:
             raise ChargeSystemError(i, str(exc)) from exc
-    return PrePotentialValue(total, 0)
+    return PrePotentialValue(total)
 
 
 def local_scales(charge: Charge, X) -> np.ndarray:
@@ -261,13 +257,12 @@ def local_scales(charge: Charge, X) -> np.ndarray:
     array of events for the charge's field: spatial retardation distance,
     the light-cone denominator a.u / u0, and the distance from the
     singular axis. Used to size stencil steps; raises the error of the
-    first failing row. Each row is computed as one event alone would be
-    (math.hypot per row: np.hypot rounds differently)."""
+    first failing row."""
     _, A, U, failure = retarded_rows(charge.line, X)
     raise_first_failure(failure)
-    r_spatial = np.sqrt(_dot_rows(A[:, 1:], A[:, 1:]))
-    cone = _minkowski_rows(A, U) / U[:, 0]
-    axis = np.array([math.hypot(a1, a2) for a1, a2 in zip(A[:, 1].tolist(), A[:, 2].tolist())])
+    r_spatial = np.sqrt(np.einsum("ij,ij->i", A[:, 1:], A[:, 1:]))
+    cone = _mdot_rows(A, U) / U[:, 0]
+    axis = np.hypot(A[:, 1], A[:, 2])
     return np.maximum(np.minimum(np.minimum(r_spatial, cone), axis), 1e-300)
 
 

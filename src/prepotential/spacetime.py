@@ -67,15 +67,6 @@ class FourVector:
     def spatial(self) -> np.ndarray:
         return np.array([self.x1, self.x2, self.x3])
 
-    def __add__(self, other: "FourVector") -> "FourVector":
-        return FourVector.from_array(self.as_array() + other.as_array())
-
-    def __sub__(self, other: "FourVector") -> "FourVector":
-        return FourVector.from_array(self.as_array() - other.as_array())
-
-    def scaled(self, s: float) -> "FourVector":
-        return FourVector.from_array(s * self.as_array())
-
 
 def _as4(v) -> np.ndarray:
     if isinstance(v, FourVector):
@@ -213,23 +204,6 @@ def _mdot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise minkowski_dot of (N, 4) arrays, real or complex; each row's
     result does not depend on the other rows."""
     return np.einsum("ij,ij,j->i", a, b, METRIC_SIGNS)
-
-
-def _minkowski_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise minkowski_dot of real (N, 4) arrays in minkowski_dot's own
-    term order, so each row rounds as minkowski_dot of that pair does
-    (_mdot_rows sums in einsum's order)."""
-    return a[:, 0] * b[:, 0] - a[:, 1] * b[:, 1] - a[:, 2] * b[:, 2] - a[:, 3] * b[:, 3]
-
-
-def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise a[i] @ b[i] of real (N, k) arrays (b may be one (k,)
-    row), bit-equal to the 1-D product of each pair and so to
-    np.linalg.norm(a[i]) ** 2 before its root: stacked @ uses the same
-    vector dot kernel, where einsum and matrix-vector @ sum in another
-    order."""
-    b = np.broadcast_to(b, a.shape)
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _sampled_segments(line: SampledLine, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -31,7 +31,6 @@ from .spacetime import (
     FourVector,
     RestLine,
     UniformLine,
-    _dot_rows,
     four_velocity_from_3velocity,
     retarded_null_vectors,
 )
@@ -65,10 +64,10 @@ class RunReport:
         return all(r.passed for r in self.results)
 
 
-def _shell_points(rng, n: int, rmin=0.5, rmax=4.0, axis_guard=0.4) -> list[np.ndarray]:
-    """Spatial points with rmin <= |x| <= rmax and relative distance from
-    the x3-axis at least axis_guard."""
-    pts: list[np.ndarray] = []
+def _shell_points(rng, n: int, rmin=0.5, rmax=4.0, axis_guard=0.4) -> np.ndarray:
+    """Spatial points (n, 3) with rmin <= |x| <= rmax and relative
+    distance from the x3-axis at least axis_guard."""
+    pts = []
     while len(pts) < n:
         v = rng.normal(size=3)
         nv = np.linalg.norm(v)
@@ -78,7 +77,7 @@ def _shell_points(rng, n: int, rmin=0.5, rmax=4.0, axis_guard=0.4) -> list[np.nd
         if math.hypot(v[0], v[1]) < axis_guard:
             continue
         pts.append(rng.uniform(rmin, rmax) * v)
-    return pts
+    return np.array(pts)
 
 
 def _random_null(rng) -> np.ndarray:
@@ -136,11 +135,11 @@ def check_rest_charge_field(
     field = ScalarField.from_charge(charge)
     e_tol = 1e-6 * tol_scale
     b_tol = 1e-8 * tol_scale
-    P = np.array(_shell_points(rng, points))
+    P = _shell_points(rng, points)
     F = faraday_from_hessian_rows(
         second_partials_rows(field, np.column_stack([np.zeros(len(P)), P])))
-    r = np.sqrt(_dot_rows(P, P))
-    expected = q * P / np.array([v**3 for v in r.tolist()])[:, None]
+    r = np.sqrt(np.einsum("ij,ij->i", P, P))
+    expected = q * P / (r**3)[:, None]
     e_dev = float((np.abs(F.real - expected).max(axis=1)
                    / np.abs(expected).max(axis=1)).max())
     b_dev = float(np.abs(F.imag).max())
@@ -157,7 +156,9 @@ def check_rest_charge_field(
     )
 
 
-def _triangle_points(rng, speed: float, n: int) -> list[FourVector]:
+def _triangle_points(rng, speed: float, n: int) -> np.ndarray:
+    """Events (n, 4) 0.5 to 4 from, and 0.4 off the axis of, a charge
+    moving at speed along x3 through the origin at t = 0."""
     pts = []
     v = np.array([0.0, 0.0, speed])
     while len(pts) < n:
@@ -167,8 +168,8 @@ def _triangle_points(rng, speed: float, n: int) -> list[FourVector]:
         r = np.linalg.norm(present)
         if not (0.5 <= r <= 4.0) or math.hypot(present[0], present[1]) < 0.4:
             continue
-        pts.append(FourVector(t, x[0], x[1], x[2]))
-    return pts
+        pts.append([t, *x])
+    return np.array(pts)
 
 
 def check_uniform_motion_triangle(
@@ -183,7 +184,7 @@ def check_uniform_motion_triangle(
         u = four_velocity_from_3velocity([0.0, 0.0, speed])
         charge = Charge(q, UniformLine(FourVector(0, 0, 0, 0), u))
         field = ScalarField.from_charge(charge)
-        X = np.array([x.as_array() for x in _triangle_points(rng, speed, points)])
+        X = _triangle_points(rng, speed, points)
         _, A, U = retarded_null_vectors(charge.line, X)
         fs = faraday_from_hessian_rows(second_partials_rows(field, X))
         fu = _faraday_uniform_rows(q, A, U)
@@ -218,19 +219,17 @@ def check_wave_residual(
     ]
     for _, charge, speed in cases:
         field = ScalarField.from_charge(charge)
-        pts = (_triangle_points(rng, speed, points) if speed
-               else [FourVector(0.0, *p) for p in _shell_points(rng, points)])
-        X = np.array([x.as_array() for x in pts])
+        X = (_triangle_points(rng, speed, points) if speed
+             else np.column_stack([np.zeros(points), _shell_points(rng, points)]))
         _, A, _ = retarded_null_vectors(charge.line, X)
-        r = np.sqrt(_dot_rows(A[:, 1:], A[:, 1:]))
-        scale = abs(q) / np.array([v**2 for v in r.tolist()])
+        r = np.sqrt(np.einsum("ij,ij->i", A[:, 1:], A[:, 1:]))
+        scale = abs(q) / r**2
         # box S from the Richardson Hessian: near the axis the plain
         # diagonal stencil of wave_residual is stuck near 1e-5 of q/R^2
         # whatever its step
         H = second_partials_rows(field, X)
         box = H[:, 0, 0] - H[:, 1, 1] - H[:, 2, 2] - H[:, 3, 3]
-        # abs of each complex scalar: numpy's array abs rounds differently
-        worst = max(worst, float((np.array([abs(b) for b in box]) / scale).max()))
+        worst = max(worst, float((np.abs(box) / scale).max()))
     return CheckResult(
         "wave-residual",
         worst,

@@ -52,3 +52,15 @@ def test_traced_pass_and_layer_metrics(perfbench_on_path, tmp_path, workload, co
     metrics = tracing.layer_metrics(tr, command, passes)
     assert metrics
     assert all(math.isfinite(v) for v in metrics.values())
+
+
+def test_family_names_agree(perfbench_on_path):
+    # the verify families are named in three places: the scenario schema,
+    # the verify dispatch table and the benchmark's verify workload; a
+    # family named in only one of them would be rejected by scenario
+    # parsing or skipped by the benchmark
+    from prepotential import scenario, verify
+
+    generate = importlib.import_module("generate")
+    assert tuple(verify._CHECK_FUNCTIONS) == scenario.CHECK_NAMES
+    assert generate.CHECK_NAMES == scenario.CHECK_NAMES

@@ -144,7 +144,6 @@ class TestPrePotentialPoint:
     def test_on_positive_x1_axis(self):
         s = prepotential_point(rest_charge(), V(3.0, 2.0, 0.0, 0.0))
         assert s.value == 0.0
-        assert s.branch_index == 0
 
     def test_on_positive_x2_axis(self):
         q = 1.7
