@@ -30,6 +30,7 @@ from .fields import (
     UNIFORM_FIELD_CALIBRATION,
     boosted_coulomb_oracle,
     claim1_covariance_check,
+    claim1_covariance_rows,
     complex_faraday_tensor,
     coulomb_oracle,
     faraday_from_A,

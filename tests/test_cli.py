@@ -1,6 +1,7 @@
 """CLI behavior: output schemas, determinism, exit codes."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -565,6 +566,53 @@ class TestVerifyFamilies:
         (result,) = verify.run_checks([name]).results
         assert result.passed
         assert len(calls) <= most
+
+    def test_claim1_covariance_is_one_rows_call(self, monkeypatch):
+        calls = []
+        rows = verify.claim1_covariance_rows
+
+        def counting(F, axes, psis):
+            calls.append(len(F))
+            return rows(F, axes, psis)
+
+        monkeypatch.setattr(verify, "claim1_covariance_rows", counting)
+        (result,) = verify.run_checks(["claim1-covariance"]).results
+        assert result.passed
+        assert calls == [300]
+
+    @pytest.mark.parametrize("name, kernel, call", [
+        # a NaN in a later batch than the first, where a running
+        # max(worst, x) from 0.0 would drop it
+        ("zeta-invariance", "zetas_of", 3),
+        # a NaN E next to a finite B: the family reports its NaN sub-check
+        ("rest-charge-field", "faraday_from_hessian_rows", 1),
+        ("uniform-motion-triangle", "_boosted_coulomb_rows", 2),
+        ("wave-residual", "second_partials_rows", 2),
+        ("claim1-covariance", "claim1_covariance_rows", 1),
+        ("loop-phase", "ab_phase_reports", 1),
+    ])
+    def test_nan_deviation_fails_its_family(self, monkeypatch, tmp_path, name, kernel,
+                                            call):
+        calls = []
+        original = getattr(verify, kernel)
+
+        def poisoned(*args, **kwargs):
+            out = original(*args, **kwargs)
+            calls.append(kernel)
+            if len(calls) != call:
+                return out
+            if kernel == "ab_phase_reports":
+                return out[:-1] + [dataclasses.replace(out[-1], residual=math.nan)]
+            out = out.copy()
+            out.flat[-1] = math.nan
+            return out
+
+        monkeypatch.setattr(verify, kernel, poisoned)
+        path = tmp_path / "v.csv"
+        assert main(["verify", "--checks", name, "--out", str(path)]) == 1
+        (row,) = csv.DictReader(path.read_text().splitlines())
+        assert (row["max_deviation"], row["passed"]) == ("nan", "0")
+        assert len(calls) >= call
 
 
 class TestLoopPhaseCommand:

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from prepotential import (
     Charge,
     ChargeSystem,
+    CovarianceCheck,
     DegenerateDenominatorError,
     FaradayVector,
     FourVector,
@@ -25,6 +26,7 @@ from prepotential import (
     UniformLine,
     boosted_coulomb_oracle,
     claim1_covariance_check,
+    claim1_covariance_rows,
     complex_faraday_tensor,
     coulomb_oracle,
     faraday_from_A,
@@ -38,8 +40,11 @@ from prepotential import (
     local_scale,
     local_scales,
     retarded_null_vector,
+    rho,
     second_partials,
     second_partials_rows,
+    upsilon,
+    upsilon_bar,
     vacuum_maxwell_residual,
     wave_residual,
 )
@@ -353,6 +358,43 @@ class TestClaimOneCovariance:
     def test_zero_rapidity(self, rng):
         f = FaradayVector.from_array(rng.normal(size=3) + 1j * rng.normal(size=3))
         assert claim1_covariance_check(f, 2, 0.0).max_deviation < 1e-15
+
+    @staticmethod
+    def reference(f, j, psi):
+        """The check one field vector at a time, in 4x4 matrices."""
+        t = sum(f[k - 1] * rho(k) for k in (1, 2, 3))
+        tbar = t.conj()
+        u, ub = upsilon(j, psi), upsilon_bar(j, psi)
+        u_inv, ub_inv = upsilon(j, -psi), upsilon_bar(j, -psi)
+        lam, lam_inv = u @ ub, ub_inv @ u_inv
+        lhs = lam_inv @ (t + tbar) @ lam
+        rhs = u_inv @ t @ u + ub_inv @ tbar @ ub
+        return float(np.abs(lhs - rhs).max())
+
+    @given(rows=st.lists(
+        st.tuples(st.lists(st.complex_numbers(max_magnitude=10.0), min_size=3, max_size=3),
+                  st.sampled_from([1, 2, 3]), st.floats(-3.0, 3.0)),
+        min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_reference(self, rows):
+        F = np.array([f for f, _, _ in rows], dtype=complex)
+        axes = np.array([j for _, j, _ in rows])
+        psis = np.array([psi for _, _, psi in rows])
+        devs = claim1_covariance_rows(F, axes, psis)
+        assert devs.shape == (len(rows),)
+        for i, (f, j, psi) in enumerate(rows):
+            assert devs[i] == self.reference(F[i], j, psi)
+            assert claim1_covariance_check(FaradayVector.from_array(f), j, psi) == (
+                CovarianceCheck(j, psi, devs[i]))
+
+    @pytest.mark.parametrize("axis", [0, 4, -1])
+    def test_axis_outside_one_to_three_raises(self, rng, axis):
+        F = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        message = f"axis index must be 1, 2 or 3, got {axis}"
+        with pytest.raises(ValueError, match=message):
+            claim1_covariance_rows(F, [1, axis, 2], [0.5, 0.5, 0.5])
+        with pytest.raises(ValueError, match=message):
+            claim1_covariance_check(FaradayVector.from_array(F[0]), axis, 0.5)
 
 
 def _line_and_events(kind, v3):
