@@ -31,14 +31,12 @@ from .fields import (
     boosted_coulomb_oracle,
     claim1_covariance_check,
     claim1_covariance_rows,
-    complex_faraday_tensor,
     coulomb_oracle,
     faraday_from_A,
     faraday_from_hessian,
     faraday_from_hessian_rows,
     faraday_from_S,
     faraday_uniform,
-    mixed_em_tensor,
     potential_field,
     second_partials,
     second_partials_rows,
@@ -49,7 +47,6 @@ from .loops import (
     LoopPhaseReport,
     ab_phase_report,
     ab_phase_reports,
-    two_path_difference,
     winding_number,
 )
 from .matrices import (
@@ -60,7 +57,6 @@ from .matrices import (
     lambda_boost,
     rho,
     rho_bar,
-    rotation,
     sigma,
     upsilon,
     upsilon_bar,
@@ -75,12 +71,9 @@ from .potential import (
     PrePotentialValue,
     Zeta,
     delta_S_along_path,
-    gradient_S,
     local_scale,
     local_scales,
-    potential_A,
     potential_matrix,
-    prepotential_jet,
     prepotential_jets,
     prepotential_point,
     prepotential_system,

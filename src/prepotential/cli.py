@@ -189,13 +189,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, scenario_required: bool):
         p.add_argument("--scenario", required=scenario_required,
                        help="path to a scenario JSON file")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help="seed for randomized checks")
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), default=None,
                        help="output format (default: scenario setting or csv)")
-        p.add_argument("--tolerance-scale", type=_tolerance_scale, default=1.0,
-                       help="multiply every check tolerance by this factor")
 
     common(sub.add_parser("field-grid", help="evaluate S and the field on a grid"),
            scenario_required=True)
@@ -203,6 +199,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common(pv, scenario_required=False)
     pv.add_argument("--checks", default=None,
                     help=f"comma-separated subset of: {', '.join(CHECK_NAMES)}")
+    pv.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                    help="seed for randomized checks")
+    pv.add_argument("--tolerance-scale", type=_tolerance_scale, default=1.0,
+                    help="multiply every check tolerance by this factor")
     common(sub.add_parser("loop-phase", help="accumulated phase around loops"),
            scenario_required=True)
     common(sub.add_parser("relations-dump", help="dump matrix relation deviations"),

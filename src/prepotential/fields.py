@@ -57,8 +57,6 @@ __all__ = [
     "boosted_coulomb_oracle",
     "wave_residual",
     "vacuum_maxwell_residual",
-    "complex_faraday_tensor",
-    "mixed_em_tensor",
     "CovarianceCheck",
     "claim1_covariance_check",
     "claim1_covariance_rows",
@@ -77,10 +75,6 @@ class FaradayVector:
     def from_array(cls, arr) -> "FaradayVector":
         a = np.asarray(arr, dtype=complex)
         return cls(complex(a[0]), complex(a[1]), complex(a[2]))
-
-    @classmethod
-    def from_EB(cls, E, B) -> "FaradayVector":
-        return cls.from_array(np.asarray(E, dtype=float) + 1j * np.asarray(B, dtype=float))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.F1, self.F2, self.F3], dtype=complex)
@@ -132,16 +126,6 @@ class ScalarField:
             delta=lambda X, ib, ia: sum(m.delta(X, ib, ia) for m in members),
             scale=lambda X: reduce(np.minimum, (m.scale(X) for m in members)),
         )
-
-    @classmethod
-    def from_function(
-        cls, f: Callable[[FourVector], complex], scale: float = 1.0
-    ) -> "ScalarField":
-        def delta(X: np.ndarray, ib: np.ndarray, ia: np.ndarray) -> np.ndarray:
-            S = np.array([f(FourVector.from_array(x)) for x in X], dtype=complex)
-            return S[ib] - S[ia]
-
-        return cls(value=f, delta=delta, scale=lambda X: np.full(len(X), scale))
 
 
 # Base step factor for second derivatives, applied to the field's local
@@ -271,7 +255,7 @@ def faraday_from_hessian_rows(H: np.ndarray) -> np.ndarray:
     field stays of order 1/r^2, so the contraction of a rounded Hessian
     keeps only about eps * (r/rho)^2 relative precision, whatever computed
     it (measured with the exact closed-form Hessian: 7e-5 at 1e-6 rad for
-    a rest charge). prepotential_jet's field avoids the loss.
+    a rest charge). The field column of prepotential_jets avoids the loss.
     """
     # The time-time term enters negated: the positive-sign variant agrees
     # for static fields (S_00 = 0) but breaks boost covariance.
@@ -306,8 +290,8 @@ class PotentialField:
 
 
 def potential_field(charge: Charge) -> PotentialField:
-    """The charge's 4-potential (potential_A) as a differentiable field
-    object."""
+    """The charge's complex 4-potential A = potential_matrix() @ grad S as
+    a differentiable field object."""
     return PotentialField(source=ScalarField.from_charge(charge), matrix=potential_matrix())
 
 
@@ -394,7 +378,7 @@ def coulomb_oracle(q: float, xvec3) -> FaradayVector:
     r = float(np.linalg.norm(r3))
     if r == 0.0:
         raise DegenerateDenominatorError("field point at the charge")
-    return FaradayVector.from_EB(q * r3 / r**3, np.zeros(3))
+    return FaradayVector.from_array(q * r3 / r**3)
 
 
 def _boosted_coulomb_rows(
@@ -460,19 +444,6 @@ def vacuum_maxwell_residual(
     static configurations."""
     d = _diagonal_partials(field, x.as_array()[None], step)[0]
     return complex(d[1] + d[2] + d[3])
-
-
-def complex_faraday_tensor(f: FaradayVector) -> np.ndarray:
-    """The complex mixed tensor sum_j F_j rho^j."""
-    arr = f.as_array()
-    return sum(arr[j - 1] * rho(j) for j in (1, 2, 3))
-
-
-def mixed_em_tensor(f: FaradayVector) -> np.ndarray:
-    """Standard real mixed electromagnetic tensor: the complex tensor plus
-    its entrywise conjugate."""
-    t = complex_faraday_tensor(f)
-    return t + t.conj()
 
 
 @dataclass(frozen=True)

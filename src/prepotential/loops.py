@@ -30,13 +30,12 @@ __all__ = [
     "winding_number",
     "ab_phase_report",
     "ab_phase_reports",
-    "two_path_difference",
 ]
 
 
 @dataclass(frozen=True)
 class LoopPhaseReport:
-    """Result of a loop (or two-path) phase measurement: the accumulated
+    """Result of a closed-loop phase measurement: the accumulated
     delta_S summed over the charges, and per charge its crossing-count
     winding and its own delta_S."""
 
@@ -157,36 +156,3 @@ def ab_phase_report(
     if isinstance(rep, PrepotentialError):
         raise rep
     return rep
-
-
-# Largest Euclidean distance at which two paths' endpoints count as shared.
-_ENDPOINT_TOL = 1e-12
-
-
-def two_path_difference(
-    charge: Charge,
-    path_a: Path,
-    path_b: Path,
-    tolerance: float | None = None,
-) -> LoopPhaseReport:
-    """Difference of accumulated S between two open paths sharing both
-    endpoints; equals the closed-loop phase of path_a followed by the
-    reversal of path_b."""
-    if path_a.closed or path_b.closed:
-        raise ValueError("two_path_difference expects open paths")
-    ends = np.linalg.norm(path_a.points[[0, -1]] - path_b.points[[0, -1]], axis=1)
-    if (ends > _ENDPOINT_TOL).any():
-        raise ValueError("paths must share their endpoints")
-    if tolerance is None:
-        tolerance = 1e-8 * abs(charge.q)
-    (delta_a, delta_b), samples, A, errors = _delta_S_paths(charge, [path_a, path_b])
-    if errors:
-        raise errors[min(errors)]
-    delta = complex(delta_a - delta_b)
-    # the loop path_a, then path_b reversed without its endpoints: its
-    # retarded vectors are rows the two paths already hold
-    n_a = len(path_a.points)
-    loop = np.concatenate([A[:n_a], A[n_a:][-2:0:-1]])
-    w = int(_crossing_counts(loop, np.array([len(loop)]))[0])
-    residual = abs(delta - 2j * math.pi * charge.q * w)
-    return LoopPhaseReport(delta, (w,), residual, int(samples.sum()), tolerance, (delta,))

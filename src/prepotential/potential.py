@@ -52,10 +52,7 @@ __all__ = [
     "zeta_at",
     "prepotential_point",
     "prepotential_system",
-    "prepotential_jet",
     "prepotential_jets",
-    "gradient_S",
-    "potential_A",
     "delta_S_along_path",
     "local_scale",
     "local_scales",
@@ -292,20 +289,19 @@ def _velocity_fields(q: float, A: np.ndarray, U: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PrePotentialJet:
-    """S at an event with its covariant gradient d_nu S, its Hessian
-    d_nu d_lam S, and the field 3-vector E + iB they carry; evaluated over
-    N events, each field gains a leading axis of length N."""
+    """S at an event with its Hessian d_nu d_lam S and the field 3-vector
+    E + iB it carries; evaluated over N events, each field gains a leading
+    axis of length N."""
 
     value: complex
-    gradient: np.ndarray
     hessian: np.ndarray
     field: np.ndarray
 
 
 def _jet_rows(charge: Charge, X) -> tuple[PrePotentialJet, np.ndarray]:
-    """S = q ln(zeta(a)) with its first and second derivatives in closed
-    form at each row of an (N, 4) array of events, from one retarded
-    solve, and the rows' failure codes (failing rows hold NaN).
+    """S = q ln(zeta(a)) with its second derivatives in closed form at
+    each row of an (N, 4) array of events, from one retarded solve, and
+    the rows' failure codes (failing rows hold NaN).
 
     The motion is uniform (4-velocity u) within the segment holding the
     retarded point, so da^mu/dx^nu = J^mu_nu = delta^mu_nu - u^mu k_nu
@@ -339,7 +335,6 @@ def _jet_rows(charge: Charge, X) -> tuple[PrePotentialJet, np.ndarray]:
         gu = np.einsum("ni,ni->n", g, U)
         jet = PrePotentialJet(
             q * np.log(num / den),
-            q * np.einsum("ni,nij->nj", g, J),
             q * (np.swapaxes(J, 1, 2) @ h @ J - gu[:, None, None] * M),
             _velocity_fields(q, A, U),
         )
@@ -355,7 +350,6 @@ def prepotential_jets(system: ChargeSystem, X) -> tuple[PrePotentialJet, np.ndar
     X = np.asarray(X, dtype=float)
     failure = np.zeros(len(X), dtype=np.int8)
     value = np.zeros(len(X), dtype=complex)
-    gradient = np.zeros((len(X), 4), dtype=complex)
     hessian = np.zeros((len(X), 4, 4), dtype=complex)
     field = np.zeros((len(X), 3), dtype=complex)
     for i, charge in enumerate(system):
@@ -365,19 +359,9 @@ def prepotential_jets(system: ChargeSystem, X) -> tuple[PrePotentialJet, np.ndar
             raise ChargeSystemError(i, str(exc)) from exc
         failure = np.where(failure != 0, failure, fail)
         value += jet.value
-        gradient += jet.gradient
         hessian += jet.hessian
         field += jet.field
-    return PrePotentialJet(value, gradient, hessian, field), failure
-
-
-def prepotential_jet(charge: Charge, x: FourVector) -> PrePotentialJet:
-    """S = q ln(zeta(a)) with its first and second derivatives and the
-    field in closed form at one event (see _jet_rows)."""
-    jet, failure = _jet_rows(charge, x.as_array()[None])
-    raise_first_failure(failure)
-    return PrePotentialJet(complex(jet.value[0]), jet.gradient[0], jet.hessian[0],
-                           jet.field[0])
+    return PrePotentialJet(value, hessian, field), failure
 
 
 # A principal log-ratio of zeta between two samples is a faithful local
@@ -398,19 +382,6 @@ def _log_ratios(z1: np.ndarray, z0: np.ndarray) -> np.ndarray:
     return np.log(ratio)
 
 
-def gradient_S(charge: Charge, x: FourVector, step: float | None = None) -> np.ndarray:
-    """Covariant gradient (d_mu S) as a complex 4-array.
-
-    By default the closed form of prepotential_jet; with an explicit step,
-    branch-safe central differences of principal log-ratios.
-    """
-    if step is None:
-        return prepotential_jet(charge, x).gradient
-    xv = x.as_array()
-    z, _ = _zeta_rows(charge, np.concatenate([xv + step * _EYE, xv - step * _EYE]))
-    return charge.q * _log_ratios(z[:4], z[4:]) / (2.0 * step)
-
-
 # Scale applied to the index-lowered conjugation when deriving the
 # 4-potential from the gradient. With A_mu = s * (eta C eta)_mu^lam d_lam S
 # and s = 1/2, the potential route through faraday_from_A reproduces the
@@ -423,15 +394,6 @@ def potential_matrix() -> np.ndarray:
     the conjugation with both indices lowered/raised by the metric, times
     POTENTIAL_FIELD_SCALE."""
     return POTENTIAL_FIELD_SCALE * (METRIC @ conjugation_C() @ METRIC)
-
-
-_POTENTIAL_MATRIX = potential_matrix()
-
-
-def potential_A(charge: Charge, x: FourVector, step: float | None = None) -> np.ndarray:
-    """Complex 4-potential: the (index-lowered, scaled) conjugation applied
-    to the gradient of S."""
-    return _POTENTIAL_MATRIX @ gradient_S(charge, x, step=step)
 
 
 _DEFAULT_REFINE_DEPTH = 40

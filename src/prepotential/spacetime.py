@@ -63,10 +63,6 @@ class FourVector:
     def as_array(self) -> np.ndarray:
         return np.array([self.x0, self.x1, self.x2, self.x3])
 
-    @property
-    def spatial(self) -> np.ndarray:
-        return np.array([self.x1, self.x2, self.x3])
-
 
 def _as4(v) -> np.ndarray:
     if isinstance(v, FourVector):

@@ -23,7 +23,7 @@ from .fields import (
     second_partials_rows,
 )
 from .loops import ab_phase_reports
-from .matrices import upsilon, validate_relations
+from .matrices import _worst, upsilon, validate_relations
 from .potential import Charge, ChargeSystem, Path, zetas_of
 from .scenario import Scenario
 from .spacetime import (
@@ -63,13 +63,6 @@ class RunReport:
         return all(r.passed for r in self.results)
 
 
-def _worst(devs) -> float:
-    """The largest deviation, NaN if any is NaN. Python's max keeps its
-    first argument against a NaN, so a NaN deviation would vanish and
-    its family pass."""
-    return float(np.max(devs, initial=0.0))
-
-
 def _shell_points(rng, n: int, rmin=0.5, rmax=4.0, axis_guard=0.4) -> np.ndarray:
     """Spatial points (n, 3) with rmin <= |x| <= rmax and relative
     distance from the x3-axis at least axis_guard."""
@@ -98,7 +91,9 @@ def _random_null(rng) -> np.ndarray:
 
 def check_matrix_relations(rng, tol_scale: float, scenario=None) -> CheckResult:
     report = validate_relations()
-    worst = max(report.checks, key=lambda c: c.max_deviation / c.tolerance)
+    # argmax picks the first NaN ratio, so a NaN check is named worst
+    worst = report.checks[int(np.argmax([c.max_deviation / c.tolerance
+                                         for c in report.checks]))]
     detail = f"{len(report.checks)} relation families; worst: {worst.name}"
     return CheckResult(
         "matrix-relations",

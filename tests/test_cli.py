@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import prepotential
-from prepotential import cli, potential, spacetime, verify
+from prepotential import cli, matrices, potential, spacetime, verify
 from prepotential.cli import main
 from prepotential.errors import ChargeSystemError, StepTooLargeError
 from prepotential.fields import FaradayVector, boosted_coulomb_oracle, coulomb_oracle
@@ -352,6 +352,14 @@ class TestExitCodes:
     def test_bad_usage(self):
         assert main(["field-grid"]) == 2  # --scenario is required
 
+    @pytest.mark.parametrize("flag", [["--seed", "7"], ["--tolerance-scale", "2"]])
+    @pytest.mark.parametrize("command", ["field-grid", "loop-phase", "relations-dump"])
+    def test_verify_only_flags_rejected(self, tmp_path, command, flag):
+        # only verify draws random numbers and has tolerances to scale
+        out = tmp_path / "out.csv"
+        assert main([command, "--scenario", REST, *flag, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_verification_failure_exits_one(self, tmp_path):
         out = tmp_path / "v.csv"
         code = main(["verify", "--checks", "matrix-relations",
@@ -521,7 +529,7 @@ class TestVerifyCommand:
 # before the stencil families were batched; batching changed no bit
 GOLDEN_VERIFY = [
     ("matrix-relations", "4.440892098500626e-16",
-     "12 relation families; worst: Lambda equals the real fundamental boost"),
+     "11 relation families; worst: Lambda equals the real fundamental boost"),
     ("zeta-invariance", "6.833781207288093e-14",
      "1000 null vectors x 3 axes x 5 rapidities"),
     ("rest-charge-field", "4.48639480674486e-10",
@@ -613,6 +621,30 @@ class TestVerifyFamilies:
         (row,) = csv.DictReader(path.read_text().splitlines())
         assert (row["max_deviation"], row["passed"]) == ("nan", "0")
         assert len(calls) >= call
+
+
+    def test_nan_relation_fails(self, monkeypatch, tmp_path):
+        # a NaN in rho_bar(2), which no relation meets first, where a
+        # Python max from a finite value would drop it
+        rho_bar = matrices.rho_bar
+        monkeypatch.setattr(matrices, "rho_bar", lambda j: (
+            np.full((4, 4), complex(math.nan)) if j == 2 else rho_bar(j)))
+        poisoned = {"commutator [rho_bar,rho] = 0",
+                    "anti-commutator {rho_bar,rho_bar} = delta/2 I",
+                    "Lambda equals the real fundamental boost",
+                    "Upsilon and Upsilon_bar factors commute"}
+        path = tmp_path / "r.csv"
+        assert main(["relations-dump", "--out", str(path)]) == 1
+        rows = list(csv.DictReader(path.read_text().splitlines()))
+        assert len(rows) == 11
+        for row in rows:
+            nan = row["relation"] in poisoned
+            assert (row["max_deviation"] == "nan") == nan
+            assert row["passed"] == ("0" if nan else "1")
+        assert main(["verify", "--checks", "matrix-relations", "--out", str(path)]) == 1
+        (row,) = csv.DictReader(path.read_text().splitlines())
+        assert (row["max_deviation"], row["passed"]) == ("nan", "0")
+        assert row["detail"] == "11 relation families; worst: commutator [rho_bar,rho] = 0"
 
 
 class TestLoopPhaseCommand:

@@ -1,4 +1,4 @@
-"""The invariant ratio, the scalar potential, gradients, and path phases."""
+"""The invariant ratio, the scalar potential, its closed-form jet, and path phases."""
 
 import cmath
 import math
@@ -17,24 +17,19 @@ from prepotential import (
     NotNullError,
     Path,
     PathThroughSingularAxisError,
-    POTENTIAL_FIELD_SCALE,
+    PrePotentialJet,
     RefinementLimitExceededError,
     RestLine,
     SampledLine,
     ScalarField,
     SingularAxisError,
-    StepTooLargeError,
     UniformLine,
     boosted_coulomb_oracle,
-    conjugation_C,
     coulomb_oracle,
     delta_S_along_path,
     faraday_from_hessian,
     four_velocity_from_3velocity,
-    gradient_S,
     local_scale,
-    potential_A,
-    prepotential_jet,
     prepotential_point,
     prepotential_system,
     retarded_null_vector,
@@ -58,6 +53,14 @@ from prepotential.spacetime import retarded_null_vectors
 
 def V(*c):
     return FourVector(*map(float, c))
+
+
+def jet_at(charge, x):
+    """The closed-form jet of one charge at one event: row 0 of
+    prepotential_jets."""
+    jet, failure = prepotential_jets(ChargeSystem((charge,)), x.as_array()[None])
+    assert failure[0] == 0
+    return PrePotentialJet(complex(jet.value[0]), jet.hessian[0], jet.field[0])
 
 
 def rest_charge(q=1.0, pos=(0.0, 0.0, 0.0)):
@@ -199,46 +202,6 @@ class TestPrePotentialSystem:
             ChargeSystem(())
 
 
-class TestGradient:
-    def test_rest_closed_form_values(self):
-        q = 1.4
-        x = np.array([1.1, -0.6, 0.8])
-        r = float(np.linalg.norm(x))
-        rho2 = x[0] ** 2 + x[1] ** 2
-        g = gradient_S(rest_charge(q), V(0.7, *x))
-        assert g[0] == 0.0
-        assert abs(g[3] - (-q / r)) < 1e-15
-        assert abs(g[1] - (q / rho2) * (x[0] * x[2] / r + 1j * x[1])) < 1e-14
-        assert abs(g[2] - (q / rho2) * (x[1] * x[2] / r - 1j * x[0])) < 1e-14
-
-    def test_finite_difference_matches_closed_form(self, rng):
-        q = -2.1
-        c = rest_charge(q)
-        for _ in range(15):
-            x = rng.uniform(-2, 2, size=3)
-            r = np.linalg.norm(x)
-            if r < 0.5 or math.hypot(x[0], x[1]) < 0.3 * r:
-                continue
-            ev = V(0.0, *x)
-            exact = gradient_S(c, ev)
-            fd = gradient_S(c, ev, step=1e-5 * r)
-            assert np.abs(fd - exact).max() < 1e-6 * np.abs(exact).max()
-
-    def test_moving_charge_gradient_is_finite(self):
-        u = four_velocity_from_3velocity([0, 0, 0.6])
-        c = Charge(1.0, UniformLine(V(0, 0, 0, 0), u))
-        g = gradient_S(c, V(0.3, 1.2, 0.4, -0.5))
-        assert np.all(np.isfinite(g.view(float)))
-
-    def test_axis_rejected(self):
-        with pytest.raises(SingularAxisError):
-            gradient_S(rest_charge(), V(0.0, 0.0, 0.0, 2.0))
-
-    def test_absurd_step_raises(self):
-        with pytest.raises(StepTooLargeError):
-            gradient_S(rest_charge(), V(0.0, 1.0, 0.0, 0.0), step=1.9)
-
-
 def _direction(theta, phi, side=1.0):
     """Unit 3-vector at polar angle theta from the +x3 (side 1) or -x3
     (side -1) axis."""
@@ -298,7 +261,7 @@ class TestPrePotentialJet:
         # observers at least 0.1 rad off the singular axis
         charge, event = _charge_of_kind(kind, 0.8, v3, knot + frac)
         x = _observer(event, distance, _direction(theta, phi))
-        H = prepotential_jet(charge, x).hessian
+        H = jet_at(charge, x).hessian
         want = second_partials(ScalarField.from_charge(charge), x)
         assert np.abs(H - want).max() <= 1e-6 * np.abs(want).max()
 
@@ -313,12 +276,12 @@ class TestPrePotentialJet:
     def test_field_near_axis_matches_oracle(self, kind, v3, log_theta, phi, side):
         charge, event = _charge_of_kind(kind, -1.3, v3, -1.0)
         x = _observer(event, 1.7, _direction(10.0**log_theta, phi, side))
-        F = prepotential_jet(charge, x).field
+        F = jet_at(charge, x).field
         if kind == "rest":
-            want = coulomb_oracle(-1.3, x.spatial - event[1:]).as_array()
+            want = coulomb_oracle(-1.3, x.as_array()[1:] - event[1:]).as_array()
         else:
             line = charge.line
-            v = line.velocity_u.spatial / line.velocity_u.x0
+            v = line.velocity_u.as_array()[1:] / line.velocity_u.x0
             want = boosted_coulomb_oracle(-1.3, v, x, line.reference_event).as_array()
         assert np.abs(F - want).max() <= 1e-9 * np.abs(want).max()
 
@@ -329,7 +292,7 @@ class TestPrePotentialJet:
                 theta = rng.uniform(0.2, math.pi - 0.2)
                 x = _observer(event, rng.uniform(0.5, 3.0),
                               _direction(theta, rng.uniform(0, 2 * math.pi)))
-                jet = prepotential_jet(charge, x)
+                jet = jet_at(charge, x)
                 F = faraday_from_hessian(jet.hessian).as_array()
                 assert np.abs(F - jet.field).max() <= 1e-12 * np.abs(jet.field).max()
 
@@ -342,7 +305,7 @@ class TestPrePotentialJet:
             for side in (1.0, -1.0):
                 for phi in np.linspace(0.0, 2 * math.pi, 7):
                     x = _observer(event, 1.3, _direction(1e-3, phi, side))
-                    jet = prepotential_jet(charge, x)
+                    jet = jet_at(charge, x)
                     F = faraday_from_hessian(jet.hessian).as_array()
                     assert np.abs(F - jet.field).max() <= 1e-7 * np.abs(jet.field).max()
 
@@ -492,35 +455,10 @@ class TestZetaProperties:
         assert failure[-1] != 0
         ok = failure == 0
         assert np.isnan(jet.value[~ok]).all()
-        for name in ("value", "gradient", "hessian", "field"):
+        for name in ("value", "hessian", "field"):
             got = getattr(jet, name)[ok]
             want = sum(getattr(p, name)[ok] for p, _ in parts)
             assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max(initial=0.0))
-
-
-class TestPotentialA:
-    def test_conjugation_applied_twice_restores_gradient(self):
-        c = rest_charge(1.0)
-        x = V(0.0, 1.5, 0.0, 0.0)
-        grad = gradient_S(c, x)
-        cc = conjugation_C()
-        assert_allclose(cc @ (cc @ grad), grad, atol=1e-16)
-
-    def test_matches_scaled_lowered_conjugation_times_gradient(self):
-        c = rest_charge(-1.2)
-        x = V(0.4, 0.9, -1.1, 0.6)
-        eta = np.diag([1.0, -1.0, -1.0, -1.0])
-        want = POTENTIAL_FIELD_SCALE * (eta @ conjugation_C() @ eta) @ gradient_S(c, x)
-        assert_allclose(potential_A(c, x), want, atol=1e-16)
-
-    def test_no_nans_on_grid_off_axis(self):
-        c = rest_charge(1.0)
-        for x1 in np.linspace(-2, 2, 7):
-            for x2 in np.linspace(-2, 2, 7):
-                if math.hypot(x1, x2) < 0.4:
-                    continue
-                a = potential_A(c, V(0.0, x1, x2, 0.7))
-                assert np.all(np.isfinite(a.view(float)))
 
 
 class TestDeltaSAlongPath:
@@ -605,10 +543,10 @@ class TestSampledLinePipeline:
         s2 = prepotential_point(self.uniform, self.x).value
         assert abs(s1 - s2) < 1e-12
 
-    def test_gradient_matches(self):
-        g1 = gradient_S(self.sampled, self.x)
-        g2 = gradient_S(self.uniform, self.x)
-        assert np.abs(g1 - g2).max() < 1e-9
+    def test_jet_matches(self):
+        j1, j2 = jet_at(self.sampled, self.x), jet_at(self.uniform, self.x)
+        assert np.abs(j1.hessian - j2.hessian).max() < 1e-9
+        assert np.abs(j1.field - j2.field).max() < 1e-9
 
     def test_local_scale_matches(self):
         assert abs(local_scale(self.sampled, self.x)
