@@ -268,9 +268,12 @@ def local_scale(charge: Charge, x: FourVector) -> float:
     return float(local_scales(charge, x.as_array()[None])[0])
 
 
-# Overall factor pinning the direct uniform-motion formula to the textbook
-# field: with honest index lowering of a, the bare contraction comes out
-# as -1/2 of the physical field. Fixed once here, verified by tests.
+# Overall factor of the direct uniform-motion field, from the
+# normalisation of rho^j. For a rest charge (u = e0, a = (r, x)) the bare
+# contraction a_mu rho^j[mu, nu] u^nu / (a.u)^3 keeps one term,
+# a_j rho^j[j, 0] / r^3: lowering the spatial index gives a_j = -x_j, and
+# rho^j[j, 0] = 1/2 since (rho^j)^2 = I/4. It reads -x_j / (2 r^3), so
+# Coulomb's E = q x / r^3 fixes the factor at 1 / (-1/2) = -2.
 UNIFORM_FIELD_CALIBRATION = -2.0
 
 _ETA = np.diag(METRIC_SIGNS)
@@ -382,10 +385,16 @@ def _log_ratios(z1: np.ndarray, z0: np.ndarray) -> np.ndarray:
     return np.log(ratio)
 
 
-# Scale applied to the index-lowered conjugation when deriving the
-# 4-potential from the gradient. With A_mu = s * (eta C eta)_mu^lam d_lam S
-# and s = 1/2, the potential route through faraday_from_A reproduces the
-# direct second-derivative field exactly; pinned by tests.
+# Scale s of the index-lowered conjugation in the 4-potential
+# A_mu = s (eta C eta)_mu^lam d_lam S, from the normalisation of rho^j and
+# C. faraday_from_A contracts F_j = 2 d^nu rho^j[mu, nu] d_nu A_mu, so its
+# coefficient of d_nu d_lam S is 2 s (eta rho^j^T eta C eta)[nu, lam]: 2 s
+# times an entry 1/2 of rho^j ((rho^j)^2 = I/4) times an entry of modulus 1
+# of C = 2 conj(rho^3), so 0 or of modulus s, at (nu, lam) and (lam, nu)
+# alike. faraday_from_hessian_rows weighs each off-diagonal pair of second
+# derivatives by 1 and each diagonal one by 1/2, with the same phases, so
+# 2 s = 1 and s = 1/2 give the potential route the direct field for every
+# symmetric Hessian.
 POTENTIAL_FIELD_SCALE = 0.5
 
 

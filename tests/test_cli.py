@@ -546,12 +546,78 @@ GOLDEN_VERIFY = [
 ]
 
 
+# the verify CSV rows without their seconds column, every family, at three
+# more seeds; recorded before the samplers drew their points into arrays,
+# which changed no bit
+GOLDEN_VERIFY_CSV = {
+    1: [
+        ("matrix-relations", "4.4408920985006262e-16", "9.9999999999999998e-13", "1",
+         "11 relation families; worst: Lambda equals the real fundamental boost"),
+        ("zeta-invariance", "1.5338509587737478e-13", "1e-10", "1",
+         "1000 null vectors x 3 axes x 5 rapidities"),
+        ("rest-charge-field", "6.2162866379927765e-10", "1e-08", "1",
+         "E rel dev 2.733e-09 (tol 1e-06); B abs dev 6.216e-10 (tol 1e-08)"),
+        ("uniform-motion-triangle", "4.2463148660275466e-08", "0.0001", "1",
+         "S-vs-direct 4.246e-08, S-vs-oracle 4.246e-08 (tol 1e-04); "
+         "direct-vs-oracle 1.014e-14 (tol 1e-10)"),
+        ("wave-residual", "7.6760291695219302e-08", "1.0000000000000001e-05", "1",
+         "|box S| scaled by q/R^2, rest and uniform, 40 points each"),
+        ("claim1-covariance", "7.1054273576010019e-15", "9.9999999999999998e-13", "1",
+         "100 random field vectors x 3 boost axes"),
+        ("loop-phase", "3.1318056815086258e-15", "1e-08", "1",
+         "windings [2, 1, -1, -2, 0]; crossing oracle vs phase rounding agree: True"),
+    ],
+    42: [
+        ("matrix-relations", "4.4408920985006262e-16", "9.9999999999999998e-13", "1",
+         "11 relation families; worst: Lambda equals the real fundamental boost"),
+        ("zeta-invariance", "3.8428474007872526e-14", "1e-10", "1",
+         "1000 null vectors x 3 axes x 5 rapidities"),
+        ("rest-charge-field", "7.8632302185712557e-10", "1e-08", "1",
+         "E rel dev 3.740e-09 (tol 1e-06); B abs dev 7.863e-10 (tol 1e-08)"),
+        ("uniform-motion-triangle", "1.044020357646008e-07", "0.0001", "1",
+         "S-vs-direct 1.044e-07, S-vs-oracle 1.044e-07 (tol 1e-04); "
+         "direct-vs-oracle 1.024e-14 (tol 1e-10)"),
+        ("wave-residual", "1.9787977211000193e-08", "1.0000000000000001e-05", "1",
+         "|box S| scaled by q/R^2, rest and uniform, 40 points each"),
+        ("claim1-covariance", "5.3290705182007514e-15", "9.9999999999999998e-13", "1",
+         "100 random field vectors x 3 boost axes"),
+        ("loop-phase", "3.1318056815086258e-15", "1e-08", "1",
+         "windings [2, 1, -1, -2, 0]; crossing oracle vs phase rounding agree: True"),
+    ],
+    7919: [
+        ("matrix-relations", "4.4408920985006262e-16", "9.9999999999999998e-13", "1",
+         "11 relation families; worst: Lambda equals the real fundamental boost"),
+        ("zeta-invariance", "1.0893340855055158e-12", "1e-10", "1",
+         "1000 null vectors x 3 axes x 5 rapidities"),
+        ("rest-charge-field", "9.8551662793650843e-10", "1e-08", "1",
+         "E rel dev 2.959e-09 (tol 1e-06); B abs dev 9.855e-10 (tol 1e-08)"),
+        ("uniform-motion-triangle", "4.5144259882555964e-08", "0.0001", "1",
+         "S-vs-direct 4.514e-08, S-vs-oracle 4.514e-08 (tol 1e-04); "
+         "direct-vs-oracle 5.747e-15 (tol 1e-10)"),
+        ("wave-residual", "4.4027331990602038e-08", "1.0000000000000001e-05", "1",
+         "|box S| scaled by q/R^2, rest and uniform, 40 points each"),
+        ("claim1-covariance", "5.3290705182007514e-15", "9.9999999999999998e-13", "1",
+         "100 random field vectors x 3 boost axes"),
+        ("loop-phase", "3.1318056815086258e-15", "1e-08", "1",
+         "windings [2, 1, -1, -2, 0]; crossing oracle vs phase rounding agree: True"),
+    ],
+}
+
+
 class TestVerifyFamilies:
     def test_golden_at_default_seed(self):
         report = verify.run_checks([name for name, _, _ in GOLDEN_VERIFY])
         got = [(r.name, repr(r.max_deviation), r.detail) for r in report.results]
         assert got == GOLDEN_VERIFY
         assert all(type(r.max_deviation) is float for r in report.results)
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN_VERIFY_CSV))
+    def test_golden_csv_at_more_seeds(self, tmp_path, seed):
+        path = tmp_path / "v.csv"
+        assert main(["verify", "--seed", str(seed), "--out", str(path)]) == 0
+        rows, _ = _without_seconds(["verify"], path.read_text(), "")
+        assert rows[0] == ["check", "max_deviation", "tolerance", "passed", "detail"]
+        assert [tuple(r) for r in rows[1:]] == GOLDEN_VERIFY_CSV[seed]
 
     @pytest.mark.parametrize("name, most", [
         # the scale solve and one solve per Richardson level, per charge;

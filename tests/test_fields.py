@@ -16,6 +16,7 @@ from prepotential import (
     FaradayVector,
     FourVector,
     NotNullError,
+    POTENTIAL_FIELD_SCALE,
     PrepotentialError,
     RestLine,
     SampledLine,
@@ -27,6 +28,7 @@ from prepotential import (
     boosted_coulomb_oracle,
     claim1_covariance_check,
     claim1_covariance_rows,
+    conjugation_C,
     coulomb_oracle,
     faraday_from_A,
     faraday_from_S,
@@ -36,6 +38,7 @@ from prepotential import (
     four_velocity_from_3velocity,
     potential_field,
     local_scale,
+    prepotential_jets,
     local_scales,
     retarded_null_vector,
     rho,
@@ -46,7 +49,9 @@ from prepotential import (
     vacuum_maxwell_residual,
     wave_residual,
 )
-from prepotential.fields import _diagonal_partials
+from prepotential.fields import _contract_dA, _diagonal_partials
+from prepotential.matrices import METRIC
+from prepotential.spacetime import METRIC_SIGNS
 
 
 def V(*c):
@@ -137,6 +142,30 @@ class TestFaradayFromS:
             assert abs(f.F3 - want) < 1e-6 * abs(q)
 
 
+class TestPotentialFieldScale:
+    def test_scale_from_rho_and_C(self, rng):
+        # the potential route with s = 1, A_mu = (eta C eta)_mu^lam d_lam S,
+        # against the direct contraction of the same Hessian
+        bare_matrix = METRIC @ conjugation_C() @ METRIC
+
+        def bare(H):
+            return np.array([_contract_dA(h @ bare_matrix.T).as_array() for h in H])
+
+        # exactly, on each symmetric basis matrix E_mn + E_nm
+        E = np.eye(4)
+        basis = np.array([np.outer(E[m], E[n]) + np.outer(E[n], E[m])
+                          for m in range(4) for n in range(m, 4)])
+        assert np.array_equal(faraday_from_hessian_rows(basis),
+                              POTENTIAL_FIELD_SCALE * bare(basis))
+        # and on the closed-form Hessians of a rest charge
+        system = ChargeSystem((Charge(1.0, RestLine((0.0, 0.0, 0.0))),))
+        X = np.column_stack([np.zeros(10), shell_points(rng, 10)])
+        jet, failure = prepotential_jets(system, X)
+        assert not failure.any()
+        ratio = faraday_from_hessian_rows(jet.hessian) / bare(jet.hessian)
+        assert_allclose(ratio, POTENTIAL_FIELD_SCALE, rtol=1e-12)
+
+
 class TestFaradayFromA:
     def test_potential_route_matches_direct_route(self, rng):
         charge = Charge(1.0, RestLine((0.0, 0.0, 0.0)))
@@ -192,8 +221,16 @@ class TestFaradayUniform:
         f = faraday_uniform(2.0, V(1, 1, 0, 0), V(1, 0, 0, 0))
         assert_allclose(f.as_array(), [2.0, 0.0, 0.0], atol=1e-15)
 
-    def test_calibration_constant_pinned(self):
-        assert UNIFORM_FIELD_CALIBRATION == -2.0
+    def test_calibration_constant_pinned(self, rng):
+        # recomputed from rho^j for a rest charge (u = e0, a = (r, x)): the
+        # bare contraction a_mu rho^j[mu, nu] u^nu / (a.u)^3 against q x / r^3
+        u = np.array([1.0, 0.0, 0.0, 0.0])
+        for p in shell_points(rng, 10):
+            r = np.linalg.norm(p)
+            a_low = METRIC_SIGNS * np.array([r, *p])
+            bare = np.array([a_low @ rho(j) @ u for j in (1, 2, 3)]) / r**3
+            assert not bare.imag.any()
+            assert_allclose(p / r**3 / bare.real, UNIFORM_FIELD_CALIBRATION, rtol=1e-14)
 
     def test_matches_boosted_oracle(self, rng):
         q = -0.9
