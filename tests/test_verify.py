@@ -173,7 +173,6 @@ class _ScriptedNormals:
     def __init__(self, seed, triples):
         self._rng = np.random.default_rng(seed)
         self._triples = [np.array(k, dtype=float) for k in triples]
-        self.bit_generator = self._rng.bit_generator
 
     def _next(self):
         return self._triples.pop(0) if self._triples else self._rng.standard_normal(3)
