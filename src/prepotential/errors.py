@@ -66,11 +66,10 @@ class ScenarioError(PrepotentialError):
 # Failures of single rows in a batched evaluation: code k > 0 in a failure
 # array means that row fails with ROW_FAILURES[k] (class and message); 0
 # marks a good row. Every code is geometric.
-ON_REST_CHARGE, ON_LINE, BEFORE_RANGE, BEYOND_RANGE, ON_AXIS = 1, 2, 3, 4, 5
+ON_LINE, BEFORE_RANGE, BEYOND_RANGE, ON_AXIS = 1, 2, 3, 4
 ROW_FAILURES = (
     None,
-    (ObserverOnWorldLineError, "observer coincides with the rest charge"),
-    (ObserverOnWorldLineError, "observer lies on the uniform world-line"),
+    (ObserverOnWorldLineError, "observer lies on the charge's world-line"),
     (NoRetardedIntersectionError, "observer's past light cone precedes the sampled range"),
     (NoRetardedIntersectionError, "observer's past light cone is beyond the sampled range"),
     (SingularAxisError, "a1 = a2 = 0: invariant degenerates to 0 or infinity"),

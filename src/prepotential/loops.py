@@ -1,9 +1,10 @@
-"""Loop phase observables: winding numbers by crossing count and
-branch-difference reports packaging the accumulated S-difference as the
-measured quantity.
+"""Loop phase observables: branch-difference reports packaging the
+accumulated S-difference as the measured quantity, and winding numbers by
+crossing count.
 
-The crossing-count winding is deliberately independent of any logarithm:
-it counts signed crossings of a ray by the projected retarded-separation
+A report reads each charge's winding off its own accumulated phase. The
+crossing-count winding is deliberately independent of any logarithm: it
+counts signed crossings of a ray by the projected retarded-separation
 curve, and serves as the oracle for the path-accumulated phase.
 """
 
@@ -36,15 +37,14 @@ __all__ = [
 @dataclass(frozen=True)
 class LoopPhaseReport:
     """Result of a closed-loop phase measurement: the accumulated
-    delta_S summed over the charges, and per charge its crossing-count
-    winding and its own delta_S."""
+    delta_S summed over the charges, and per charge its winding, its own
+    delta_S / (2 pi i q) rounded."""
 
     delta_S: complex
     windings: tuple[int, ...]
     residual: float
     samples_used: int
     tolerance: float
-    charge_deltas: tuple[complex, ...]
 
     @property
     def winding(self) -> int:
@@ -108,17 +108,11 @@ def ab_phase_reports(
         tolerance = 1e-8 * max(abs(c.q) for c in members)
     if not loops:
         return []
-    sizes = np.array([len(loop.points) for loop in loops])
     deltas = np.zeros((len(members), len(loops)), dtype=complex)
-    windings = np.zeros((len(members), len(loops)), dtype=np.intp)
     samples = np.zeros(len(loops), dtype=np.intp)
     errors: dict = {}
     for k, charge in enumerate(members):
-        # the winding comes from the same retarded vectors as the phase
-        deltas[k], used, A, failed = _delta_S_paths(charge, loops)
-        ok = np.ones(len(loops), dtype=bool)
-        ok[list(failed)] = False
-        windings[k, ok] = _crossing_counts(A[np.repeat(ok, sizes)], sizes[ok])
+        deltas[k], used, failed = _delta_S_paths(charge, loops)
         samples += used
         for j, exc in failed.items():
             if j not in errors:
@@ -128,6 +122,11 @@ def ab_phase_reports(
                     exc = wrapped
                 errors[j] = exc
     q = np.array([c.q for c in members])
+    # each final edge swings less than pi/2, so Im delta_S_k / (2 pi q_k)
+    # counts the branches the loop crosses; a failed loop's delta_S may be
+    # NaN, which has no integer
+    turns = deltas.imag / (2.0 * math.pi * q[:, None])
+    windings = np.rint(np.where(np.isfinite(turns), turns, 0.0)).astype(np.intp)
     expected = (2j * math.pi * q[:, None] * windings).sum(axis=0)
     reports: list = []
     for j in range(len(loops)):
@@ -137,7 +136,7 @@ def ab_phase_reports(
         delta_S = complex(deltas[:, j].sum())
         reports.append(LoopPhaseReport(
             delta_S, tuple(windings[:, j].tolist()), float(abs(delta_S - expected[j])),
-            int(samples[j]), tolerance, tuple(deltas[:, j].tolist())))
+            int(samples[j]), tolerance))
     return reports
 
 
@@ -145,8 +144,9 @@ def ab_phase_report(
     charges: Charge | ChargeSystem, loop: Path, tolerance: float | None = None
 ) -> LoopPhaseReport:
     """Closed-loop phase report for one charge or a whole system: the
-    accumulated delta_S summed over the charges, the crossing-count winding
-    w_k of each charge, and the residual against 2*pi*i*sum_k q_k*w_k.
+    accumulated delta_S summed over the charges, the winding w_k of each
+    charge (its own delta_S / (2*pi*i*q_k), rounded), and the residual
+    against 2*pi*i*sum_k q_k*w_k, a consistency check at rounding level.
 
     The default tolerance is 1e-8 * max_k |q_k|. For a system, a failure on
     charge k is raised as ChargeSystemError(k, ...), k the lowest failing

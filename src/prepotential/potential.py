@@ -427,11 +427,10 @@ def _live(owner: np.ndarray, errors: dict, n: int) -> np.ndarray:
 
 
 def _path_zetas(charge: Charge, X: np.ndarray, owner: np.ndarray,
-                errors: dict) -> tuple[np.ndarray, np.ndarray]:
-    """zeta at each row of X and the retarded null vectors it came from.
-    Row i belongs to path owner[i]; a path with a failing row gets the
-    error of its first failing row in errors (path index -> error) unless
-    it has one already. Failing rows hold NaN."""
+                errors: dict) -> np.ndarray:
+    """zeta at each row of X. Row i belongs to path owner[i]; a path with a
+    failing row gets the error of its first failing row in errors (path
+    index -> error) unless it has one already. Failing rows hold NaN."""
     _, A, _, failure = retarded_rows(charge.line, X)
     num, den, _, on_axis = _zeta_quotients(A)
     failure = np.where(failure != 0, failure, on_axis)
@@ -444,16 +443,15 @@ def _path_zetas(charge: Charge, X: np.ndarray, owner: np.ndarray,
                 cls = PathThroughSingularAxisError
             errors.setdefault(path, cls(message))
     with np.errstate(invalid="ignore"):  # NaN rows
-        return num / den, A
+        return num / den
 
 
 def _delta_S_paths(
     charge: Charge, paths, max_depth: int = _DEFAULT_REFINE_DEPTH
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+) -> tuple[np.ndarray, np.ndarray, dict]:
     """delta_S_along_path for a list of paths in one batch: per path its
-    delta_S and the number of samples it evaluated, the retarded null
-    vectors at all the paths' points (path after path), and the error of
-    each failed path (path index -> error).
+    delta_S and the number of samples it evaluated, and the error of each
+    failed path (path index -> error).
 
     One retarded solve serves the points of every path. Refinement is
     level-synchronous across the paths: every edge whose zeta ratio swings
@@ -468,7 +466,7 @@ def _delta_S_paths(
     P = np.concatenate([p.points for p in paths])
     owner, nxt = _stacked(sizes)
     errors: dict = {}
-    z, A = _path_zetas(charge, P, owner, errors)
+    z = _path_zetas(charge, P, owner, errors)
     # edge i runs from point i to point nxt[i]; a closed path wraps from
     # its last point to its first unless the two coincide
     closed = np.array([p.closed for p in paths])
@@ -491,7 +489,7 @@ def _delta_S_paths(
                     "path segment could not be refined below the phase guard")
             break
         mid = 0.5 * (e0 + e1)
-        zm, _ = _path_zetas(charge, mid, own, errors)
+        zm = _path_zetas(charge, mid, own, errors)
         splits += np.bincount(own, minlength=n)
         e0, e1 = np.concatenate([e0, mid]), np.concatenate([mid, e1])
         z0, z1 = np.concatenate([z0, zm]), np.concatenate([zm, z1])
@@ -500,7 +498,7 @@ def _delta_S_paths(
             live = _live(own, errors, n)
             e0, e1, z0, z1, own = e0[live], e1[live], z0[live], z1[live], own[live]
         depth -= 1
-    return charge.q * total, sizes + splits, A, errors
+    return charge.q * total, sizes + splits, errors
 
 
 def delta_S_along_path(
@@ -512,7 +510,7 @@ def delta_S_along_path(
 
     For closed paths the result is 2*pi*i*q times an integer winding.
     """
-    delta, _, _, errors = _delta_S_paths(charge, [path], max_depth)
+    delta, _, errors = _delta_S_paths(charge, [path], max_depth)
     if errors:
         raise errors[0]
     return complex(delta[0])

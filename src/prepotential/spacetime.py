@@ -18,7 +18,6 @@ from .errors import (
     BEFORE_RANGE,
     BEYOND_RANGE,
     ON_LINE,
-    ON_REST_CHARGE,
     raise_first_failure,
 )
 
@@ -253,9 +252,8 @@ def retarded_rows(
     if X.ndim != 2 or X.shape[1] != 4:
         raise ValueError(f"expected an (N, 4) array of events, got shape {X.shape}")
     failure = np.zeros(len(X), dtype=np.int8)
-    on_line = ON_LINE
     if isinstance(line, RestLine):
-        R, t, rate, U, on_line = np.array([0.0, *line.position]), 0.0, 1.0, _E0, ON_REST_CHARGE
+        R, t, rate, U = np.array([0.0, *line.position]), 0.0, 1.0, _E0
     elif isinstance(line, UniformLine):
         R, t, rate, U = line.reference_event.as_array(), 0.0, 1.0, line.velocity_u.as_array()
     elif isinstance(line, SampledLine):
@@ -270,7 +268,7 @@ def retarded_rows(
     P = D - U * s[:, None]
     P -= U * _mdot_rows(P, U)[:, None]
     r2 = -_mdot_rows(P, P)  # squared rest-frame distance, >= 0
-    failure[(failure == 0) & (r2 < _ON_LINE_FLOOR**2 * np.maximum(1.0, s * s))] = on_line
+    failure[(failure == 0) & (r2 < _ON_LINE_FLOOR**2 * np.maximum(1.0, s * s))] = ON_LINE
     r = np.sqrt(np.maximum(r2, 0.0))
     A = P + U * r[:, None]
     tau = t + rate * (s - r)

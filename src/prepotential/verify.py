@@ -22,7 +22,7 @@ from .fields import (
     faraday_from_hessian_rows,
     second_partials_rows,
 )
-from .loops import ab_phase_reports
+from .loops import _crossing_counts, ab_phase_reports
 from .matrices import _worst, upsilon, validate_relations
 from .potential import Charge, ChargeSystem, Path, zetas_of
 from .scenario import Scenario
@@ -334,18 +334,20 @@ def check_loop_phase(rng, tol_scale: float, scenario: Scenario | None = None) ->
         charges = ChargeSystem((Charge(1.0, RestLine((0.0, 0.0, 0.0))),))
         loops = _default_loops()
     tol = 1e-8 * max(abs(c.q) for c in charges) * tol_scale
-    residuals = []
-    agree = True
-    windings = []
-    for rep in ab_phase_reports(charges, loops, tolerance=tol):
+    reports = ab_phase_reports(charges, loops, tolerance=tol)
+    for rep in reports:
         if isinstance(rep, PrepotentialError):
             raise rep
-        residuals.append(rep.residual)
-        for charge, delta, w in zip(charges, rep.charge_deltas, rep.windings):
-            turns = delta.imag / (2.0 * math.pi * charge.q)
-            agree = agree and math.isfinite(turns) and round(turns) == w
-        windings.append(rep.windings[0] if len(rep.windings) == 1 else list(rep.windings))
-    worst = _worst(residuals)
+    # the crossing-count oracle, one solve per charge over every loop's
+    # points; they all solved cleanly for the reports
+    sizes = np.array([len(loop.points) for loop in loops])
+    P = np.concatenate([loop.points for loop in loops])
+    oracle = np.array([_crossing_counts(retarded_null_vectors(c.line, P)[1], sizes)
+                       for c in charges])
+    agree = all(rep.windings == tuple(w) for rep, w in zip(reports, oracle.T.tolist()))
+    windings = [rep.windings[0] if len(rep.windings) == 1 else list(rep.windings)
+                for rep in reports]
+    worst = _worst([rep.residual for rep in reports])
     return CheckResult(
         "loop-phase",
         worst,

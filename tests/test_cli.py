@@ -761,6 +761,31 @@ class TestLoopPhaseCommand:
         assert row["passed"] == "1"
         assert "[-1, -1]" in row["detail"]
 
+    def test_coarse_hexagon_winding_is_its_phase(self, tmp_path):
+        # a regular hexagon of radius 0.4 round a charge moving across its
+        # plane: its closing edge swings 3.1 rad and takes three splits, and
+        # the phase reads one turn. That edge's chord passes the origin of
+        # the projected curve on the wrong side, so counting crossings
+        # between the six input samples read winding 0.
+        centre = np.array([-0.3, 0.1])
+        phi = 2 * math.pi * np.arange(6) / 6
+        verts = centre + 0.4 * np.column_stack([np.cos(phi), np.sin(phi)])
+        scen = tmp_path / "hexagon.json"
+        scen.write_text(json.dumps({
+            "version": 1,
+            "charges": [{"q": 1.0, "line": {"kind": "uniform", "event": [0, 0, 0, 0],
+                                            "velocity": [-0.2, 0.1, 0]}}],
+            "loops": [{"kind": "points",
+                       "events": [[0.0, x1, x2, 0.0] for x1, x2 in verts.tolist()]}],
+        }))
+        out = tmp_path / "hexagon.csv"
+        assert main(["loop-phase", "--scenario", str(scen), "--out", str(out)]) == 0
+        (row,) = csv.DictReader(out.read_text().splitlines())
+        assert (row["delta_S_re"], row["delta_S_im"]) == (
+            "-2.8582313181224129e-18", "-6.2831853071795862")
+        assert (row["winding"], row["samples"], row["status"]) == ("-1", "9", "ok")
+        assert float(row["residual"]) < 1e-17
+
     def test_one_charge_winding_is_a_number(self, tmp_path):
         out = tmp_path / "loops.json"
         assert main(["loop-phase", "--scenario", REST, "--format", "json",

@@ -557,3 +557,59 @@ class TestStencilRows:
             assert type(info.value) is type(first)
             assert isinstance(first, (SingularStencilError, StepTooLargeError))
             assert str(info.value) == str(first)
+
+
+_HYPERBOLIC_G = 0.5
+
+
+def _hyperbolic(tau):
+    """Hyperbolic motion along x3 with proper acceleration 0.5, at rest at
+    the origin at tau = 0."""
+    g = _HYPERBOLIC_G
+    return np.array([math.sinh(g * tau) / g, 0.0, 0.0, (math.cosh(g * tau) - 1.0) / g])
+
+
+def _lienard_wiechert(x, velocity_only=False):
+    """E + iB of a unit charge in hyperbolic motion at x, from its retarded
+    time by bisection; velocity_only drops the radiation term."""
+    g = _HYPERBOLIC_G
+    lo, hi = -50.0, 50.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        e = _hyperbolic(mid)
+        if x[0] - e[0] > np.linalg.norm(x[1:] - e[1:]):
+            lo = mid
+        else:
+            hi = mid
+    tau = 0.5 * (lo + hi)
+    rel = x[1:] - _hyperbolic(tau)[1:]
+    R = np.linalg.norm(rel)
+    n = rel / R
+    beta = np.array([0.0, 0.0, math.tanh(g * tau)])
+    kappa = 1.0 - n @ beta
+    E = (n - beta) * (1.0 - beta @ beta) / (kappa**3 * R**2)
+    if not velocity_only:
+        accel = np.array([0.0, 0.0, g / math.cosh(g * tau) ** 3])
+        E = E + np.cross(n, np.cross(n - beta, accel)) / (kappa**3 * R)
+    return E + 1j * np.cross(n, E)
+
+
+def test_sampled_line_has_no_radiation_field():
+    # a sampled line is uniform within each segment: tabulated hyperbolic
+    # motion gives the velocity field of the segment holding the retarded
+    # point, and finer knots do not bring the radiation term back
+    X = np.array([[0.0, 1.5, 0.3, 1.0], [2.0, 0.0, 3.0, 0.5]])
+    off_lw = {0.1: [], 0.005: []}
+    for spacing in off_lw:
+        taus = np.arange(-12.0, 12.0 + spacing / 2, spacing)
+        line = SampledLine(tuple(taus), tuple(FourVector.from_array(_hyperbolic(t))
+                                              for t in taus))
+        jet, failure = prepotential_jets(ChargeSystem((Charge(1.0, line),)), X)
+        assert not failure.any()
+        for x, F in zip(X, jet.field):
+            full, velocity = _lienard_wiechert(x), _lienard_wiechert(x, velocity_only=True)
+            off_lw[spacing].append(np.abs(F - full).max() / np.abs(full).max())
+            if spacing == 0.005:
+                assert np.abs(F - velocity).max() < 2e-3 * np.abs(velocity).max()
+    for off in off_lw.values():
+        assert off == [pytest.approx(0.53, abs=0.01), pytest.approx(1.20, abs=0.01)]

@@ -142,9 +142,10 @@ class TestPhaseReport:
                 continue  # keep the axis clearly inside or outside
             turns = int(rng.choice([-2, -1, 1, 2]))
             height = float(rng.uniform(0.2, 1.2))
-            rep = ab_phase_report(c, circle(radius, height, 120, turns, tuple(center)))
+            loop = circle(radius, height, 120, turns, tuple(center))
+            rep = ab_phase_report(c, loop)
             rounded = round(rep.delta_S.imag / (2 * math.pi))
-            assert rounded == rep.winding
+            assert rounded == rep.winding == winding_number(loop, c)
             assert rep.residual < 1e-8
             agreements += 1
         assert agreements >= trials // 2
@@ -290,6 +291,48 @@ class TestLoopProperties:
         coarse = delta_S_along_path(charge, coarse_loop)
         assert abs(delta_S_along_path(charge, fine_loop) - coarse) < 1e-10
         assert winding_number(coarse_loop, charge) == winding_number(fine_loop, charge)
+
+    @given(
+        q=st.floats(0.4, 2.0) | st.floats(-2.0, -0.4),
+        event=st.tuples(*[st.floats(-1.0, 1.0)] * 4),
+        v=st.tuples(st.floats(-0.8, 0.8), st.floats(-0.8, 0.8), st.floats(-0.5, 0.5)),
+        n=st.integers(3, 8),
+        jitter=st.lists(st.floats(-0.3, 0.3), min_size=8, max_size=8),
+        radii=st.lists(st.floats(0.2, 1.5), min_size=8, max_size=8),
+        center=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        height=st.floats(-1.0, 1.0),
+        reverse=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_coarse_polygon_winding_is_the_resampled_oracle(
+        self, q, event, v, n, jitter, radii, center, height, reverse
+    ):
+        # a charge with a transverse velocity: its axis is not parallel to
+        # the loop's plane normal, and a polygon's edges swing far
+        assume(math.hypot(v[0], v[1]) > 0.05 and math.hypot(*v) < 0.9)
+        charge = Charge(q, UniformLine(V(*event), four_velocity_from_3velocity(v)))
+        theta = 2 * math.pi * (np.arange(n) + np.array(jitter[:n])) / n
+        verts = np.array(center) + np.column_stack(
+            [np.multiply(radii[:n], np.cos(theta)), np.multiply(radii[:n], np.sin(theta))])
+        if reverse:
+            verts = verts[::-1]
+        fine = np.concatenate([p + np.outer(np.arange(64) / 64, e - p)
+                               for p, e in zip(verts, np.roll(verts, -1, axis=0))])
+        coarse_loop, fine_loop = (
+            Path(np.column_stack([np.zeros(len(w)), w, np.full(len(w), height)]), closed=True)
+            for w in (verts, fine))
+        try:
+            coarse = delta_S_along_path(charge, coarse_loop)
+            resampled = delta_S_along_path(charge, fine_loop)
+            oracle = winding_number(fine_loop, charge)
+        except PrepotentialError:
+            assume(False)
+        # an edge whose endpoints' zeta ratio swings under pi/2 while the
+        # edge itself winds a whole turn aliases delta_S; skip that case
+        assume(abs(coarse - resampled) < 1e-9)
+        rep = ab_phase_report(charge, coarse_loop)
+        assert rep.windings == (oracle,)
+        assert rep.status == "ok"
 
     @given(
         charges=st.lists(

@@ -388,11 +388,9 @@ class TestRetardedBatch:
         X = np.array(events, dtype=float)
         rest = retarded_rows(RestLine(pos), X)
         uniform = retarded_rows(UniformLine(V(0, *pos), V(1, 0, 0, 0)), X)
-        for got, want in zip(rest[:3], uniform[:3]):
+        # the same rows fail, with the same codes
+        for got, want in zip(rest, uniform):
             assert_array_equal(got, want)
-        # the same rows fail, with the same class (the messages name the kind)
-        assert [ROW_FAILURES[f] and ROW_FAILURES[f][0] for f in rest[3]] == \
-            [ROW_FAILURES[f] and ROW_FAILURES[f][0] for f in uniform[3]]
         # and the closed form of a rest charge
         tau, A, _, fail = rest
         ok = fail == 0
@@ -428,6 +426,19 @@ class TestRetardedBatch:
             if not fail[i]:
                 assert_array_equal(A[i], one[1][0])
                 assert tau[i] == one[0][0]
+
+    @pytest.mark.parametrize("kind", ["rest", "uniform", "sampled"])
+    def test_events_on_the_line_share_one_code(self, kind):
+        # one code for every line kind, with a message that names none
+        line, on_line = _line(kind, (0.3, -0.2, 0.1), 0.2)
+        fail = retarded_rows(line, np.array(on_line))[3]
+        assert fail.tolist() == [ON_LINE] * len(on_line)
+        message = "observer lies on the charge's world-line"
+        assert ROW_FAILURES[ON_LINE] == (ObserverOnWorldLineError, message)
+        for x in on_line:
+            with pytest.raises(ObserverOnWorldLineError) as info:
+                retarded_null_vector(line, FourVector.from_array(x))
+            assert str(info.value) == message
 
     def test_near_line_row_is_exact(self):
         # 3e-8 from a segment moving at v = 0.5 and about 5 from its knot
