@@ -94,7 +94,7 @@ def winding_number(loop: Path, charge: Charge) -> int:
 
 
 def ab_phase_reports(
-    charges: Charge | ChargeSystem, loops, tolerance: float | None = None
+    charges: Charge | ChargeSystem, loops
 ) -> list[LoopPhaseReport | PrepotentialError]:
     """ab_phase_report for each of a list of closed loops, with the error a
     failing loop's ab_phase_report raises in its place. All loops are
@@ -104,8 +104,7 @@ def ab_phase_reports(
         raise ValueError("ab_phase_report requires a closed loop")
     system = isinstance(charges, ChargeSystem)
     members = charges.charges if system else (charges,)
-    if tolerance is None:
-        tolerance = 1e-8 * max(abs(c.q) for c in members)
+    tolerance = 1e-8 * max(abs(c.q) for c in members)
     if not loops:
         return []
     deltas = np.zeros((len(members), len(loops)), dtype=complex)
@@ -140,19 +139,17 @@ def ab_phase_reports(
     return reports
 
 
-def ab_phase_report(
-    charges: Charge | ChargeSystem, loop: Path, tolerance: float | None = None
-) -> LoopPhaseReport:
+def ab_phase_report(charges: Charge | ChargeSystem, loop: Path) -> LoopPhaseReport:
     """Closed-loop phase report for one charge or a whole system: the
     accumulated delta_S summed over the charges, the winding w_k of each
     charge (its own delta_S / (2*pi*i*q_k), rounded), and the residual
     against 2*pi*i*sum_k q_k*w_k, a consistency check at rounding level.
 
-    The default tolerance is 1e-8 * max_k |q_k|. For a system, a failure on
+    The status tolerance is 1e-8 * max_k |q_k|. For a system, a failure on
     charge k is raised as ChargeSystemError(k, ...), k the lowest failing
     charge.
     """
-    rep = ab_phase_reports(charges, [loop], tolerance)[0]
+    rep = ab_phase_reports(charges, [loop])[0]
     if isinstance(rep, PrepotentialError):
         raise rep
     return rep

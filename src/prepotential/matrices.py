@@ -166,7 +166,7 @@ def _anti(a, b):
     return a @ b + b @ a
 
 
-def validate_relations(tolerance: float = 1e-14) -> RelationReport:
+def validate_relations() -> RelationReport:
     """Exhaustively check every commutation / anti-commutation /
     conjugation identity over all index pairs, and the boost embedding.
 
@@ -175,6 +175,7 @@ def validate_relations(tolerance: float = 1e-14) -> RelationReport:
     -eps^{jk}_l rho^l (forced by sigma = i rho together with
     [rho^j, rho^k] = +eps^{jk}_l sigma^l); the family name records it.
     """
+    tolerance = 1e-14
     pairs = [(j, k) for j in (1, 2, 3) for k in (1, 2, 3)]
 
     def family(name, dev_fn):

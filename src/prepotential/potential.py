@@ -405,7 +405,7 @@ def potential_matrix() -> np.ndarray:
     return POTENTIAL_FIELD_SCALE * (METRIC @ conjugation_C() @ METRIC)
 
 
-_DEFAULT_REFINE_DEPTH = 40
+_REFINE_DEPTH = 40
 
 
 def _stacked(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -446,9 +446,7 @@ def _path_zetas(charge: Charge, X: np.ndarray, owner: np.ndarray,
         return num / den
 
 
-def _delta_S_paths(
-    charge: Charge, paths, max_depth: int = _DEFAULT_REFINE_DEPTH
-) -> tuple[np.ndarray, np.ndarray, dict]:
+def _delta_S_paths(charge: Charge, paths) -> tuple[np.ndarray, np.ndarray, dict]:
     """delta_S_along_path for a list of paths in one batch: per path its
     delta_S and the number of samples it evaluated, and the error of each
     failed path (path index -> error).
@@ -457,7 +455,7 @@ def _delta_S_paths(
     level-synchronous across the paths: every edge whose zeta ratio swings
     pi/2 or more, whichever path it belongs to, is halved, all of them in
     one batch per level. A path fails at its first failing sample or
-    midpoint, or when an edge still swings that far after max_depth
+    midpoint, or when an edge still swings that far after _REFINE_DEPTH
     levels; its edges are dropped at once and the other paths go on. A
     failed path's delta_S and samples mean nothing.
     """
@@ -475,7 +473,7 @@ def _delta_S_paths(
     e0, e1, z0, z1, own = P[i0], P[nxt[i0]], z[i0], z[nxt[i0]], owner[i0]
     total = np.zeros(n, dtype=complex)
     splits = np.zeros(n, dtype=np.intp)
-    depth = max_depth
+    depth = _REFINE_DEPTH
     while True:
         ratio = z1 / z0
         coarse = np.abs(np.angle(ratio)) >= _MAX_RATIO_ARG
@@ -501,16 +499,14 @@ def _delta_S_paths(
     return charge.q * total, sizes + splits, errors
 
 
-def delta_S_along_path(
-    charge: Charge, path: Path, max_depth: int = _DEFAULT_REFINE_DEPTH
-) -> complex:
+def delta_S_along_path(charge: Charge, path: Path) -> complex:
     """Branch-tracked S-difference along a polyline: the sum of principal
     log-ratios between consecutive samples, adaptively refined wherever a
     single step would swing phase by pi/2 or more.
 
     For closed paths the result is 2*pi*i*q times an integer winding.
     """
-    delta, _, errors = _delta_S_paths(charge, [path], max_depth)
+    delta, _, errors = _delta_S_paths(charge, [path])
     if errors:
         raise errors[0]
     return complex(delta[0])

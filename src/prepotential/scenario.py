@@ -122,15 +122,28 @@ def _require(cond: bool, msg: str):
         raise ScenarioError(msg)
 
 
+def _number(raw, where: str) -> float:
+    """A finite number read from the document, or ScenarioError."""
+    try:
+        val = float(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{where}: expected a number, got {raw!r}") from exc
+    _require(math.isfinite(val), f"{where}: must be finite, got {raw!r}")
+    return val
+
+
+def _integer(raw, where: str) -> int:
+    """An integral number read from the document, or ScenarioError: a
+    fractional count is an error, not truncated."""
+    val = _number(raw, where)
+    _require(val.is_integer(), f"{where}: expected an integer, got {raw!r}")
+    return int(val)
+
+
 def _floats(raw, n: int, where: str) -> tuple[float, ...]:
     _require(isinstance(raw, (list, tuple)) and len(raw) == n,
              f"{where}: expected {n} numbers")
-    try:
-        vals = tuple(float(v) for v in raw)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}: non-numeric entry") from exc
-    _require(all(math.isfinite(v) for v in vals), f"{where}: entries must be finite")
-    return vals
+    return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(raw))
 
 
 def _parse_line(raw: dict, where: str):
@@ -162,7 +175,8 @@ def _parse_line(raw: dict, where: str):
         evs = tuple(FourVector(*_floats(e, 4, f"{where}.events[{i}]"))
                     for i, e in enumerate(events))
         try:
-            return SampledLine(tuple(float(t) for t in taus), evs)
+            return SampledLine(tuple(_number(t, f"{where}.taus[{i}]")
+                                     for i, t in enumerate(taus)), evs)
         except ValueError as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
     raise ScenarioError(f"{where}: unknown line kind {kind!r}")
@@ -173,12 +187,12 @@ def build_loop(raw: dict, where: str) -> Path:
     kind = raw.get("kind", "circle")
     if kind == "circle":
         center = _floats(raw.get("center", [0, 0, 0]), 3, f"{where}.center")
-        radius = float(raw.get("radius", 1.0))
+        radius = _number(raw.get("radius", 1.0), f"{where}.radius")
         _require(radius > 0, f"{where}.radius must be positive")
-        time = float(raw.get("time", 0.0))
-        turns = int(raw.get("turns", 1))
+        time = _number(raw.get("time", 0.0), f"{where}.time")
+        turns = _integer(raw.get("turns", 1), f"{where}.turns")
         _require(turns != 0, f"{where}.turns must be a nonzero integer")
-        samples = int(raw.get("samples", 240))
+        samples = _integer(raw.get("samples", 240), f"{where}.samples")
         _require(samples >= 8, f"{where}.samples must be >= 8")
         total = samples * abs(turns)
         sign = 1.0 if turns > 0 else -1.0
@@ -213,10 +227,7 @@ def parse_scenario(doc: dict) -> Scenario:
     charges = []
     for i, rc in enumerate(raw_charges):
         _require(isinstance(rc, dict), f"charges[{i}] must be an object")
-        try:
-            q = float(rc.get("q"))
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"charges[{i}].q must be a number") from exc
+        q = _number(rc.get("q"), f"charges[{i}].q")
         line = _parse_line(rc.get("line"), f"charges[{i}].line")
         try:
             charges.append(Charge(q, line))
@@ -237,22 +248,25 @@ def parse_scenario(doc: dict) -> Scenario:
         res_raw = g.get("resolution")
         _require(isinstance(res_raw, list) and len(res_raw) == len(axes),
                  "grid.resolution: one entry per axis")
-        resolution = tuple(int(r) for r in res_raw)
+        resolution = tuple(_integer(r, f"grid.resolution[{i}]")
+                           for i, r in enumerate(res_raw))
         _require(all(r >= 2 for r in resolution),
                  "grid.resolution: every swept axis needs >= 2 points")
         grid = GridSpec(
-            time=float(g.get("time", 0.0)),
+            time=_number(g.get("time", 0.0), "grid.time"),
             origin=_floats(g.get("origin", [0, 0, 0]), 3, "grid.origin"),
             axes=axes,
             extents=extents,
             resolution=resolution,
         )
 
-    loops = tuple(
-        build_loop(raw, f"loops[{i}]") for i, raw in enumerate(doc.get("loops", []))
-    )
+    raw_loops = doc.get("loops", [])
+    _require(isinstance(raw_loops, list), "loops: need a list")
+    loops = tuple(build_loop(raw, f"loops[{i}]") for i, raw in enumerate(raw_loops))
 
-    checks = tuple(doc.get("checks", []))
+    raw_checks = doc.get("checks", [])
+    _require(isinstance(raw_checks, list), "checks: need a list of family names")
+    checks = tuple(raw_checks)
     for c in checks:
         _require(c in CHECK_NAMES, f"unknown check name {c!r}")
 
@@ -260,7 +274,9 @@ def parse_scenario(doc: dict) -> Scenario:
     _require(isinstance(out_raw, dict), "output must be an object")
     fmt = out_raw.get("format", "csv")
     _require(fmt in ("csv", "json"), f"output.format must be 'csv' or 'json', got {fmt!r}")
-    output = OutputSpec(format=fmt, path=out_raw.get("path"))
+    path = out_raw.get("path")
+    _require(path is None or isinstance(path, str), "output.path must be a string")
+    output = OutputSpec(format=fmt, path=path)
 
     return Scenario(
         charges=ChargeSystem(tuple(charges)),

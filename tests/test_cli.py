@@ -377,6 +377,50 @@ class TestExitCodes:
         with pytest.raises(ValueError):
             verify.run_checks(["matrix-relations"], tolerance_scale=float(scale))
 
+    @pytest.mark.parametrize("where, value", [
+        (("loops", 0, "radius"), "abc"),
+        (("loops", 0, "radius"), None),
+        (("loops", 0, "radius"), math.inf),
+        (("loops", 0, "radius"), 10**400),
+        (("loops", 0, "turns"), "x"),
+        (("loops", 0, "turns"), 1.5),
+        (("loops", 0, "samples"), 8.9),
+        (("loops", 0, "time"), "t"),
+        (("loops",), 5),
+        (("grid", "resolution"), ["a"]),
+        (("grid", "resolution"), [2.5]),
+        (("grid", "time"), "x"),
+        (("charges", 0, "line"), {"kind": "sampled", "taus": [None, 1.0],
+                                  "events": [[0, 0, 0, 0], [1, 0, 0, 0.3]]}),
+        (("charges", 0, "q"), "q"),
+        (("checks",), 5),
+        (("output", "path"), 5),
+    ])
+    def test_malformed_scenario_value_is_a_configuration_error(self, tmp_path, capsys,
+                                                                where, value):
+        # exit 1 means a failed verification; a malformed value is neither
+        # that nor a traceback, and a fractional count is not truncated
+        doc = {
+            "version": 1,
+            "charges": [{"q": 1.0, "line": {"kind": "rest", "position": [0, 0, 0]}}],
+            "grid": {"time": 0.0, "origin": [0, 0, 0], "axes": [[1, 0, 0]],
+                     "extents": [1.0], "resolution": [3]},
+            "loops": [{"kind": "circle", "center": [0, 0, 0.5], "radius": 1.0,
+                       "time": 0.0, "turns": 1, "samples": 16}],
+            "checks": ["loop-phase"],
+            "output": {"format": "csv"},
+        }
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        p = tmp_path / "scenario.json"
+        p.write_text(json.dumps(doc))
+        for command in ("field-grid", "loop-phase", "verify"):
+            assert main([command, "--scenario", str(p)]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "configuration error" in err
+
     def test_loop_through_axis_exits_three(self, tmp_path):
         scen = tmp_path / "axis_loop.json"
         scen.write_text(json.dumps({
@@ -407,6 +451,20 @@ class TestCheckNames:
         out, err = capsys.readouterr()
         assert out == ""
         assert "configuration error" in err and "'bogus-check'" in err
+
+    def test_empty_selection_is_a_configuration_error(self, monkeypatch, capsys):
+        # no family run is a vacuous pass, like an infinite tolerance scale
+        ran = []
+        for name in list(verify._CHECK_FUNCTIONS):
+            monkeypatch.setitem(verify._CHECK_FUNCTIONS, name,
+                                lambda rng, tol, scenario, name=name: ran.append(name))
+        with pytest.raises(verify.UnknownCheckError, match="no check family"):
+            verify.run_checks([])
+        assert main(["verify", "--checks", ","]) == 2
+        assert ran == []
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "configuration error" in err and "no check family" in err
 
     def test_names_from_a_generator(self):
         report = verify.run_checks(n for n in ["matrix-relations"])

@@ -2,6 +2,7 @@
 leave the generator in the same state as the scalar rejection loops they
 replaced, which are kept here as the reference."""
 
+import inspect
 import math
 
 import numpy as np
@@ -10,6 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prepotential import verify
+from prepotential.loops import ab_phase_report, ab_phase_reports
+from prepotential.matrices import validate_relations
+from prepotential.potential import delta_S_along_path
 
 # -- reference: the scalar loops, one point per Python iteration ----------
 
@@ -109,7 +113,7 @@ class TestSamplersMatchScalarLoops:
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(verify, "claim1_covariance_rows", spy)
-            verify.check_claim1_covariance(a, 1.0, vectors=100)
+            verify.check_claim1_covariance(a, 1.0, None)
         F, psis = ref_claim1_draws(b, 100)
         ((got_F, axes, got_psis),) = seen
         assert np.array_equal(got_F, np.repeat(F, 3, axis=0))
@@ -225,3 +229,20 @@ class TestRedrawPredicates:
         k = np.array(self.KEPT) / np.linalg.norm(self.KEPT)
         for row in got[:2]:
             np.testing.assert_allclose(row / np.linalg.norm(row), k, rtol=1e-15)
+
+
+class TestFamilyContract:
+    def test_every_family_takes_rng_tol_scale_scenario(self):
+        for name, family in verify._CHECK_FUNCTIONS.items():
+            params = list(inspect.signature(family).parameters)
+            assert params == ["rng", "tol_scale", "scenario"], name
+        outcome = verify._CHECK_FUNCTIONS["matrix-relations"](
+            np.random.default_rng(0), 1.0, None)
+        assert len(outcome) == 4 and outcome[2] is True
+
+    @pytest.mark.parametrize("fn", [validate_relations, ab_phase_report, ab_phase_reports,
+                                    delta_S_along_path])
+    def test_no_tolerance_or_depth_knob(self, fn):
+        # each had one value in use; it is a constant of its module
+        params = inspect.signature(fn).parameters
+        assert not [p for p in params if "tol" in p or "depth" in p]
