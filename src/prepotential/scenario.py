@@ -124,11 +124,14 @@ def _require(cond: bool, msg: str):
 
 def _number(raw, where: str) -> float:
     """A finite number read from the document, or ScenarioError."""
+    # the messages are formatted only on failure: a scenario holds
+    # thousands of numbers, and each CLI call parses it
     try:
         val = float(raw)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{where}: expected a number, got {raw!r}") from exc
-    _require(math.isfinite(val), f"{where}: must be finite, got {raw!r}")
+    if not math.isfinite(val):
+        raise ScenarioError(f"{where}: must be finite, got {raw!r}")
     return val
 
 
@@ -136,14 +139,15 @@ def _integer(raw, where: str) -> int:
     """An integral number read from the document, or ScenarioError: a
     fractional count is an error, not truncated."""
     val = _number(raw, where)
-    _require(val.is_integer(), f"{where}: expected an integer, got {raw!r}")
+    if not val.is_integer():
+        raise ScenarioError(f"{where}: expected an integer, got {raw!r}")
     return int(val)
 
 
 def _floats(raw, n: int, where: str) -> tuple[float, ...]:
     _require(isinstance(raw, (list, tuple)) and len(raw) == n,
              f"{where}: expected {n} numbers")
-    return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(raw))
+    return tuple(_number(v, where) for v in raw)
 
 
 def _parse_line(raw: dict, where: str):
@@ -175,8 +179,7 @@ def _parse_line(raw: dict, where: str):
         evs = tuple(FourVector(*_floats(e, 4, f"{where}.events[{i}]"))
                     for i, e in enumerate(events))
         try:
-            return SampledLine(tuple(_number(t, f"{where}.taus[{i}]")
-                                     for i, t in enumerate(taus)), evs)
+            return SampledLine(_floats(taus, len(taus), f"{where}.taus"), evs)
         except ValueError as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
     raise ScenarioError(f"{where}: unknown line kind {kind!r}")
@@ -248,8 +251,7 @@ def parse_scenario(doc: dict) -> Scenario:
         res_raw = g.get("resolution")
         _require(isinstance(res_raw, list) and len(res_raw) == len(axes),
                  "grid.resolution: one entry per axis")
-        resolution = tuple(_integer(r, f"grid.resolution[{i}]")
-                           for i, r in enumerate(res_raw))
+        resolution = tuple(_integer(r, "grid.resolution") for r in res_raw)
         _require(all(r >= 2 for r in resolution),
                  "grid.resolution: every swept axis needs >= 2 points")
         grid = GridSpec(
