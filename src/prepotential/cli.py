@@ -114,7 +114,8 @@ def _cmd_verify(scenario, checks, seed, tol_scale, fmt, out) -> int:
         report = run_checks(checks, seed=seed, tolerance_scale=tol_scale,
                             scenario=scenario)
     except UnknownCheckError as exc:
-        raise ScenarioError(str(exc)) from exc
+        # str() of a KeyError is the repr of its message, quotes included
+        raise ScenarioError(exc.args[0]) from exc
     rows = [
         [r.name, r.max_deviation, r.tolerance, int(r.passed), r.elapsed_s, r.detail]
         for r in report.results

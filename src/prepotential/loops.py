@@ -21,6 +21,7 @@ from .potential import (
     ChargeSystem,
     Path,
     _delta_S_paths,
+    _stack_paths,
     _stacked,
     _zeta_quotients,
 )
@@ -110,8 +111,9 @@ def ab_phase_reports(
     deltas = np.zeros((len(members), len(loops)), dtype=complex)
     samples = np.zeros(len(loops), dtype=np.intp)
     errors: dict = {}
+    stack = _stack_paths(loops)
     for k, charge in enumerate(members):
-        deltas[k], used, failed = _delta_S_paths(charge, loops)
+        deltas[k], used, failed = _delta_S_paths(charge, stack)
         samples += used
         for j, exc in failed.items():
             if j not in errors:

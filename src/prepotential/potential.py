@@ -3,11 +3,13 @@ its closed-form derivatives, superposition over discrete charges, the
 conjugated 4-potential, and branch-tracked accumulation of S-differences
 along paths.
 
-Branch policy: finite differences and path increments are always
-principal logarithms of zeta ratios between nearby points, never
-differences of independently branched logarithms; closed-form derivatives
-of ln(zeta) are single-valued. Multi-valuedness enters only through path
-accumulation.
+Branch policy: finite differences are always principal logarithms of
+zeta ratios between nearby points, never differences of independently
+branched logarithms; closed-form derivatives of ln(zeta) are
+single-valued. Multi-valuedness enters only through path accumulation,
+and only arg(zeta) is multiple-valued: a path accumulates the principal
+phases of zeta ratios between nearby samples, while ln|zeta| changes by
+its end value less its start value.
 """
 
 from __future__ import annotations
@@ -81,6 +83,13 @@ _NUMERATORS = np.array([[0.0, 1.0, -1j, 0.0], [1.0, 0.0, 0.0, -1.0]])
 _DENOMINATORS = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1j, 0.0]])
 
 
+def _reduce_rows(ufunc, M: np.ndarray) -> np.ndarray:
+    """ufunc.reduce(M, axis=1) of an (N, 4) array, taken column by column:
+    numpy reduces along rows of 4 about 20x slower. Bit-identical for the
+    exact reductions it serves (maximum, logical_and, logical_or)."""
+    return ufunc(ufunc(M[:, 0], M[:, 1]), ufunc(M[:, 2], M[:, 3]))
+
+
 def _zeta_quotients(A):
     """For each row of an (N, 4) array of null vectors, the numerator and
     denominator of whichever quotient for zeta is better conditioned there
@@ -92,7 +101,7 @@ def _zeta_quotients(A):
     """
     A = np.asarray(A)
     sq = np.abs(A)
-    scale = sq.max(axis=1) ** 2
+    scale = _reduce_rows(np.maximum, sq) ** 2
     if (scale == 0.0).any():
         raise NotNullError("zero vector has no invariant ratio")
     nn = np.abs(_mdot_rows(A, A))
@@ -189,7 +198,7 @@ class Path:
             raise ValueError(f"path points must be an (N, 4) array, got shape {pts.shape}")
         if not np.isfinite(pts).all():
             raise ValueError("path points must be finite")
-        same = (pts[1:] == pts[:-1]).all(axis=1)
+        same = _reduce_rows(np.logical_and, pts[1:] == pts[:-1])
         if same.any():
             k = int(np.argmax(same))
             raise ValueError(f"consecutive path samples {k}, {k + 1} coincide")
@@ -419,6 +428,38 @@ def _stacked(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, nxt
 
 
+@dataclass(frozen=True)
+class _PathStack:
+    """The geometry of a list of paths, stacked path after path, that every
+    charge's _delta_S_paths reads: the (N, 4) points, the path each row
+    belongs to (owner) and the row after it (nxt, wrapping within its
+    path), the rows that start an edge, and per path its size, closedness
+    and first and last row."""
+
+    points: np.ndarray
+    owner: np.ndarray
+    nxt: np.ndarray
+    edges: np.ndarray
+    sizes: np.ndarray
+    closed: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+
+
+def _stack_paths(paths) -> _PathStack:
+    """The _PathStack of a list of paths, built once for all charges."""
+    sizes = np.array([len(p.points) for p in paths])
+    P = np.concatenate([p.points for p in paths])
+    owner, nxt = _stacked(sizes)
+    last = np.cumsum(sizes) - 1
+    closed = np.array([p.closed for p in paths])
+    # edge i runs from point i to point nxt[i]; a closed path wraps from
+    # its last point to its first unless the two coincide
+    edge = _reduce_rows(np.logical_or, P != P[nxt])
+    edge[last[~closed]] = False
+    return _PathStack(P, owner, nxt, np.flatnonzero(edge), sizes, closed, nxt[last], last)
+
+
 def _live(owner: np.ndarray, errors: dict, n: int) -> np.ndarray:
     """Rows whose path (of n) has no error."""
     failed = np.zeros(n, dtype=bool)
@@ -446,10 +487,17 @@ def _path_zetas(charge: Charge, X: np.ndarray, owner: np.ndarray,
         return num / den
 
 
-def _delta_S_paths(charge: Charge, paths) -> tuple[np.ndarray, np.ndarray, dict]:
-    """delta_S_along_path for a list of paths in one batch: per path its
+def _delta_S_paths(charge: Charge, stack: _PathStack) -> tuple[np.ndarray, np.ndarray, dict]:
+    """delta_S_along_path for a stack of paths in one batch: per path its
     delta_S and the number of samples it evaluated, and the error of each
     failed path (path index -> error).
+
+    Only arg(zeta) is multiple-valued, so only the phase is accumulated:
+    Im delta_S is q times the sum of the principal phases of the zeta
+    ratios across the path's final edges, each below pi/2 in size, summed
+    level after level and in row order within a level. ln|zeta| is
+    single-valued, so Re delta_S is q ln|zeta(last) / zeta(first)| on an
+    open path and exactly 0 on a closed one.
 
     One retarded solve serves the points of every path. Refinement is
     level-synchronous across the paths: every edge whose zeta ratio swings
@@ -459,25 +507,21 @@ def _delta_S_paths(charge: Charge, paths) -> tuple[np.ndarray, np.ndarray, dict]
     levels; its edges are dropped at once and the other paths go on. A
     failed path's delta_S and samples mean nothing.
     """
-    n = len(paths)
-    sizes = np.array([len(p.points) for p in paths])
-    P = np.concatenate([p.points for p in paths])
-    owner, nxt = _stacked(sizes)
+    n = len(stack.sizes)
+    P, owner = stack.points, stack.owner
     errors: dict = {}
     z = _path_zetas(charge, P, owner, errors)
-    # edge i runs from point i to point nxt[i]; a closed path wraps from
-    # its last point to its first unless the two coincide
-    closed = np.array([p.closed for p in paths])
-    edge = (closed[owner] | (nxt > np.arange(len(P)))) & (P != P[nxt]).any(axis=1)
-    i0 = np.flatnonzero(edge & _live(owner, errors, n))
-    e0, e1, z0, z1, own = P[i0], P[nxt[i0]], z[i0], z[nxt[i0]], owner[i0]
-    total = np.zeros(n, dtype=complex)
+    i0 = stack.edges[_live(owner[stack.edges], errors, n)]
+    i1 = stack.nxt[i0]
+    e0, e1, z0, z1, own = P[i0], P[i1], z[i0], z[i1], owner[i0]
+    owners, phases = [], []
     splits = np.zeros(n, dtype=np.intp)
     depth = _REFINE_DEPTH
     while True:
-        ratio = z1 / z0
-        coarse = np.abs(np.angle(ratio)) >= _MAX_RATIO_ARG
-        np.add.at(total, own[~coarse], np.log(ratio[~coarse]))
+        phase = np.angle(z1 / z0)
+        coarse = np.abs(phase) >= _MAX_RATIO_ARG
+        owners.append(own[~coarse])
+        phases.append(phase[~coarse])
         if not coarse.any():
             break
         e0, e1, z0, z1, own = e0[coarse], e1[coarse], z0[coarse], z1[coarse], own[coarse]
@@ -496,17 +540,25 @@ def _delta_S_paths(charge: Charge, paths) -> tuple[np.ndarray, np.ndarray, dict]
             live = _live(own, errors, n)
             e0, e1, z0, z1, own = e0[live], e1[live], z0[live], z1[live], own[live]
         depth -= 1
-    return charge.q * total, sizes + splits, errors
+    turned = np.bincount(np.concatenate(owners), np.concatenate(phases), minlength=n)
+    with np.errstate(invalid="ignore"):  # a failed path's samples may be NaN
+        stretched = np.log(np.abs(z[stack.last] / z[stack.first]))
+    delta = np.empty(n, dtype=complex)
+    # + 0.0 turns -0.0 into 0.0, so a closed path never reads "-0"
+    delta.real = charge.q * np.where(stack.closed, 0.0, stretched) + 0.0
+    delta.imag = charge.q * turned + 0.0
+    return delta, stack.sizes + splits, errors
 
 
 def delta_S_along_path(charge: Charge, path: Path) -> complex:
-    """Branch-tracked S-difference along a polyline: the sum of principal
-    log-ratios between consecutive samples, adaptively refined wherever a
-    single step would swing phase by pi/2 or more.
+    """Branch-tracked S-difference along a polyline: q times the sum of the
+    principal phases of zeta ratios between consecutive samples,
+    adaptively refined wherever a single step would swing phase by pi/2 or
+    more, plus q ln|zeta(end) / zeta(start)|, which is 0 for a closed path.
 
     For closed paths the result is 2*pi*i*q times an integer winding.
     """
-    delta, _, errors = _delta_S_paths(charge, [path])
+    delta, _, errors = _delta_S_paths(charge, _stack_paths([path]))
     if errors:
         raise errors[0]
     return complex(delta[0])

@@ -212,8 +212,11 @@ def build_loop(raw: dict, where: str) -> Path:
                  f"{where}: points loop needs an 'events' list")
         points = np.array([_floats(e, 4, f"{where}.events[{i}]")
                            for i, e in enumerate(events)])
+        closed = raw.get("closed", True)
+        _require(isinstance(closed, bool),
+                 f"{where}.closed: expected true or false, got {closed!r}")
         try:
-            return Path(points, closed=bool(raw.get("closed", True)))
+            return Path(points, closed=closed)
         except ValueError as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
     raise ScenarioError(f"{where}: unknown loop kind {kind!r}")

@@ -24,7 +24,10 @@ from prepotential import (
     delta_S_along_path,
     four_velocity_from_3velocity,
     winding_number,
+    zetas_of,
 )
+from prepotential import loops as loops_module
+from prepotential.spacetime import retarded_null_vectors
 
 
 def V(*c):
@@ -516,3 +519,96 @@ class TestBatchedReports:
                 assert rep.status == "ok"
         assert reports[4].windings == (0, 0, 0)
         assert abs(reports[4].delta_S) < 1e-14
+
+
+def phase_reference(charge, path):
+    """q times the sum of np.log(ratio).imag over the edges left when every
+    edge whose zeta ratio swings pi/2 or more is halved, summed level after
+    level and in row order within a level; zeta from zetas_of of each
+    level's retarded null vectors."""
+    def zetas(X):
+        return zetas_of(retarded_null_vectors(charge.line, X)[1])
+
+    P = path.points
+    e0, e1 = (P, np.roll(P, -1, axis=0)) if path.closed else (P[:-1], P[1:])
+    z0, z1 = zetas(e0), zetas(e1)
+    total = 0.0
+    while len(e0):
+        turn = np.log(z1 / z0).imag
+        coarse = np.abs(turn) >= math.pi / 2
+        for t in turn[~coarse].tolist():
+            total += t
+        e0, e1, z0, z1 = e0[coarse], e1[coarse], z0[coarse], z1[coarse]
+        mid = 0.5 * (e0 + e1)
+        zm = zetas(mid) if len(mid) else z0
+        e0, e1 = np.concatenate([e0, mid]), np.concatenate([mid, e1])
+        z0, z1 = np.concatenate([z0, zm]), np.concatenate([zm, z1])
+    return charge.q * total
+
+
+class TestPhaseOnlyAccumulation:
+    """Only arg(zeta) is multiple-valued: a path accumulates the guarded
+    edge phases, and ln|zeta| contributes its end value less its start
+    value, nothing on a closed loop."""
+
+    @given(
+        charges=st.lists(_charge_specs, min_size=1, max_size=3),
+        loop=_loop_specs,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_closed_loop_real_part_is_exactly_zero(self, charges, loop):
+        system = ChargeSystem(tuple(_charge_of(*c) for c in charges))
+        path = _loop_of(*loop)
+        report = one_loop_report(system, path)
+        assume(not isinstance(report, PrepotentialError))
+        assert report.delta_S.real == 0.0 and math.copysign(1.0, report.delta_S.real) == 1.0
+        q_max = max(abs(c.q) for c in system)
+        for charge, w in zip(system, report.windings):
+            delta = delta_S_along_path(charge, path)
+            assert delta.real == 0.0 and math.copysign(1.0, delta.real) == 1.0
+            bound = 8 * np.spacing(2 * math.pi * max(abs(w), 1) * q_max)
+            assert abs(delta.imag - phase_reference(charge, path)) <= bound
+
+    @pytest.mark.parametrize("q", [1.0, -0.7])
+    @pytest.mark.parametrize("speed", [0.0, 0.6])
+    def test_open_path_real_part_is_the_end_values(self, q, speed):
+        # an arc from 0.4 to 2.5 off the axis, half way round it
+        charge = axial_charge(q, (0.0, 0.0), speed)
+        phi = np.linspace(0.0, 1.2 * math.pi, 90)
+        r = np.linspace(0.4, 2.5, 90)
+        path = Path(np.column_stack(
+            [np.zeros(90), r * np.cos(phi), r * np.sin(phi), np.linspace(0.3, -0.8, 90)]))
+        z_start, z_end = zetas_of(retarded_null_vectors(charge.line, path.points[[0, -1]])[1])
+        want = q * math.log(abs(z_end / z_start))
+        got = delta_S_along_path(charge, path).real
+        assert abs(want) > 0.5
+        assert abs(got - want) <= 4 * np.spacing(abs(want))
+        # the sum of the samples' log-ratio moduli telescopes to the same
+        z = zetas_of(retarded_null_vectors(charge.line, path.points)[1])
+        assert abs(got - q * np.log(np.abs(z[1:] / z[:-1])).sum()) < 1e-13
+
+    def test_one_stack_for_all_charges(self, monkeypatch):
+        built, seen = [], []
+
+        def stack_paths(paths):
+            built.append(real_stack(paths))
+            return built[-1]
+
+        def delta_S_paths(charge, stack):
+            seen.append(stack)
+            return real_delta(charge, stack)
+
+        real_stack, real_delta = loops_module._stack_paths, loops_module._delta_S_paths
+        monkeypatch.setattr(loops_module, "_stack_paths", stack_paths)
+        monkeypatch.setattr(loops_module, "_delta_S_paths", delta_S_paths)
+        system = ChargeSystem((
+            rest_charge(1.0),
+            Charge(-0.5, RestLine((2.0, 0.5, 0.0))),
+            Charge(0.7, UniformLine(V(0, -2, -2, 0), four_velocity_from_3velocity([0.1, 0.2, 0.3]))),
+        ))
+        paths = [Path(circle_points(c, 1.0, t), closed=True)
+                 for c, t in (((0.0, 0.0), 1), ((2.0, 0.0), -2), ((-1.5, -1.5), 1))]
+        reports = ab_phase_reports(system, paths)
+        assert all(rep.status == "ok" for rep in reports)
+        assert len(built) == 1
+        assert len(seen) == 3 and all(stack is built[0] for stack in seen)

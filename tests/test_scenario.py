@@ -53,6 +53,20 @@ class TestParsing:
         assert len(sc.loops) == 1
         assert sc.loops[0].closed
 
+    @pytest.mark.parametrize("closed, want", [(True, True), (False, False), (None, True)])
+    def test_points_loop_closed_flag(self, closed, want):
+        loop = {"kind": "points", "events": [[0, 1, 0, 0.5], [0, 0, 1, 0.5], [0, -1, 0, 0.5]]}
+        if closed is not None:
+            loop["closed"] = closed
+        assert parse_scenario(minimal_doc(loops=[loop])).loops[0].closed is want
+
+    @pytest.mark.parametrize("closed", ["false", "true", 0, 1, None])
+    def test_points_loop_closed_must_be_a_boolean(self, closed):
+        loop = {"kind": "points", "closed": closed,
+                "events": [[0, 1, 0, 0.5], [0, 0, 1, 0.5], [0, -1, 0, 0.5]]}
+        with pytest.raises(ScenarioError, match=r"loops\[0\]\.closed"):
+            parse_scenario(minimal_doc(loops=[loop]))
+
     def test_circle_loop_turn_count(self):
         sc = parse_scenario(minimal_doc(
             loops=[{"kind": "circle", "radius": 1.0, "turns": 2, "samples": 12}]
