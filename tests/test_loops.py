@@ -521,29 +521,29 @@ class TestBatchedReports:
         assert abs(reports[4].delta_S) < 1e-14
 
 
-def phase_reference(charge, path):
-    """q times the sum of np.log(ratio).imag over the edges left when every
-    edge whose zeta ratio swings pi/2 or more is halved, summed level after
-    level and in row order within a level; zeta from zetas_of of each
-    level's retarded null vectors."""
+def phase_reference(charge, loop):
+    """q times the sum of np.log(ratio).imag over a closed loop's edges left
+    when every edge whose zeta ratio swings pi/2 or more is halved, summed
+    level after level and in row order within a level; zeta from zetas_of
+    of each level's retarded null vectors."""
     def zetas(X):
         return zetas_of(retarded_null_vectors(charge.line, X)[1])
 
-    P = path.points
-    e0, e1 = (P, np.roll(P, -1, axis=0)) if path.closed else (P[:-1], P[1:])
+    e0, e1 = loop.points, np.roll(loop.points, -1, axis=0)
     z0, z1 = zetas(e0), zetas(e1)
     total = 0.0
-    while len(e0):
+    while True:
         turn = np.log(z1 / z0).imag
         coarse = np.abs(turn) >= math.pi / 2
         for t in turn[~coarse].tolist():
             total += t
+        if not coarse.any():
+            return charge.q * total
         e0, e1, z0, z1 = e0[coarse], e1[coarse], z0[coarse], z1[coarse]
         mid = 0.5 * (e0 + e1)
-        zm = zetas(mid) if len(mid) else z0
+        zm = zetas(mid)
         e0, e1 = np.concatenate([e0, mid]), np.concatenate([mid, e1])
         z0, z1 = np.concatenate([z0, zm]), np.concatenate([zm, z1])
-    return charge.q * total
 
 
 class TestPhaseOnlyAccumulation:
