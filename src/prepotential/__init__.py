@@ -16,7 +16,6 @@ from .errors import (
     ObserverOnWorldLineError,
     PathThroughSingularAxisError,
     PrepotentialError,
-    RefinementLimitExceededError,
     ScenarioError,
     SingularAxisError,
     SingularStencilError,

@@ -39,11 +39,6 @@ class PathThroughSingularAxisError(PrepotentialError):
     """A path sample lies on (or too near) the singular axis."""
 
 
-class RefinementLimitExceededError(PrepotentialError):
-    """Adaptive path refinement hit its depth limit without resolving
-    the phase increment."""
-
-
 class DegenerateDenominatorError(PrepotentialError):
     """A denominator (a.u, |x|, ...) is below the degeneracy floor."""
 

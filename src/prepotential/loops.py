@@ -99,8 +99,8 @@ def ab_phase_reports(
 ) -> list[LoopPhaseReport | PrepotentialError]:
     """ab_phase_report for each of a list of closed loops, with the error a
     failing loop's ab_phase_report raises in its place. All loops are
-    evaluated together, in one batch per charge and refinement level, and
-    a failure affects only its own loop."""
+    evaluated together, in at most two batches per charge (their points,
+    then their edge samples), and a failure affects only its own loop."""
     if not all(loop.closed for loop in loops):
         raise ValueError("ab_phase_report requires a closed loop")
     system = isinstance(charges, ChargeSystem)
@@ -123,9 +123,9 @@ def ab_phase_reports(
                     exc = wrapped
                 errors[j] = exc
     q = np.array([c.q for c in members])
-    # each final edge swings less than pi/2, so Im delta_S_k / (2 pi q_k)
-    # counts the branches the loop crosses; a failed loop's delta_S may be
-    # NaN, which has no integer
+    # each piece between samples turns by less than pi, so
+    # Im delta_S_k / (2 pi q_k) counts the branches the loop crosses; a
+    # failed loop's delta_S may be NaN, which has no integer
     turns = deltas.imag / (2.0 * math.pi * q[:, None])
     windings = np.rint(np.where(np.isfinite(turns), turns, 0.0)).astype(np.intp)
     expected = (2j * math.pi * q[:, None] * windings).sum(axis=0)

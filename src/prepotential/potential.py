@@ -7,9 +7,9 @@ Branch policy: finite differences are always principal logarithms of
 zeta ratios between nearby points, never differences of independently
 branched logarithms; closed-form derivatives of ln(zeta) are
 single-valued. Multi-valuedness enters only through path accumulation,
-and only arg(zeta) is multiple-valued: a path accumulates the principal
-phases of zeta ratios between nearby samples, while ln|zeta| changes by
-its end value less its start value.
+and only arg(zeta), the polar angle of (a1, -a2), is multiple-valued: a
+path sums the phase each edge turns, read off where a2 vanishes on it,
+while ln|zeta| changes by its end value less its start value.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .errors import (
     NotNullError,
     PathThroughSingularAxisError,
     PrepotentialError,
-    RefinementLimitExceededError,
     SingularAxisError,
     StepTooLargeError,
     raise_first_failure,
@@ -38,6 +37,7 @@ from .spacetime import (
     FourVector,
     WorldLine,
     _mdot_rows,
+    _segment_frames,
     retarded_rows,
 )
 
@@ -414,9 +414,6 @@ def potential_matrix() -> np.ndarray:
     return POTENTIAL_FIELD_SCALE * (METRIC @ conjugation_C() @ METRIC)
 
 
-_REFINE_DEPTH = 40
-
-
 def _stacked(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For paths of sizes[j] points stacked path after path: the path each
     row belongs to, and the row after it, which wraps from each path's
@@ -431,18 +428,18 @@ def _stacked(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class _PathStack:
     """The geometry of a list of paths, stacked path after path, that every
-    charge's _delta_S_paths reads: the (N, 4) points, the path each row
-    belongs to (owner) and the row after it (nxt, wrapping within its
-    path), the rows that start an edge, and per path its size, closedness
-    and first and last row."""
+    charge's _delta_S_paths reads: the (N, 4) points and the path each row
+    belongs to (owner); per edge, the rows of its start (edges) and of its
+    end (ends, wrapping within its path) and the Minkowski square of its
+    chord (chord_sq); per path, its size, closedness and last row."""
 
     points: np.ndarray
     owner: np.ndarray
-    nxt: np.ndarray
     edges: np.ndarray
+    ends: np.ndarray
+    chord_sq: np.ndarray
     sizes: np.ndarray
     closed: np.ndarray
-    first: np.ndarray
     last: np.ndarray
 
 
@@ -457,14 +454,9 @@ def _stack_paths(paths) -> _PathStack:
     # its last point to its first unless the two coincide
     edge = _reduce_rows(np.logical_or, P != P[nxt])
     edge[last[~closed]] = False
-    return _PathStack(P, owner, nxt, np.flatnonzero(edge), sizes, closed, nxt[last], last)
-
-
-def _live(owner: np.ndarray, errors: dict, n: int) -> np.ndarray:
-    """Rows whose path (of n) has no error."""
-    failed = np.zeros(n, dtype=bool)
-    failed[list(errors)] = True
-    return ~failed[owner]
+    edges = np.flatnonzero(edge)
+    chord = P[nxt[edges]] - P[edges]
+    return _PathStack(P, owner, edges, nxt[edges], _mdot_rows(chord, chord), sizes, closed, last)
 
 
 def _path_zetas(charge: Charge, X: np.ndarray, owner: np.ndarray,
@@ -476,85 +468,106 @@ def _path_zetas(charge: Charge, X: np.ndarray, owner: np.ndarray,
     num, den, _, on_axis = _zeta_quotients(A)
     failure = np.where(failure != 0, failure, on_axis)
     bad = np.flatnonzero(failure)
-    if len(bad):
-        paths, first = np.unique(owner[bad], return_index=True)
-        for path, code in zip(paths.tolist(), failure[bad[first]].tolist()):
-            cls, message = ROW_FAILURES[code]
-            if cls is SingularAxisError:
-                cls = PathThroughSingularAxisError
-            errors.setdefault(path, cls(message))
+    paths, first = np.unique(owner[bad], return_index=True)
+    for path, code in zip(paths.tolist(), failure[bad[first]].tolist()):
+        cls, message = ROW_FAILURES[code]
+        if cls is SingularAxisError:
+            cls = PathThroughSingularAxisError
+        errors.setdefault(path, cls(message))
     with np.errstate(invalid="ignore"):  # NaN rows
         return num / den
+
+
+def _a2_roots(line: WorldLine, stack: _PathStack) -> np.ndarray:
+    """Per edge (columns), the parameters t in [0, 1) (2K, E) of the points
+    (1 - t) x_start + t x_end where a2 of the retarded null vector may
+    vanish, else 1. On a segment through R with unit velocity u, Q = D - s u
+    (D = x - R, s = D.u) is affine in t and a = Q + r u, r^2 = s^2 - D.D:
+    a2 = Q2 + u2 r is 0 only where the quadratic f = u2^2 r^2 - Q2^2 is. A
+    sampled line gives the roots of all K segments (rows of D, s and r^2).
+    On an edge in a2 = 0, where f = 0, those of a1 (the axis) stand in."""
+    R, U = _segment_frames(line)
+    P, W, i0, i1 = stack.points, METRIC_SIGNS * U, stack.edges, stack.ends
+    D = [P[:, m] - R[:, m, None] for m in range(4)]
+    s = sum(W[:, m, None] * D[m] for m in range(4))
+    r2 = s * s - sum(METRIC_SIGNS[m] * D[m] * D[m] for m in range(4))
+    r0 = r2[:, i0]
+    # r^2 along the edge is r0 + dr2 t + L t^2, with L = -dQ.dQ
+    L = (s[:, i1] - s[:, i0]) ** 2 - stack.chord_sq
+    dr2 = r2[:, i1] - r0 - L
+
+    def quadratic(j):  # f = a t^2 + 2 b t + c for component j
+        uu, Q = U[:, j, None] ** 2, D[j] - s * U[:, j, None]
+        q0, dq = Q[:, i0], Q[:, i1] - Q[:, i0]
+        return uu * L - dq * dq, 0.5 * uu * dr2 - q0 * dq, uu * r0 - q0 * q0
+
+    a, b, c = quadratic(2)
+    if (flat := (a == 0.0) & (b == 0.0) & (c == 0.0)).any():
+        a, b, c = (np.where(flat, one, two) for one, two in zip(quadratic(1), (a, b, c)))
+    # inf and NaN roots fall outside [0, 1); a double root's discriminant may round below 0
+    with np.errstate(all="ignore"):
+        q = -(b + np.copysign(np.sqrt(np.maximum(b * b - a * c, 0.0)), b))
+        t = np.concatenate([q / a, c / q])
+    return np.where((t >= 0.0) & (t < 1.0), t, 1.0)
 
 
 def _delta_S_paths(charge: Charge, stack: _PathStack) -> tuple[np.ndarray, np.ndarray, dict]:
     """delta_S_along_path for a stack of paths in one batch: per path its
     delta_S and the number of samples it evaluated, and the error of each
-    failed path (path index -> error).
+    failed path (path index -> error); a path fails at its first failing
+    point or sample, and a failed path's delta_S and samples mean nothing.
 
-    Only arg(zeta) is multiple-valued, so only the phase is accumulated:
-    Im delta_S is q times the sum of the principal phases of the zeta
-    ratios across the path's final edges, each below pi/2 in size, summed
-    level after level and in row order within a level. ln|zeta| is
-    single-valued, so Re delta_S is q ln|zeta(last) / zeta(first)| on an
-    open path and exactly 0 on a closed one.
-
-    One retarded solve serves the points of every path. Refinement is
-    level-synchronous across the paths: every edge whose zeta ratio swings
-    pi/2 or more, whichever path it belongs to, is halved, all of them in
-    one batch per level. A path fails at its first failing sample or
-    midpoint, or when an edge still swings that far after _REFINE_DEPTH
-    levels; its edges are dropped at once and the other paths go on. A
-    failed path's delta_S and samples mean nothing.
+    Only arg(zeta), the polar angle of (a1, -a2) as a0 + a3 >= 0, is
+    multiple-valued. An edge without _a2_roots turns by less than pi: its
+    phase is that of its zeta ratio, unless that is pi/2 or more (ends
+    within rounding of a2 = 0 on either side of the axis read +-pi). Such
+    an edge, or one with roots, gets samples at the roots and midway
+    between them and its ends, where (a1, -a2) keeps to one half-plane:
+    its phase is its ends' angles read in those half-planes, plus a turn
+    at each root at a1 < 0 where the half-plane flips. Im delta_S is q
+    times the edge phases summed in row order; Re delta_S is
+    q ln|zeta(last) / zeta(first)| on an open path, 0 on a closed one.
     """
     n = len(stack.sizes)
-    P, owner = stack.points, stack.owner
+    P, owner, i0, i1 = stack.points, stack.owner, stack.edges, stack.ends
     errors: dict = {}
     z = _path_zetas(charge, P, owner, errors)
-    i0 = stack.edges[_live(owner[stack.edges], errors, n)]
-    i1 = stack.nxt[i0]
-    e0, e1, z0, z1, own = P[i0], P[i1], z[i0], z[i1], owner[i0]
-    owners, phases = [], []
-    splits = np.zeros(n, dtype=np.intp)
-    depth = _REFINE_DEPTH
-    while True:
-        phase = np.angle(z1 / z0)
-        coarse = np.abs(phase) >= _MAX_RATIO_ARG
-        owners.append(own[~coarse])
-        phases.append(phase[~coarse])
-        if not coarse.any():
-            break
-        e0, e1, z0, z1, own = e0[coarse], e1[coarse], z0[coarse], z1[coarse], own[coarse]
-        if depth <= 0:
-            for path in np.unique(own).tolist():
-                errors[path] = RefinementLimitExceededError(
-                    "path segment could not be refined below the phase guard")
-            break
-        mid = 0.5 * (e0 + e1)
-        zm = _path_zetas(charge, mid, own, errors)
-        splits += np.bincount(own, minlength=n)
-        e0, e1 = np.concatenate([e0, mid]), np.concatenate([mid, e1])
-        z0, z1 = np.concatenate([z0, zm]), np.concatenate([zm, z1])
-        own = np.concatenate([own, own])
-        if errors:
-            live = _live(own, errors, n)
-            e0, e1, z0, z1, own = e0[live], e1[live], z0[live], z1[live], own[live]
-        depth -= 1
-    turned = np.bincount(np.concatenate(owners), np.concatenate(phases), minlength=n)
+    with np.errstate(invalid="ignore"):  # a failed path's zeta may be NaN
+        phase = np.angle(z[i1] / z[i0])
+    roots = _a2_roots(charge.line, stack)
+    split = np.flatnonzero((roots < 1.0).any(axis=0) | (np.abs(phase) >= _MAX_RATIO_ARG))
+    # breakpoints: the ends and the sorted roots (a missing root is 1);
+    # samples midway along each interval, then at each root
+    B = np.pad(np.sort(roots[:, split].T, axis=1), ((0, 0), (1, 1)), constant_values=(0, 1))
+    T = np.concatenate([0.5 * (B[:, 1:] + B[:, :-1]), B[:, 1:-1]], axis=1)
+    inner = T < 1.0
+    e0, e1, row, t = i0[split], i1[split], np.nonzero(inner)[0], T[inner][:, None]
+    Z = np.ones(T.shape, dtype=complex)
+    Z[inner] = _path_zetas(charge, (1.0 - t) * P[e0[row]] + t * P[e1[row]],
+                           owner[e0[row]], errors)
+    # the half-plane of (a1, -a2) on each interval; an end's angle more than
+    # pi/2 off the one next to it is there by rounding, a turn round
+    side = np.where(Z[:, :len(roots) + 1].imag < 0.0, -1.0, 1.0)
+    h = np.stack([side[:, 0], side[np.arange(len(split)), (B < 1.0).sum(axis=1) - 1]])
+    theta = np.angle(np.stack([z[e0], z[e1]]))
+    theta = np.where(h * theta < -math.pi / 2, theta + 2.0 * math.pi * h, theta)
+    cuts = ((side[:, :-1] - side[:, 1:]) * (Z[:, len(roots) + 1:].real < 0.0)).sum(axis=1)
+    phase[split] = theta[1] - theta[0] + math.pi * cuts
+    turned = np.bincount(owner[i0], phase, minlength=n)
     with np.errstate(invalid="ignore"):  # a failed path's samples may be NaN
-        stretched = np.log(np.abs(z[stack.last] / z[stack.first]))
+        stretched = np.log(np.abs(z[stack.last] / z[stack.last - stack.sizes + 1]))
     delta = np.empty(n, dtype=complex)
     # + 0.0 turns -0.0 into 0.0, so a closed path never reads "-0"
     delta.real = charge.q * np.where(stack.closed, 0.0, stretched) + 0.0
     delta.imag = charge.q * turned + 0.0
-    return delta, stack.sizes + splits, errors
+    return delta, stack.sizes + np.bincount(owner[e0[row]], minlength=n), errors
 
 
 def delta_S_along_path(charge: Charge, path: Path) -> complex:
-    """Branch-tracked S-difference along a polyline: q times the sum of the
-    principal phases of zeta ratios between consecutive samples,
-    adaptively refined wherever a single step would swing phase by pi/2 or
-    more, plus q ln|zeta(end) / zeta(start)|, which is 0 for a closed path.
+    """Branch-tracked S-difference along a polyline: q times the phase zeta
+    turns along each edge, read off where a2 of the retarded null vector
+    vanishes on it, plus q ln|zeta(end) / zeta(start)|, which is 0 for a
+    closed path.
 
     For closed paths the result is 2*pi*i*q times an integer winding.
     """

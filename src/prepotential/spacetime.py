@@ -225,6 +225,18 @@ def _sampled_segments(line: SampledLine, X: np.ndarray) -> tuple[np.ndarray, np.
     return lo, failure
 
 
+def _segment_frames(line: WorldLine) -> tuple[np.ndarray, np.ndarray]:
+    """An event (K, 4) and the unit 4-velocity (K, 4) of each of the line's
+    K uniform segments: one for a rest or uniform line."""
+    if isinstance(line, RestLine):
+        return np.array([[0.0, *line.position]]), _E0[None]
+    if isinstance(line, UniformLine):
+        return line.reference_event.as_array()[None], line.velocity_u.as_array()[None]
+    if isinstance(line, SampledLine):
+        return line.segments[1][:-1], line.segments[2]
+    raise TypeError(f"unknown world-line type: {type(line).__name__}")
+
+
 def retarded_rows(
     line: WorldLine, X
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -251,17 +263,13 @@ def retarded_rows(
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != 4:
         raise ValueError(f"expected an (N, 4) array of events, got shape {X.shape}")
-    failure = np.zeros(len(X), dtype=np.int8)
-    if isinstance(line, RestLine):
-        R, t, rate, U = np.array([0.0, *line.position]), 0.0, 1.0, _E0
-    elif isinstance(line, UniformLine):
-        R, t, rate, U = line.reference_event.as_array(), 0.0, 1.0, line.velocity_u.as_array()
-    elif isinstance(line, SampledLine):
+    if isinstance(line, SampledLine):
         k, failure = _sampled_segments(line, X)
         taus, E, seg_u, seg_rate = line.segments
         R, t, rate, U = E[k], taus[k], seg_rate[k], seg_u[k]
     else:
-        raise TypeError(f"unknown world-line type: {type(line).__name__}")
+        (R,), (U,) = _segment_frames(line)
+        t, rate, failure = 0.0, 1.0, np.zeros(len(X), dtype=np.int8)
     U = np.broadcast_to(U, X.shape)  # rest and uniform lines: one row, viewed N times
     D = X - R
     s = _mdot_rows(D, U)

@@ -18,7 +18,6 @@ from prepotential import (
     Path,
     PathThroughSingularAxisError,
     PrePotentialJet,
-    RefinementLimitExceededError,
     RestLine,
     SampledLine,
     ScalarField,
@@ -38,7 +37,6 @@ from prepotential import (
     zeta_at,
     zeta_of,
 )
-from prepotential import potential
 from prepotential.errors import ROW_FAILURES
 from prepotential.potential import (
     _DENOMINATORS,
@@ -511,12 +509,6 @@ class TestDeltaSAlongPath:
         coarse = circle_path(1.0, 0.4, samples=8)
         delta = delta_S_along_path(rest_charge(q), coarse)
         assert abs(delta - (-2j * math.pi * q)) < 1e-10
-
-    def test_refinement_limit(self, monkeypatch):
-        loop = circle_path(1.0, 0.4, samples=3)
-        monkeypatch.setattr(potential, "_REFINE_DEPTH", 0)
-        with pytest.raises(RefinementLimitExceededError):
-            delta_S_along_path(rest_charge(), loop)
 
     def test_path_through_axis(self):
         pts = (V(0, 1, 0, 0.5), V(0, 0, 0, 0.5), V(0, -1, 0, 0.5))
