@@ -123,7 +123,7 @@ def ab_phase_reports(
                     exc = wrapped
                 errors[j] = exc
     q = np.array([c.q for c in members])
-    # each piece between samples turns by less than pi, so
+    # each edge's phase is the exact turn of zeta along it, so
     # Im delta_S_k / (2 pi q_k) counts the branches the loop crosses; a
     # failed loop's delta_S may be NaN, which has no integer
     turns = deltas.imag / (2.0 * math.pi * q[:, None])
