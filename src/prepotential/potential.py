@@ -484,8 +484,9 @@ def _a2_roots(line: WorldLine, stack: _PathStack) -> np.ndarray:
     vanish, else 1. On a segment through R with unit velocity u, Q = D - s u
     (D = x - R, s = D.u) is affine in t and a = Q + r u, r^2 = s^2 - D.D:
     a2 = Q2 + u2 r is 0 only where the quadratic f = u2^2 r^2 - Q2^2 is. A
-    sampled line gives the roots of all K segments (rows of D, s and r^2).
-    On an edge in a2 = 0, where f = 0, those of a1 (the axis) stand in."""
+    sampled line gives the roots of its K segments (rows of D, s and r^2)
+    that lie where the retarded point is on that segment, at proper time
+    s - r past R. On an edge in a2 = 0, where f = 0, those of a1 stand in."""
     R, U = _segment_frames(line)
     P, W, i0, i1 = stack.points, METRIC_SIGNS * U, stack.edges, stack.ends
     D = [P[:, m] - R[:, m, None] for m in range(4)]
@@ -508,7 +509,18 @@ def _a2_roots(line: WorldLine, stack: _PathStack) -> np.ndarray:
     with np.errstate(all="ignore"):
         q = -(b + np.copysign(np.sqrt(np.maximum(b * b - a * c, 0.0)), b))
         t = np.concatenate([q / a, c / q])
-    return np.where((t >= 0.0) & (t < 1.0), t, 1.0)
+    keep = (t >= 0.0) & (t < 1.0)
+    if len(R) > 1:
+        row, e = np.nonzero(keep)
+        k, te = row % len(R), t[row, e]
+        st = s[k, i0[e]] + te * (s[k, i1[e]] - s[k, i0[e]])
+        rt = np.sqrt(np.maximum(r0[k, e] + te * (dr2[k, e] + te * L[k, e]), 0.0))
+        taus, _, _, rate = line.segments
+        # a root near a knot may round off both segments that share it; a
+        # spare root only adds a sample, a dropped one loses a turn
+        slack = 1e-6 * (np.abs(st) + rt)
+        keep[row, e] = (st - rt >= -slack) & (st - rt <= (np.diff(taus) / rate)[k] + slack)
+    return np.where(keep, t, 1.0)
 
 
 def _delta_S_paths(charge: Charge, stack: _PathStack) -> tuple[np.ndarray, np.ndarray, dict]:

@@ -24,7 +24,7 @@ from .fields import (
 )
 from .loops import _crossing_counts, ab_phase_reports
 from .matrices import _worst, upsilon, validate_relations
-from .potential import Charge, ChargeSystem, Path, zetas_of
+from .potential import Charge, ChargeSystem, Path, _stacked, zetas_of
 from .scenario import CHECK_NAMES, Scenario, build_loop
 from .spacetime import (
     FourVector,
@@ -67,52 +67,45 @@ class RunReport:
         return all(r.passed for r in self.results)
 
 
-def _row_norms(K: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of K (m, 3), bit for bit
-    math.sqrt(k.dot(k)): a stacked 1x3 by 3x1 matmul runs the same dot
-    kernel as ndarray.dot, where a row-wise einsum sums in another order."""
-    return np.sqrt(np.matmul(K[:, None, :], K[:, :, None])[:, 0, 0])
-
-
 # the sampled shell: _SHELL_RMIN <= |x| <= _SHELL_RMAX, and at least
 # _AXIS_GUARD off the x3-axis (relative to |x| for _shell_points)
 _SHELL_RMIN, _SHELL_RMAX, _AXIS_GUARD = 0.5, 4.0, 0.4
 
 
+def _accepted_rows(draw, accepts, n: int) -> np.ndarray:
+    """n rows that pass accepts, taken from blocks draw(m) of m candidate
+    rows, m the number of rows still wanted."""
+    blocks, found = [], 0
+    while found < n:
+        block = draw(n - found)
+        blocks.append(block[accepts(block)])
+        found += len(blocks[-1])
+    return np.concatenate(blocks)
+
+
+def _off_axis_points(rng, n: int, floor: float, guard: float, lo: float, hi: float) -> np.ndarray:
+    """Points (n, 3) at distances uniform in [lo, hi) from the origin, along
+    normal draws v with |v| >= floor that lie at least guard * |v| off the
+    x3-axis."""
+    def accepts(V):
+        norm = np.linalg.norm(V, axis=1)
+        return (norm >= floor) & (np.hypot(V[:, 0], V[:, 1]) >= guard * norm)
+
+    V = _accepted_rows(lambda m: rng.standard_normal((m, 3)), accepts, n)
+    return (rng.uniform(lo, hi, n) / np.linalg.norm(V, axis=1))[:, None] * V
+
+
 def _shell_points(rng, n: int) -> np.ndarray:
     """Spatial points (n, 3) on the sampled shell, at relative distance
     _AXIS_GUARD or more from the x3-axis."""
-    V = np.empty((n, 3))
-    norm = np.empty(n)
-    radius = np.empty(n)
-    normal, uniform = rng.standard_normal, rng.random
-    for i, v in enumerate(V):
-        while True:
-            normal(out=v)
-            nv = math.sqrt(v.dot(v))
-            if nv >= 1e-12 and math.hypot(v[0] / nv, v[1] / nv) >= _AXIS_GUARD:
-                break
-        norm[i] = nv
-        # the bits of rng.uniform(_SHELL_RMIN, _SHELL_RMAX)
-        radius[i] = _SHELL_RMIN + (_SHELL_RMAX - _SHELL_RMIN) * uniform()
-    return radius[:, None] * (V / norm[:, None])
+    return _off_axis_points(rng, n, 1e-12, _AXIS_GUARD, _SHELL_RMIN, _SHELL_RMAX)
 
 
 def _random_nulls(rng, n: int) -> np.ndarray:
     """Null vectors (n, 4), a = (|k|, k): k along a normal draw at least
     1e-3 rad off the x3-axis, with |k| uniform in [0.2, 5]."""
-    K = np.empty((n, 3))
-    scale = np.empty(n)
-    normal, uniform = rng.standard_normal, rng.random
-    for i, k in enumerate(K):
-        normal(out=k)
-        norm = math.sqrt(k.dot(k))
-        while norm < 1e-6 or math.hypot(k[0], k[1]) < 1e-3 * norm:
-            normal(out=k)
-            norm = math.sqrt(k.dot(k))
-        scale[i] = (0.2 + (5.0 - 0.2) * uniform()) / norm
-    K *= scale[:, None]
-    return np.column_stack([_row_norms(K), K])
+    K = _off_axis_points(rng, n, 1e-6, 1e-3, 0.2, 5.0)
+    return np.column_stack([np.linalg.norm(K, axis=1), K])
 
 
 def check_matrix_relations(rng, tol_scale: float, scenario) -> _Outcome:
@@ -161,46 +154,22 @@ def check_rest_charge_field(rng, tol_scale: float, scenario) -> _Outcome:
             f"E rel dev {e_dev:.3e} (tol {e_tol:.0e}); B abs dev {b_dev:.3e} (tol {b_tol:.0e})")
 
 
-# rows drawn per point still wanted: about 9 rows in 10 pass the guards
-_TRIANGLE_ROWS_PER_POINT = 1.5
-
-
-def _triangle_accepts(t: np.ndarray, X: np.ndarray, speed: float) -> np.ndarray:
-    """Which events (t, X) sit on the sampled shell, and _AXIS_GUARD off
-    the axis, of the charge of _triangle_points at time t."""
-    present = X.copy()
-    present[:, 2] -= speed * t
-    r = _row_norms(present)
+def _triangle_accepts(E: np.ndarray, speed: float) -> np.ndarray:
+    """Which events E (m, 4) sit on the sampled shell, and _AXIS_GUARD off
+    the axis, of the charge of _triangle_points at their time."""
+    present = E[:, 1:] - np.outer(E[:, 0], (0.0, 0.0, speed))
+    r = np.linalg.norm(present, axis=1)
     rho = np.hypot(present[:, 0], present[:, 1])
-    # np.hypot may round a last bit away from math.hypot, so a row that
-    # close to the guard takes math.hypot's value
-    near = np.abs(rho - _AXIS_GUARD) < 1e-12
-    rho[near] = [math.hypot(x, y) for x, y in present[near, :2]]
     return (_SHELL_RMIN <= r) & (r <= _SHELL_RMAX) & (rho >= _AXIS_GUARD)
 
 
 def _triangle_points(rng, speed: float, n: int) -> np.ndarray:
-    """Events (n, 4) on the sampled shell, and _AXIS_GUARD off the axis, of
-    a charge moving at speed along x3 through the origin at t = 0.
-
-    The points and the final state of rng are those of a rejection loop
-    drawing t = rng.uniform(-1, 1), then x = rng.uniform(-3, 3, size=3),
-    until n events pass: every draw is one uniform, so the rows are drawn
-    ahead in blocks, rng is rewound, and only the rows used are replayed."""
-    state = rng.bit_generator.state
-    blocks, found = [], 0
-    while found < n:
-        D = rng.random((int(_TRIANGLE_ROWS_PER_POINT * (n - found)) + 8, 4))
-        # the bits of rng.uniform(lo, hi): lo + (hi - lo) * random()
-        t, X = -1.0 + 2.0 * D[:, 0], -3.0 + 6.0 * D[:, 1:]
-        ok = _triangle_accepts(t, X, speed)
-        blocks.append((t, X, ok))
-        found += int(ok.sum())
-    t, X, ok = (np.concatenate(parts) for parts in zip(*blocks))
-    rows = np.flatnonzero(ok)[:n]
-    rng.bit_generator.state = state
-    rng.random((rows[-1] + 1, 4))
-    return np.column_stack([t[rows], X[rows]])
+    """Events (n, 4), t uniform in [-1, 1) and x in [-3, 3)^3, on the
+    sampled shell, and _AXIS_GUARD off the axis, of a charge moving at
+    speed along x3 through the origin at t = 0."""
+    return _accepted_rows(
+        lambda m: rng.uniform((-1.0, -3.0, -3.0, -3.0), (1.0, 3.0, 3.0, 3.0), (m, 4)),
+        lambda E: _triangle_accepts(E, speed), n)
 
 
 def check_uniform_motion_triangle(rng, tol_scale: float, scenario) -> _Outcome:
@@ -256,16 +225,10 @@ def check_wave_residual(rng, tol_scale: float, scenario) -> _Outcome:
 
 def check_claim1_covariance(rng, tol_scale: float, scenario) -> _Outcome:
     tol = 1e-12 * tol_scale
-    # the stream, vector after vector: six normals (E, then B), then three
-    # uniforms in [-2, 2), the rapidities of the boosts along axes 1, 2, 3
-    normals = np.empty((100, 6))
-    uniforms = np.empty((100, 3))
-    for e_b, u in zip(normals, uniforms):
-        rng.standard_normal(out=e_b)
-        rng.random(out=u)
+    # per vector, E and B, and the rapidities of the boosts along axes 1, 2, 3
+    normals = rng.standard_normal((100, 6))
+    psis = rng.uniform(-2.0, 2.0, (100, 3))
     F = normals[:, :3] + 1j * normals[:, 3:]
-    # the bits of rng.uniform(-2.0, 2.0): -2.0 + 4.0 * random()
-    psis = -2.0 + 4.0 * uniforms
     devs = claim1_covariance_rows(np.repeat(F, 3, axis=0), np.tile((1, 2, 3), 100),
                                   psis.ravel())
     worst = _worst(devs)
@@ -282,7 +245,33 @@ def _default_loops() -> list[Path]:
     return [build_loop(s, "default-loops") for s in specs]
 
 
+# chords per loop for the crossing-count oracle: 256 for each edge of a
+# triangle. On a triangle whose edge hides a turn from its end samples,
+# 64 chords per edge count that turn and 16 miss it.
+_ORACLE_CHORDS = 768
+
+
+def _resampled_loops(loops) -> tuple[np.ndarray, np.ndarray]:
+    """The closed loops cut into about _ORACLE_CHORDS chords each, spread
+    over each loop's edges in proportion to their lengths: the (N, 4)
+    chord starts, loop after loop, and the number of chords per loop."""
+    sizes = np.array([len(loop.points) for loop in loops])
+    P = np.concatenate([loop.points for loop in loops])
+    owner, nxt = _stacked(sizes)
+    chord = P[nxt] - P
+    length = np.linalg.norm(chord, axis=1)
+    cuts = np.ceil(_ORACLE_CHORDS * length / np.bincount(owner, length)[owner]).astype(np.intp)
+    edge = np.repeat(np.arange(len(P)), cuts)
+    t = (np.arange(len(edge)) - np.repeat(np.cumsum(cuts) - cuts, cuts)) / cuts[edge]
+    return P[edge] + t[:, None] * chord[edge], np.bincount(owner[edge], minlength=len(loops))
+
+
 def check_loop_phase(rng, tol_scale: float, scenario: Scenario | None) -> _Outcome:
+    """Each loop's windings, read off its phase, against the signed
+    crossings of its (a1, -a2) curve on the chords of _resampled_loops: on
+    the loop's own samples alone, a coarse edge can hide a turn. The count
+    can still misread a loop with a vertex within about 1e-3 of a
+    world-line, where the curve turns within one chord."""
     if scenario is not None and scenario.loops:
         charges = scenario.charges
         loops = list(scenario.loops)
@@ -294,10 +283,8 @@ def check_loop_phase(rng, tol_scale: float, scenario: Scenario | None) -> _Outco
         if isinstance(rep, PrepotentialError):
             raise rep
     tol = reports[0].tolerance * tol_scale
-    # the crossing-count oracle, one solve per charge over every loop's
-    # points; they all solved cleanly for the reports
-    sizes = np.array([len(loop.points) for loop in loops])
-    P = np.concatenate([loop.points for loop in loops])
+    # one solve per charge over every loop's chords
+    P, sizes = _resampled_loops(loops)
     oracle = np.array([_crossing_counts(retarded_null_vectors(c.line, P)[1], sizes)
                        for c in charges])
     agree = all(rep.windings == tuple(w) for rep, w in zip(reports, oracle.T.tolist()))

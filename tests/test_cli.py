@@ -597,21 +597,22 @@ class TestVerifyCommand:
         assert [r["check"] for r in rows] == ["matrix-relations"]
 
 
-# repr(max_deviation) and detail of every family at DEFAULT_SEED, recorded
-# before the stencil families were batched; batching changed no bit
+# repr(max_deviation) and detail of every family at DEFAULT_SEED; the five
+# seeded families' values were recorded when the samplers became plain
+# array draws (uniform-motion-triangle's draws kept their stream)
 GOLDEN_VERIFY = [
     ("matrix-relations", "4.440892098500626e-16",
      "11 relation families; worst: Lambda equals the real fundamental boost"),
-    ("zeta-invariance", "6.833781207288093e-14",
+    ("zeta-invariance", "8.48384753471944e-14",
      "1000 null vectors x 3 axes x 5 rapidities"),
-    ("rest-charge-field", "4.48639480674486e-10",
-     "E rel dev 3.001e-09 (tol 1e-06); B abs dev 4.486e-10 (tol 1e-08)"),
+    ("rest-charge-field", "5.733184379985914e-10",
+     "E rel dev 2.546e-09 (tol 1e-06); B abs dev 5.733e-10 (tol 1e-08)"),
     ("uniform-motion-triangle", "1.4707998546195077e-07",
      "S-vs-direct 1.471e-07, S-vs-oracle 1.471e-07 (tol 1e-04); "
      "direct-vs-oracle 6.722e-15 (tol 1e-10)"),
-    ("wave-residual", "1.7356200384245208e-08",
+    ("wave-residual", "6.922256383625178e-08",
      "|box S| scaled by q/R^2, rest and uniform, 40 points each"),
-    ("claim1-covariance", "7.105427357601002e-15",
+    ("claim1-covariance", "8.881784197001252e-15",
      "100 random field vectors x 3 boost axes"),
     ("loop-phase", "1.7763568394002505e-15",
      "windings [2, 1, -1, -2, 0]; crossing oracle vs phase rounding agree: True"),
@@ -619,22 +620,21 @@ GOLDEN_VERIFY = [
 
 
 # the verify CSV rows without their seconds column, every family, at three
-# more seeds; recorded before the samplers drew their points into arrays,
-# which changed no bit
+# more seeds, recorded alongside GOLDEN_VERIFY
 GOLDEN_VERIFY_CSV = {
     1: [
         ("matrix-relations", "4.4408920985006262e-16", "9.9999999999999998e-13", "1",
          "11 relation families; worst: Lambda equals the real fundamental boost"),
-        ("zeta-invariance", "1.5338509587737478e-13", "1e-10", "1",
+        ("zeta-invariance", "1.0658141036401503e-13", "1e-10", "1",
          "1000 null vectors x 3 axes x 5 rapidities"),
-        ("rest-charge-field", "6.2162866379927765e-10", "1e-08", "1",
-         "E rel dev 2.733e-09 (tol 1e-06); B abs dev 6.216e-10 (tol 1e-08)"),
+        ("rest-charge-field", "1.9724809687449935e-09", "1e-08", "1",
+         "E rel dev 3.820e-09 (tol 1e-06); B abs dev 1.972e-09 (tol 1e-08)"),
         ("uniform-motion-triangle", "4.2463148660275466e-08", "0.0001", "1",
          "S-vs-direct 4.246e-08, S-vs-oracle 4.246e-08 (tol 1e-04); "
          "direct-vs-oracle 1.014e-14 (tol 1e-10)"),
-        ("wave-residual", "7.6760291695219302e-08", "1.0000000000000001e-05", "1",
+        ("wave-residual", "1.0230543286286919e-08", "1.0000000000000001e-05", "1",
          "|box S| scaled by q/R^2, rest and uniform, 40 points each"),
-        ("claim1-covariance", "7.1054273576010019e-15", "9.9999999999999998e-13", "1",
+        ("claim1-covariance", "1.021405182655144e-14", "9.9999999999999998e-13", "1",
          "100 random field vectors x 3 boost axes"),
         ("loop-phase", "1.7763568394002505e-15", "1e-08", "1",
          "windings [2, 1, -1, -2, 0]; crossing oracle vs phase rounding agree: True"),
@@ -642,16 +642,16 @@ GOLDEN_VERIFY_CSV = {
     42: [
         ("matrix-relations", "4.4408920985006262e-16", "9.9999999999999998e-13", "1",
          "11 relation families; worst: Lambda equals the real fundamental boost"),
-        ("zeta-invariance", "3.8428474007872526e-14", "1e-10", "1",
+        ("zeta-invariance", "2.7114910356960118e-14", "1e-10", "1",
          "1000 null vectors x 3 axes x 5 rapidities"),
-        ("rest-charge-field", "7.8632302185712557e-10", "1e-08", "1",
-         "E rel dev 3.740e-09 (tol 1e-06); B abs dev 7.863e-10 (tol 1e-08)"),
+        ("rest-charge-field", "2.1883151948576368e-09", "1e-08", "1",
+         "E rel dev 2.712e-09 (tol 1e-06); B abs dev 2.188e-09 (tol 1e-08)"),
         ("uniform-motion-triangle", "1.044020357646008e-07", "0.0001", "1",
          "S-vs-direct 1.044e-07, S-vs-oracle 1.044e-07 (tol 1e-04); "
          "direct-vs-oracle 1.024e-14 (tol 1e-10)"),
-        ("wave-residual", "1.9787977211000193e-08", "1.0000000000000001e-05", "1",
+        ("wave-residual", "1.3973599050102511e-08", "1.0000000000000001e-05", "1",
          "|box S| scaled by q/R^2, rest and uniform, 40 points each"),
-        ("claim1-covariance", "5.3290705182007514e-15", "9.9999999999999998e-13", "1",
+        ("claim1-covariance", "4.4408920985006262e-15", "9.9999999999999998e-13", "1",
          "100 random field vectors x 3 boost axes"),
         ("loop-phase", "1.7763568394002505e-15", "1e-08", "1",
          "windings [2, 1, -1, -2, 0]; crossing oracle vs phase rounding agree: True"),
@@ -659,16 +659,16 @@ GOLDEN_VERIFY_CSV = {
     7919: [
         ("matrix-relations", "4.4408920985006262e-16", "9.9999999999999998e-13", "1",
          "11 relation families; worst: Lambda equals the real fundamental boost"),
-        ("zeta-invariance", "1.0893340855055158e-12", "1e-10", "1",
+        ("zeta-invariance", "6.2853921224907096e-14", "1e-10", "1",
          "1000 null vectors x 3 axes x 5 rapidities"),
-        ("rest-charge-field", "9.8551662793650843e-10", "1e-08", "1",
-         "E rel dev 2.959e-09 (tol 1e-06); B abs dev 9.855e-10 (tol 1e-08)"),
+        ("rest-charge-field", "1.5759520378186702e-09", "1e-08", "1",
+         "E rel dev 4.220e-09 (tol 1e-06); B abs dev 1.576e-09 (tol 1e-08)"),
         ("uniform-motion-triangle", "4.5144259882555964e-08", "0.0001", "1",
          "S-vs-direct 4.514e-08, S-vs-oracle 4.514e-08 (tol 1e-04); "
          "direct-vs-oracle 5.747e-15 (tol 1e-10)"),
-        ("wave-residual", "4.4027331990602038e-08", "1.0000000000000001e-05", "1",
+        ("wave-residual", "7.3219646208494463e-08", "1.0000000000000001e-05", "1",
          "|box S| scaled by q/R^2, rest and uniform, 40 points each"),
-        ("claim1-covariance", "5.3290705182007514e-15", "9.9999999999999998e-13", "1",
+        ("claim1-covariance", "4.4408920985006262e-15", "9.9999999999999998e-13", "1",
          "100 random field vectors x 3 boost axes"),
         ("loop-phase", "1.7763568394002505e-15", "1e-08", "1",
          "windings [2, 1, -1, -2, 0]; crossing oracle vs phase rounding agree: True"),
@@ -832,6 +832,25 @@ class TestLoopPhaseCommand:
         (row,) = csv.DictReader(out.read_text().splitlines())
         assert row["passed"] == "1"
         assert "[-1, -1]" in row["detail"]
+
+    def test_coarse_triangle_verify_family(self, tmp_path):
+        # one edge of this triangle turns a whole turn more than its ends
+        # show; the crossing count over its three samples read winding 0
+        # and failed the family, on the resampled edges it reads 1
+        scen = tmp_path / "triangle.json"
+        scen.write_text(json.dumps({
+            "version": 1,
+            "charges": [{"q": 1.0, "line": {"kind": "uniform", "event": [-0.5, -0.7, 0.4, -0.6],
+                                            "velocity": [-0.1, -0.8, 0.3]}}],
+            "loops": [{"kind": "points", "events": [
+                [0.0, 0.3, 0.0, -0.4], [0.0, -0.6, -1.4, -0.4], [0.0, -1.3, 0.1, -0.4]]}],
+        }))
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--scenario", str(scen), "--checks", "loop-phase",
+                     "--out", str(out)]) == 0
+        (row,) = csv.DictReader(out.read_text().splitlines())
+        assert row["passed"] == "1"
+        assert row["detail"] == "windings [1]; crossing oracle vs phase rounding agree: True"
 
     def test_coarse_hexagon_winding_is_its_phase(self, tmp_path):
         # a regular hexagon of radius 0.4 round a charge moving across its

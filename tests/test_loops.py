@@ -532,6 +532,31 @@ class TestEdgeSamples:
             assert rep.windings == (winding,)
             assert abs(rep.delta_S - 2j * math.pi * winding) < 1e-12
 
+    @pytest.mark.parametrize("v_before, v_after, r, theta, ends, far", [
+        ((0.47728106621906274, -0.4399587424376268, 0.4179061054689658),
+         (-0.2204895510002891, -0.4221128989009667, 0.12464580721498264),
+         0.09014246467456717, 2.1883275134003095, (0.8935542835580306, 0.8639515295695852),
+         (-0.12079264859207808, 0.0052710782907881, 0.07349409274229775)),
+        ((0.41970309057302435, -0.450013708959106, 0.2121358435380961),
+         (0.17743482240670083, 0.12434281062330954, 0.1292384806808371),
+         0.03506745879219059, -1.7559694081224602, (1.7904920908658801, 2.296453320852696),
+         (-0.08430383606727802, -0.2690427469604676, -0.03446795948044265)),
+    ], ids=["kink-a", "kink-b"])
+    def test_root_at_a_knot(self, v_before, v_after, r, theta, ends, far):
+        # the first edge crosses a2 = 0, at a1 < 0, where its retarded point
+        # is the kink of a sampled line: that root lies at the end of one
+        # segment and the start of the next, and rounding may put it just
+        # outside both. Keeping neither read these triangles a turn off.
+        u0, u1 = (four_velocity_from_3velocity(v).as_array() for v in (v_before, v_after))
+        knots = (-5.0 * u0, np.zeros(4), 5.0 * u1)
+        charge = Charge(1.0, SampledLine((-5.0, 0.0, 5.0),
+                                         tuple(FourVector.from_array(k) for k in knots)))
+        x = r * np.array([1.0, math.cos(theta), 0.0, math.sin(theta)])
+        loop = Path(np.array([x - [0, 0, ends[0], 0], x + [0, 0, ends[1], 0], [x[0], *far]]),
+                    closed=True)
+        fine = Path(resampled(loop.points, 4096), closed=True)
+        assert ab_phase_report(charge, loop).windings == (winding_number(fine, charge),) == (0,)
+
     @pytest.mark.parametrize("speed", [0.0, 0.6])
     def test_edge_in_a2_zero_through_the_axis(self, speed):
         # the first edge lies in x2 = 0, where a2 vanishes identically, and

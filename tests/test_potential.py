@@ -23,6 +23,7 @@ from prepotential import (
     ScalarField,
     SingularAxisError,
     UniformLine,
+    ab_phase_report,
     boosted_coulomb_oracle,
     coulomb_oracle,
     delta_S_along_path,
@@ -553,6 +554,11 @@ class TestSampledLinePipeline:
         ), closed=True)
         delta = delta_S_along_path(self.sampled, loop)
         assert abs(delta - (-2j * math.pi)) < 1e-10
+        # a root counts only on the segment that holds its retarded point,
+        # so the 1200 segments sample the edges as the one uniform line does
+        sampled, uniform = (ab_phase_report(c, loop) for c in (self.sampled, self.uniform))
+        assert sampled.samples_used == uniform.samples_used == 248
+        assert sampled.delta_S == delta
 
 
 class TestLocalScale:

@@ -1,9 +1,8 @@
-"""The samplers behind `verify`: array draws that give the same points and
-leave the generator in the same state as the scalar rejection loops they
-replaced, which are kept here as the reference."""
+"""The samplers behind `verify`, which draw blocks of candidate rows and keep
+those that pass each family's guards, and the seeded families over many
+seeds."""
 
 import inspect
-import math
 
 import numpy as np
 import pytest
@@ -15,90 +14,95 @@ from prepotential.loops import ab_phase_report, ab_phase_reports
 from prepotential.matrices import validate_relations
 from prepotential.potential import delta_S_along_path
 
-# -- reference: the scalar loops, one point per Python iteration ----------
+# rows are compared with the guards up to a few ulp of rescaling
+_SLACK = 1e-15
 
 
-def ref_shell_points(rng, n, rmin=0.5, rmax=4.0, axis_guard=0.4):
-    pts = []
-    while len(pts) < n:
-        v = rng.normal(size=3)
-        nv = math.sqrt(v.dot(v))
-        if nv < 1e-12:
-            continue
-        v /= nv
-        if math.hypot(v[0], v[1]) < axis_guard:
-            continue
-        pts.append(rng.uniform(rmin, rmax) * v)
-    return np.array(pts)
+def assert_shell_points(P, n):
+    assert P.shape == (n, 3)
+    r = np.linalg.norm(P, axis=1)
+    assert (r >= 0.5 * (1 - _SLACK)).all() and (r <= 4.0 * (1 + _SLACK)).all()
+    assert (np.hypot(P[:, 0], P[:, 1]) >= 0.4 * r * (1 - _SLACK)).all()
 
 
-def ref_random_null(rng):
-    k = rng.normal(size=3)
-    n = math.sqrt(k.dot(k))
-    while n < 1e-6 or math.hypot(k[0], k[1]) < 1e-3 * n:
-        k = rng.normal(size=3)
-        n = math.sqrt(k.dot(k))
-    k *= rng.uniform(0.2, 5.0) / n
-    return np.array([math.sqrt(k.dot(k)), k[0], k[1], k[2]])
+def assert_random_nulls(A, n):
+    assert A.shape == (n, 4)
+    k = np.linalg.norm(A[:, 1:], axis=1)
+    assert (np.abs(A[:, 0] ** 2 - k**2) <= 4 * np.finfo(float).eps * A[:, 0] ** 2).all()
+    assert (k >= 0.2 * (1 - _SLACK)).all() and (k <= 5.0 * (1 + _SLACK)).all()
+    assert (np.hypot(A[:, 1], A[:, 2]) >= 1e-3 * k * (1 - _SLACK)).all()
 
 
-def ref_random_nulls(rng, n):
-    return np.array([ref_random_null(rng) for _ in range(n)])
+def assert_triangle_points(E, speed, n):
+    assert E.shape == (n, 4)
+    assert ((-1.0 <= E[:, 0]) & (E[:, 0] < 1.0)).all()
+    assert ((-3.0 <= E[:, 1:]) & (E[:, 1:] < 3.0)).all()
+    present = E[:, 1:] - np.outer(E[:, 0], [0.0, 0.0, speed])
+    r = np.linalg.norm(present, axis=1)
+    assert (r >= 0.5 * (1 - _SLACK)).all() and (r <= 4.0 * (1 + _SLACK)).all()
+    assert (np.hypot(present[:, 0], present[:, 1]) >= 0.4 * (1 - _SLACK)).all()
 
 
-def ref_triangle_points(rng, speed, n):
-    pts = []
-    v = np.array([0.0, 0.0, speed])
-    while len(pts) < n:
-        t = rng.uniform(-1.0, 1.0)
-        x = rng.uniform(-3.0, 3.0, size=3)
-        present = x - v * t
-        r = math.sqrt(present.dot(present))
-        if not (0.5 <= r <= 4.0) or math.hypot(present[0], present[1]) < 0.4:
-            continue
-        pts.append([t, *x])
-    return np.array(pts)
+class _Scripted:
+    """A generator whose first block of normals, and of uniforms, starts
+    with rows given by hand; the rest of each block, and every later
+    block, comes from a real stream."""
 
+    def __init__(self, seed, normals=(), uniforms=()):
+        self._rng = np.random.default_rng(seed)
+        self._first = {"normal": np.array(normals, dtype=float).reshape(-1, 3),
+                       "uniform": np.array(uniforms, dtype=float).reshape(-1, 4)}
+        self.blocks = {"normal": 0, "uniform": 0}
 
-def ref_claim1_draws(rng, vectors):
-    D = np.array([(rng.normal(size=3), rng.normal(size=3), rng.uniform(-2.0, 2.0, size=3))
-                  for _ in range(vectors)]).reshape(vectors, 3, 3)
-    return D[:, 0] + 1j * D[:, 1], D[:, 2].ravel()
+    def _block(self, kind, size, draw):
+        self.blocks[kind] += 1
+        block = draw(size)
+        if self.blocks[kind] == 1 and (m := min(len(self._first[kind]), len(block))):
+            block[:m] = self._first[kind][:m]
+        return block
 
+    def standard_normal(self, size):
+        return self._block("normal", size, self._rng.standard_normal)
 
-def assert_same_draws(draw, ref, seed):
-    """draw and ref return equal arrays from generators seeded alike, and
-    leave them in the same state."""
-    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-    got, want = draw(a), ref(b)
-    assert got.dtype == want.dtype
-    assert np.array_equal(got, want)
-    assert a.bit_generator.state == b.bit_generator.state
+    def uniform(self, low, high, size):
+        return self._block("uniform", size, lambda s: self._rng.uniform(low, high, s))
 
 
 _seeds = st.integers(0, 2**64 - 1)
 _sizes = st.integers(1, 300)
 _speeds = st.sampled_from([0.1, 0.5, 0.9])
 
+# normal rows that both direction samplers reject: |v| below 1e-12, on the
+# x3-axis, or 2.5e-4 rad off it
+_NORMALS_REJECTED = np.resize([(0.0, 0.0, 0.0), (2e-13, 0.0, -3e-13), (0.0, 0.0, -1.3),
+                               (1e-4, 2e-4, 0.9)], (300, 3))
+# events inside the shell, outside it, and on or near the axis, all at t = 0
+_EVENTS_REJECTED = np.resize([(0.0, 0.0, 0.0, 0.0), (0.0, 0.2, -0.1, 0.3),
+                              (0.0, 2.9, 2.9, 2.9), (0.0, 0.0, 0.0, 2.0),
+                              (0.0, 0.1, 0.1, -2.0)], (300, 4))
 
-class TestSamplersMatchScalarLoops:
+
+class TestSamplers:
     @given(seed=_seeds, n=_sizes)
     @settings(max_examples=40, deadline=None)
     def test_random_nulls(self, seed, n):
-        assert_same_draws(lambda r: verify._random_nulls(r, n),
-                          lambda r: ref_random_nulls(r, n), seed)
+        A = verify._random_nulls(np.random.default_rng(seed), n)
+        assert_random_nulls(A, n)
+        assert np.array_equal(A, verify._random_nulls(np.random.default_rng(seed), n))
 
     @given(seed=_seeds, n=_sizes)
     @settings(max_examples=40, deadline=None)
     def test_shell_points(self, seed, n):
-        assert_same_draws(lambda r: verify._shell_points(r, n),
-                          lambda r: ref_shell_points(r, n), seed)
+        P = verify._shell_points(np.random.default_rng(seed), n)
+        assert_shell_points(P, n)
+        assert np.array_equal(P, verify._shell_points(np.random.default_rng(seed), n))
 
     @given(seed=_seeds, n=_sizes, speed=_speeds)
     @settings(max_examples=60, deadline=None)
     def test_triangle_points(self, seed, n, speed):
-        assert_same_draws(lambda r: verify._triangle_points(r, speed, n),
-                          lambda r: ref_triangle_points(r, speed, n), seed)
+        E = verify._triangle_points(np.random.default_rng(seed), speed, n)
+        assert_triangle_points(E, speed, n)
+        assert np.array_equal(E, verify._triangle_points(np.random.default_rng(seed), speed, n))
 
     @given(seed=_seeds)
     @settings(max_examples=20, deadline=None)
@@ -110,90 +114,50 @@ class TestSamplersMatchScalarLoops:
             seen.append((F, axes, psis))
             return rows(F, axes, psis)
 
-        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(verify, "claim1_covariance_rows", spy)
-            verify.check_claim1_covariance(a, 1.0, None)
-        F, psis = ref_claim1_draws(b, 100)
-        ((got_F, axes, got_psis),) = seen
-        assert np.array_equal(got_F, np.repeat(F, 3, axis=0))
+            for _ in range(2):
+                verify.check_claim1_covariance(np.random.default_rng(seed), 1.0, None)
+        (F, axes, psis), again = seen
+        assert F.shape == (300, 3) and np.array_equal(F, np.repeat(F[::3], 3, axis=0))
         assert np.array_equal(axes, np.tile((1, 2, 3), 100))
-        assert np.array_equal(got_psis, psis)
-        assert a.bit_generator.state == b.bit_generator.state
+        assert psis.shape == (300,) and ((-2.0 <= psis) & (psis < 2.0)).all()
+        assert all(np.array_equal(a, b) for a, b in zip((F, axes, psis), again))
+
+    @given(seed=_seeds, n=_sizes)
+    @settings(max_examples=20, deadline=None)
+    def test_directions_grow_their_draw(self, seed, n):
+        # every row of the first block fails a guard, so all n rows come
+        # from the blocks drawn after it
+        rng = _Scripted(seed, normals=_NORMALS_REJECTED)
+        assert_random_nulls(verify._random_nulls(rng, n), n)
+        assert rng.blocks["normal"] >= 2
+        rng = _Scripted(seed, normals=_NORMALS_REJECTED)
+        assert_shell_points(verify._shell_points(rng, n), n)
+        assert rng.blocks["normal"] >= 2
 
     @pytest.mark.parametrize("speed", [0.1, 0.5, 0.9])
-    def test_triangle_grows_its_draw(self, monkeypatch, speed):
-        # blocks of 8 rows: 50 points take several blocks, each drawn
-        # after the last, and the replay still stops at the 50th point
-        calls = []
-        accepts = verify._triangle_accepts
-
-        def counting(t, X, s):
-            calls.append(len(t))
-            return accepts(t, X, s)
-
-        monkeypatch.setattr(verify, "_TRIANGLE_ROWS_PER_POINT", 0.0)
-        monkeypatch.setattr(verify, "_triangle_accepts", counting)
-        for seed in (1, 42, 7919):
-            calls.clear()
-            assert_same_draws(lambda r: verify._triangle_points(r, speed, 50),
-                              lambda r: ref_triangle_points(r, speed, 50), seed)
-            assert len(calls) > 5 and set(calls) == {8}
-
-
-def _ref_triangle_accepts(t, x, speed):
-    present = x - np.array([0.0, 0.0, speed]) * t
-    r = math.sqrt(present.dot(present))
-    return 0.5 <= r <= 4.0 and math.hypot(present[0], present[1]) >= 0.4
+    @given(seed=_seeds, n=_sizes)
+    @settings(max_examples=10, deadline=None)
+    def test_triangle_grows_its_draw(self, speed, seed, n):
+        rng = _Scripted(seed, uniforms=_EVENTS_REJECTED)
+        assert_triangle_points(verify._triangle_points(rng, speed, n), speed, n)
+        assert rng.blocks["uniform"] >= 2
 
 
 class TestTriangleGuards:
     def test_rows_on_and_next_to_each_guard(self):
-        # present points exactly on r = 0.5, r = 4 and rho = 0.4, and one
-        # ulp either side; in the last two, np.hypot and math.hypot round
-        # to opposite sides of 0.4 (found by a search over random pairs)
-        rows = []
+        # present points exactly on r = 0.5, r = 4 and rho = 0.4 are kept;
+        # one ulp outside the shell, or nearer the axis, they are not
         for speed, t in ((0.0, 0.0), (0.5, 0.25), (0.9, -0.75)):
-            for p in ((0.5, 0.0, 0.0), (0.0, 4.0, 0.0), (0.4, 0.0, 1.0),
-                      (0.0, 0.4, -2.0), (0.3, 0.4, 0.0),
-                      (0.2671557622285405, 0.2977042134537023, 1.0),
-                      (0.32951254335710867, 0.22676305644952305, -1.0)):
-                i = 0 if p[0] else 1
-                for bump in (-np.inf, p[i], np.inf):
+            for p, i, inward in (((0.5, 0.0, 0.0), 0, np.inf), ((0.0, 4.0, 0.0), 1, -np.inf),
+                                 ((0.4, 0.0, 1.0), 0, np.inf), ((0.0, 0.4, -2.0), 1, np.inf)):
+                for bump, kept in ((-inward, False), (p[i], True), (inward, True)):
                     x = list(p)
                     x[i] = np.nextafter(p[i], bump)
                     x[2] += speed * t
-                    rows.append((speed, t, x))
-        for speed, t, x in rows:
-            got = verify._triangle_accepts(np.array([t]), np.array([x]), speed)
-            assert got[0] == _ref_triangle_accepts(t, np.array(x), speed), (speed, t, x)
-
-
-class _ScriptedNormals:
-    """A generator whose first normal triples are given by hand, and which
-    then draws from a real stream; it serves both the reference loops'
-    calls and the samplers' calls."""
-
-    def __init__(self, seed, triples):
-        self._rng = np.random.default_rng(seed)
-        self._triples = [np.array(k, dtype=float) for k in triples]
-
-    def _next(self):
-        return self._triples.pop(0) if self._triples else self._rng.standard_normal(3)
-
-    def normal(self, size):
-        assert size == 3
-        return self._next()
-
-    def standard_normal(self, out):
-        out[...] = self._next()
-        return out
-
-    def uniform(self, lo, hi):
-        return self._rng.uniform(lo, hi)
-
-    def random(self):
-        return self._rng.random()
+                    got = verify._triangle_accepts(np.array([[t, *x]]), speed)
+                    assert got.tolist() == [kept], (speed, t, x)
 
 
 class TestRedrawPredicates:
@@ -212,23 +176,42 @@ class TestRedrawPredicates:
     @pytest.mark.parametrize("seed", [0, 1, 2024])
     def test_null_sampler_redraws(self, seed):
         triples = [*self.NULL_REDRAWS, self.KEPT, self.NULL_REDRAWS[0], self.KEPT]
-        got = verify._random_nulls(_ScriptedNormals(seed, triples), 6)
-        want = ref_random_nulls(_ScriptedNormals(seed, triples), 6)
-        assert np.array_equal(got, want)
+        got = verify._random_nulls(_Scripted(seed, normals=triples), 6)
+        assert_random_nulls(got, 6)
         # the first two points are the hand-made direction, rescaled
         k = np.array(self.KEPT) / np.linalg.norm(self.KEPT)
         for row in got[:2]:
             np.testing.assert_allclose(row[1:] / row[0], k, rtol=1e-15)
+        for v in self.NULL_REDRAWS:
+            assert not np.isclose(got[:, 1:] / got[:, :1], v / np.linalg.norm(v)).all(axis=1).any()
 
     @pytest.mark.parametrize("seed", [0, 1, 2024])
     def test_shell_sampler_redraws(self, seed):
         triples = [*self.SHELL_REDRAWS, self.KEPT, self.SHELL_REDRAWS[1], self.KEPT]
-        got = verify._shell_points(_ScriptedNormals(seed, triples), 6)
-        want = ref_shell_points(_ScriptedNormals(seed, triples), 6)
-        assert np.array_equal(got, want)
+        got = verify._shell_points(_Scripted(seed, normals=triples), 6)
+        assert_shell_points(got, 6)
         k = np.array(self.KEPT) / np.linalg.norm(self.KEPT)
         for row in got[:2]:
             np.testing.assert_allclose(row / np.linalg.norm(row), k, rtol=1e-15)
+        unit = got / np.linalg.norm(got, axis=1)[:, None]
+        for v in self.SHELL_REDRAWS:
+            assert not np.isclose(unit, v / np.linalg.norm(v)).all(axis=1).any()
+
+
+# the families whose points are drawn from the seed
+SEEDED = ("zeta-invariance", "rest-charge-field", "uniform-motion-triangle",
+          "wave-residual", "claim1-covariance")
+
+
+def test_seeded_families_keep_a_margin_over_100_seeds():
+    # over seeds 0-1499 the worst deviation / tolerance was 0.48, in
+    # rest-charge-field; each family must pass well inside its tolerance
+    worst = dict.fromkeys(SEEDED, 0.0)
+    for seed in range(100):
+        for r in verify.run_checks(SEEDED, seed=seed).results:
+            assert r.passed, (seed, r)
+            worst[r.name] = max(worst[r.name], r.max_deviation / r.tolerance)
+    assert max(worst.values()) < 0.9, worst
 
 
 class TestFamilyContract:
