@@ -484,9 +484,9 @@ def _a2_roots(line: WorldLine, stack: _PathStack) -> np.ndarray:
     vanish, else 1. On a segment through R with unit velocity u, Q = D - s u
     (D = x - R, s = D.u) is affine in t and a = Q + r u, r^2 = s^2 - D.D:
     a2 = Q2 + u2 r is 0 only where the quadratic f = u2^2 r^2 - Q2^2 is. A
-    sampled line gives the roots of its K segments (rows of D, s and r^2)
-    that lie where the retarded point is on that segment, at proper time
-    s - r past R. On an edge in a2 = 0, where f = 0, those of a1 stand in."""
+    sampled line gives, per segment (rows of D, s and r^2), the roots where
+    the retarded point, s - r past R in proper time, lies on that segment.
+    On an edge in a2 = 0, where f = 0, those of a1 (the axis) stand in."""
     R, U = _segment_frames(line)
     P, W, i0, i1 = stack.points, METRIC_SIGNS * U, stack.edges, stack.ends
     D = [P[:, m] - R[:, m, None] for m in range(4)]
