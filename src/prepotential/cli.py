@@ -70,8 +70,11 @@ def _write_table(header, rows, fmt: str, path: str | None, kind: str) -> None:
         text = json.dumps(doc, indent=2) + "\n"
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         FsPath(path).write_text(text, newline="")
+    except OSError as exc:
+        raise ScenarioError(f"cannot write output {path}: {exc.strerror or exc}") from exc
 
 
 GRID_HEADER = [
@@ -109,7 +112,17 @@ def _cmd_field_grid(scenario: Scenario, fmt: str, out: str | None) -> int:
 VERIFY_HEADER = ["check", "max_deviation", "tolerance", "passed", "seconds", "detail"]
 
 
+def _require_closed_loops(scenario: Scenario) -> None:
+    """ScenarioError naming the first open loop: a phase is measured round
+    a closed loop only."""
+    for i, loop in enumerate(scenario.loops):
+        if not loop.closed:
+            raise ScenarioError(f"loops[{i}]: the loop phase needs a closed loop")
+
+
 def _cmd_verify(scenario, checks, seed, tol_scale, fmt, out) -> int:
+    if scenario is not None and "loop-phase" in checks:
+        _require_closed_loops(scenario)
     try:
         report = run_checks(checks, seed=seed, tolerance_scale=tol_scale,
                             scenario=scenario)
@@ -135,6 +148,9 @@ LOOP_HEADER = [
 
 
 def _cmd_loop_phase(scenario: Scenario, fmt: str, out: str | None) -> int:
+    if not scenario.loops:
+        raise ScenarioError("loop-phase requires a non-empty 'loops' list in the scenario")
+    _require_closed_loops(scenario)
     rows = []
     had_error = False
     nan = float("nan")

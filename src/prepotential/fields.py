@@ -134,7 +134,8 @@ class ScalarField:
 # plain-central optimum near eps**(1/4).
 SECOND_STEP_FACTOR = 2e-3
 
-# Step factor for the plain (non-extrapolated) diagonal residual stencils.
+# Step factor for the residual stencils, which read the diagonal of the
+# plain (non-extrapolated) stencil Hessian.
 RESIDUAL_STEP_FACTOR = 2e-4
 
 _BASIS = np.eye(4)
@@ -167,33 +168,6 @@ def _steps(field: ScalarField, X: np.ndarray, step: float | None, factor: float)
         raise SingularStencilError(f"no usable stencil scale at {_where(X)}: {exc}") from exc
 
 
-def _stencil_deltas(field: ScalarField, X: np.ndarray, h: np.ndarray,
-                    crosses: bool) -> np.ndarray:
-    """The stencil pairs' deltas round each row of X at its step h (N,),
-    from one field.delta call over their distinct events: the 8 diagonal
-    pairs (N, 8), or with the crosses all 20 (N, 20). A failing stencil
-    event raises SingularStencilError; StepTooLargeError passes
-    unchanged."""
-    C = X[:, None, :]
-    E = h[:, None, None] * _BASIS
-    parts = [C, C + E, C - E]
-    if crosses:
-        plus, minus, En = parts[1][:, _M], parts[2][:, _M], E[:, _N]
-        parts += [plus + En, plus - En, minus + En, minus - En]
-    events = np.concatenate(parts, axis=1)
-    n, k = events.shape[:2]
-    offsets = k * np.arange(n)[:, None]
-    pairs = 20 if crosses else 8
-    try:
-        d = field.delta(events.reshape(n * k, 4), (offsets + _PAIR_B[:pairs]).ravel(),
-                        (offsets + _PAIR_A[:pairs]).ravel())
-    except StepTooLargeError:
-        raise
-    except PrepotentialError as exc:
-        raise SingularStencilError(f"stencil point failed near {_where(X)}: {exc}") from exc
-    return d.reshape(n, pairs)
-
-
 def _first_failing_point(stencil: Callable[[np.ndarray], np.ndarray], X) -> np.ndarray:
     """stencil(X) over an (N, 4) array of centres. When the batch fails,
     the points are rerun one at a time, so the error raised is the one the
@@ -210,11 +184,26 @@ def _first_failing_point(stencil: Callable[[np.ndarray], np.ndarray], X) -> np.n
 
 
 def _hessian_level(field: ScalarField, X: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """The plain Hessians (N, 4, 4) at step h (N,) from one field.delta
-    call."""
-    d = _stencil_deltas(field, X, h, crosses=True)
+    """The plain central-difference Hessians (N, 4, 4) round each row of X
+    at its step h (N,), from one field.delta call over the stencil's 33
+    distinct events per row. A failing stencil event raises
+    SingularStencilError; StepTooLargeError passes unchanged."""
+    C = X[:, None, :]
+    E = h[:, None, None] * _BASIS
+    plus, minus = C + E, C - E
+    pm, mm, En = plus[:, _M], minus[:, _M], E[:, _N]
+    events = np.concatenate([C, plus, minus, pm + En, pm - En, mm + En, mm - En], axis=1)
+    n, k = events.shape[:2]
+    offsets = k * np.arange(n)[:, None]
+    try:
+        d = field.delta(events.reshape(n * k, 4), (offsets + _PAIR_B).ravel(),
+                        (offsets + _PAIR_A).ravel()).reshape(n, len(_PAIR_B))
+    except StepTooLargeError:
+        raise
+    except PrepotentialError as exc:
+        raise SingularStencilError(f"stencil point failed near {_where(X)}: {exc}") from exc
     h2 = (h * h)[:, None]
-    H = np.empty((len(X), 4, 4), dtype=complex)
+    H = np.empty((n, 4, 4), dtype=complex)
     H[:, _DIAG, _DIAG] = (d[:, 0:4] + d[:, 4:8]) / h2
     H[:, _M, _N] = H[:, _N, _M] = (d[:, 8:14] - d[:, 14:20]) / (4.0 * h2)
     return H
@@ -338,38 +327,23 @@ def faraday_from_A(
 _DENOM_FLOOR = 1e-12
 
 
-def _faraday_uniform_rows(q: float, A: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Field 3-vectors (N, 3) of a uniformly moving charge from the
-    retarded null vectors A (N, 4) and the 4-velocities U (N, 4); raises
-    for the first row whose a is not null, whose u.u is not 1 or whose
-    a.u is not positive."""
-    amax = np.abs(A).max(axis=1)
-    aa = _mdot_rows(A, A)
-    uu = _mdot_rows(U, U)
-    au = _mdot_rows(A, U)
-    not_null = np.abs(aa) > NULL_TOL * amax**2
-    not_unit = np.abs(uu - 1.0) > 1e-9
-    degenerate = au <= _DENOM_FLOOR * amax
-    bad = not_null | not_unit | degenerate
-    if bad.any():
-        i = int(np.argmax(bad))
-        if not_null[i]:
-            raise NotNullError("a must be null")
-        if not_unit[i]:
-            raise ValueError("u must satisfy u.u = 1")
-        raise DegenerateDenominatorError(
-            f"a.u = {au[i]:.3e} is not positive at scale {amax[i]:.3e}"
-        )
-    return _velocity_fields(q, A, U)
-
-
 def faraday_uniform(q: float, a, u) -> FaradayVector:
     """Field of a uniformly moving charge directly from the retarded null
     vector a and the 4-velocity u: F_j = cal * q * a_mu rho^j[mu,nu] u^nu
-    / (a.u)^3."""
+    / (a.u)^3. Raises NotNullError unless a is null, ValueError unless
+    u.u = 1, and DegenerateDenominatorError unless a.u is positive."""
     av = a.as_array() if isinstance(a, FourVector) else np.asarray(a, dtype=float)
     uv = u.as_array() if isinstance(u, FourVector) else np.asarray(u, dtype=float)
-    return FaradayVector.from_array(_faraday_uniform_rows(q, av[None], uv[None])[0])
+    A, U = av[None], uv[None]
+    amax = np.abs(av).max()
+    au = _mdot_rows(A, U)[0]
+    if abs(_mdot_rows(A, A)[0]) > NULL_TOL * amax**2:
+        raise NotNullError("a must be null")
+    if abs(_mdot_rows(U, U)[0] - 1.0) > 1e-9:
+        raise ValueError("u must satisfy u.u = 1")
+    if au <= _DENOM_FLOOR * amax:
+        raise DegenerateDenominatorError(f"a.u = {au:.3e} is not positive at scale {amax:.3e}")
+    return FaradayVector.from_array(_velocity_fields(q, A, U)[0])
 
 
 def coulomb_oracle(q: float, xvec3) -> FaradayVector:
@@ -420,13 +394,14 @@ def _diagonal_partials(
     field: ScalarField, X, step: float | None
 ) -> np.ndarray:
     """The plain second partials S_{,mu mu} (N, 4) at each row of an
-    (N, 4) array of events, from one field.scale and one field.delta
-    call."""
+    (N, 4) array of events: the diagonal of the plain stencil Hessian at
+    the residual step. The cross events are evaluated too, so with a large
+    explicit step a cross event can fail where the diagonal ones would
+    not."""
 
     def stencil(X):
         h = _steps(field, X, step, RESIDUAL_STEP_FACTOR)
-        d = _stencil_deltas(field, X, h, crosses=False)
-        return (d[:, :4] + d[:, 4:]) / (h * h)[:, None]
+        return _hessian_level(field, X, h)[:, _DIAG, _DIAG]
 
     return _first_failing_point(stencil, X)
 

@@ -294,10 +294,16 @@ def parse_scenario(doc: dict) -> Scenario:
 
 def load_scenario(path: str | FsPath) -> Scenario:
     p = FsPath(path)
-    if not p.exists():
-        raise ScenarioError(f"scenario file not found: {p}")
     try:
-        doc = json.loads(p.read_text())
+        text = p.read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise ScenarioError(f"scenario file not found: {p}") from exc
+    except OSError as exc:
+        raise ScenarioError(f"cannot read scenario file {p}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{p}: not UTF-8 text at byte {exc.start}") from exc
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{p}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     return parse_scenario(doc)

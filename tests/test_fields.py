@@ -49,7 +49,7 @@ from prepotential import (
     vacuum_maxwell_residual,
     wave_residual,
 )
-from prepotential.fields import _contract_dA, _diagonal_partials
+from prepotential.fields import RESIDUAL_STEP_FACTOR, _contract_dA, _diagonal_partials
 from prepotential.matrices import METRIC
 from prepotential.spacetime import METRIC_SIGNS
 
@@ -255,6 +255,12 @@ class TestFaradayUniform:
     def test_rejects_nonpositive_cone_denominator(self):
         with pytest.raises(DegenerateDenominatorError):
             faraday_uniform(1.0, V(-1, 1, 0, 0), V(1, 0, 0, 0))
+
+    def test_rejects_non_unit_velocity(self):
+        # a is null and a.u positive, so only the u.u check can fire
+        with pytest.raises(ValueError, match=r"u\.u = 1") as info:
+            faraday_uniform(1.0, V(1, 1, 0, 0), V(2, 0, 0, 0))
+        assert type(info.value) is ValueError
 
 
 class TestOracles:
@@ -557,6 +563,34 @@ class TestStencilRows:
             assert type(info.value) is type(first)
             assert isinstance(first, (SingularStencilError, StepTooLargeError))
             assert str(info.value) == str(first)
+
+
+def _plain_diagonal(field, x, step):
+    """S_{,mu mu} (4,) at x from the plain central second differences of
+    field.delta over the 9 events x and x +- h e_mu, h the residual step:
+    the reference for the residual stencils."""
+    X = x.as_array()[None]
+    h = step if step is not None else RESIDUAL_STEP_FACTOR * field.scale(X)[0]
+    E = h * np.eye(4)
+    d = field.delta(np.vstack([X, X + E, X - E]), np.arange(1, 9), np.zeros(8, dtype=np.intp))
+    return (d[:4] + d[4:]) / (h * h)
+
+
+@pytest.mark.parametrize("kind", ["rest", "uniform", "sampled"])
+@pytest.mark.parametrize("step", [None, 0.05])
+def test_residuals_are_plain_central_differences(kind, step):
+    # the residuals read the diagonal of the full 33-event stencil; on
+    # events 0.3 rad or more off the axis its values equal the 9-event
+    # diagonal stencil's bit for bit
+    field, _, event = _field_of_kind(kind, (0.3, -0.2, 0.5))
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        sight = (rng.uniform(-1.5, 1.5), rng.uniform(0.5, 3.0),
+                 rng.uniform(0.3, math.pi - 0.3), rng.uniform(0.0, 2 * math.pi))
+        x = FourVector.from_array(_sighted(event, *sight))
+        D = _plain_diagonal(field, x, step)
+        assert wave_residual(field, x, step) == complex(D[0] - D[1] - D[2] - D[3])
+        assert vacuum_maxwell_residual(field, x, step) == complex(D[1] + D[2] + D[3])
 
 
 _HYPERBOLIC_G = 0.5
