@@ -13,6 +13,7 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from collections import Counter
 from pathlib import Path as FsPath
@@ -74,7 +75,29 @@ def _write_table(header, rows, fmt: str, path: str | None, kind: str) -> None:
     try:
         FsPath(path).write_text(text, newline="")
     except OSError as exc:
-        raise ScenarioError(f"cannot write output {path}: {exc.strerror or exc}") from exc
+        raise _unwritable(path, exc) from exc
+
+
+def _unwritable(path: str, exc: OSError) -> ScenarioError:
+    return ScenarioError(f"cannot write output {path}: {exc.strerror or exc}")
+
+
+def _probe_output(path: str | None) -> None:
+    """Fail before any evaluation when the output file cannot be opened
+    for writing. An existing file is opened for appending, which keeps its
+    contents; a missing one is created and removed again."""
+    if path is None:
+        return
+    try:
+        try:
+            os.close(os.open(path, os.O_WRONLY | os.O_APPEND))
+        except FileNotFoundError:
+            # a new file, perhaps behind a dangling symbolic link
+            target = os.path.realpath(path)
+            os.close(os.open(target, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+            os.remove(target)
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
 
 
 GRID_HEADER = [
@@ -243,6 +266,7 @@ def main(argv=None) -> int:
         out = args.out if args.out is not None else (
             scenario.output.path if scenario else None
         )
+        _probe_output(out)
 
         if args.command == "field-grid":
             return _cmd_field_grid(scenario, fmt, out)

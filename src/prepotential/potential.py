@@ -104,7 +104,9 @@ def _zeta_quotients(A):
     scale = _reduce_rows(np.maximum, sq) ** 2
     if (scale == 0.0).any():
         raise NotNullError("zero vector has no invariant ratio")
-    nn = np.abs(_mdot_rows(A, A))
+    # a.a component by component: numpy runs each product along the N
+    # rows, where _mdot_rows's einsum runs along rows of 4, at half the speed
+    nn = np.abs(A[:, 0] * A[:, 0] - A[:, 1] * A[:, 1] - A[:, 2] * A[:, 2] - A[:, 3] * A[:, 3])
     if (nn > NULL_TOL * scale).any():
         i = int(np.argmax(nn > NULL_TOL * scale))
         raise NotNullError(f"vector is not null: |a.a| = {nn[i]:.3e} at scale {scale[i]:.3e}")

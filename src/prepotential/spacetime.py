@@ -143,16 +143,7 @@ class SampledLine:
     def __post_init__(self):
         if len(self.taus) != len(self.events) or len(self.events) < 2:
             raise ValueError("sampled line needs >= 2 (tau, event) pairs")
-        for k in range(len(self.events) - 1):
-            if not self.taus[k + 1] > self.taus[k]:
-                raise ValueError("sample parameters must be strictly increasing")
-            d = self.events[k + 1].as_array() - self.events[k].as_array()
-            if d[0] <= 0:
-                raise ValueError("sampled events must be strictly increasing in x0")
-            if minkowski_dot(d, d) <= 0:
-                raise ValueError(
-                    f"consecutive samples {k}..{k + 1} are not timelike-separated"
-                )
+        self.segments  # builds the knot arrays, raising for the first bad pair
 
     @cached_property
     def segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -160,10 +151,21 @@ class SampledLine:
         4-velocity (K-1, 4) and the line parameter per unit proper time
         (K-1,)."""
         taus = np.array(self.taus, dtype=float)
-        E = np.array([e.as_array() for e in self.events])
-        dE = np.diff(E, axis=0)
-        norm = np.sqrt(_mdot_rows(dE, dE))
-        return taus, E, dE / norm[:, None], np.diff(taus) / norm
+        E = np.array([(e.x0, e.x1, e.x2, e.x3) for e in self.events])
+        dtau, dE = np.diff(taus), np.diff(E, axis=0)
+        norm2 = _mdot_rows(dE, dE)
+        # per consecutive pair, which of the three rules it breaks; the
+        # first bad pair reports the first rule it breaks
+        broken = np.stack([~(dtau > 0.0), dE[:, 0] <= 0.0, norm2 <= 0.0])
+        if broken.any():
+            k = int(np.argmax(broken.any(axis=0)))
+            raise ValueError((
+                "sample parameters must be strictly increasing",
+                "sampled events must be strictly increasing in x0",
+                f"consecutive samples {k}..{k + 1} are not timelike-separated",
+            )[int(np.argmax(broken[:, k]))])
+        norm = np.sqrt(norm2)
+        return taus, E, dE / norm[:, None], dtau / norm
 
 
 WorldLine = Union[RestLine, UniformLine, SampledLine]
@@ -197,8 +199,18 @@ _E0 = np.array([1.0, 0.0, 0.0, 0.0])
 
 def _mdot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise minkowski_dot of (N, 4) arrays, real or complex; each row's
-    result does not depend on the other rows."""
+    result does not depend on the other rows. On real rows it gives the
+    bits of the column forms (_mdot_cols, and the component sum in
+    potential._zeta_quotients); on complex rows those may differ from it
+    in the last ulp, and only that null check reads complex rows."""
     return np.einsum("ij,ij,j->i", a, b, METRIC_SIGNS)
+
+
+def _mdot_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """minkowski_dot of the columns of (4, N) arrays, either of which may
+    be one (4, 1) column: numpy's inner loop runs along N, about twice as
+    fast as _mdot_rows's along rows of 4 at N = 4880."""
+    return np.einsum("ij,ij,i->j", a, b, METRIC_SIGNS)
 
 
 def _sampled_segments(line: SampledLine, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -263,22 +275,30 @@ def retarded_rows(
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != 4:
         raise ValueError(f"expected an (N, 4) array of events, got shape {X.shape}")
+    # the arithmetic runs on contiguous (4, N) component columns: D becomes
+    # P in place, and T holds each product with U, so that a call allocates
+    # three (4, N) arrays (D, T and A)
+    D = X.T.copy()
     if isinstance(line, SampledLine):
         k, failure = _sampled_segments(line, X)
         taus, E, seg_u, seg_rate = line.segments
-        R, t, rate, U = E[k], taus[k], seg_rate[k], seg_u[k]
+        t, rate, U = taus[k], seg_rate[k], seg_u[k]
+        R, W = np.take(E.T, k, axis=1), np.ascontiguousarray(U.T)
     else:
         (R,), (U,) = _segment_frames(line)
         t, rate, failure = 0.0, 1.0, np.zeros(len(X), dtype=np.int8)
-    U = np.broadcast_to(U, X.shape)  # rest and uniform lines: one row, viewed N times
-    D = X - R
-    s = _mdot_rows(D, U)
-    P = D - U * s[:, None]
-    P -= U * _mdot_rows(P, U)[:, None]
-    r2 = -_mdot_rows(P, P)  # squared rest-frame distance, >= 0
+        R, W = R[:, None], U[:, None]
+        U = np.broadcast_to(U, X.shape)  # one row, viewed N times
+    D -= R
+    s = _mdot_cols(D, W)
+    T = W * s
+    D -= T
+    D -= np.multiply(W, _mdot_cols(D, W), out=T)
+    r2 = -_mdot_cols(D, D)  # squared rest-frame distance, >= 0
     failure[(failure == 0) & (r2 < _ON_LINE_FLOOR**2 * np.maximum(1.0, s * s))] = ON_LINE
     r = np.sqrt(np.maximum(r2, 0.0))
-    A = P + U * r[:, None]
+    A = np.empty(X.shape)  # C-ordered, as the row code downstream expects
+    np.add(D, np.multiply(W, r, out=T), out=A.T)
     tau = t + rate * (s - r)
     if failure.any():
         A[failure != 0] = np.nan

@@ -192,6 +192,57 @@ def test_field_grid_golden_bytes(tmp_path, capsys, name, fmt):
     assert GOLDEN_GRID_SUMMARY[name] in capsys.readouterr().err
 
 
+def _near_axis_polygon(i: int) -> list:
+    """A polygon whose first edge runs 10^-(3+i) above the axis of a rest
+    charge at (0.2, 0.1), closed by 2 + i % 3 vertices below it."""
+    gap = 10.0 ** -(3 + i)
+    below = [[0.2 + 1.1 * math.cos(t), -0.1 - 0.8 * math.sin(t)]
+             for t in np.linspace(0.3, math.pi - 0.3, 2 + i % 3)]
+    verts = [[1.1 - 0.1 * i, 0.1 + gap], [-0.4 - 0.1 * i, 0.1 + gap]] + below[::-1]
+    return [[0.0, x1, x2, 0.4] for x1, x2 in verts]
+
+
+# A rest, a uniform and a 5-knot sampled charge; five circles, each round
+# some of them, and four polygons with an edge near the rest charge's axis.
+_KNOTS = [[-12.0, -3.0, 0.5, 0.0], [-8.0, -1.8, 0.6, 0.0], [-4.0, -0.4, 0.9, 0.1],
+          [-1.5, 0.3, 1.6, 0.1], [1.0, 0.5, 2.5, 0.0]]
+MIXED_LOOPS = {
+    "version": 1,
+    "charges": [
+        {"q": 1.0, "line": {"kind": "rest", "position": [0.2, 0.1, 0.0]}},
+        {"q": -0.7, "line": {"kind": "uniform", "event": [0.0, -1.0, 1.0, 0.0],
+                             "velocity": [0.2, -0.1, 0.4]}},
+        {"q": 1.3, "line": {"kind": "sampled", "taus": [k[0] for k in _KNOTS],
+                            "events": _KNOTS}},
+    ],
+    "loops": [{"kind": "circle", "center": [x1, x2, 0.4], "radius": r, "turns": turns,
+               "samples": 48}
+              for x1, x2, r, turns in [(0.0, 0.0, 1.0, 1), (0.5, 0.5, 2.5, -1),
+                                       (-1.0, 1.0, 0.7, 2), (3.0, -2.0, 0.5, 1),
+                                       (0.4, 1.9, 0.6, -1)]]
+             + [{"kind": "points", "events": _near_axis_polygon(i)} for i in range(4)],
+}
+
+# sha256 of the loop-phase CSV, recorded before the Minkowski dots of the
+# retarded solve and the zeta quotient moved from rows of 4 to columns
+GOLDEN_LOOPS_SHA256 = {
+    "rest_charge": "3899a2882876282f752c09966f5dc7f727da269a6481d6490916fab305a42e2a",
+    "mixed_loops": "478959ad4348d4a1fe79a297bea6d82f14c89c5a59bfead617bf92ea2437f387",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_LOOPS_SHA256))
+def test_loop_phase_golden_bytes(tmp_path, name):
+    if name == "mixed_loops":
+        scen = tmp_path / "loops.json"
+        scen.write_text(json.dumps(MIXED_LOOPS))
+    else:
+        scen = bundled_scenario_path(name)
+    out = tmp_path / "loops.csv"
+    assert main(["loop-phase", "--scenario", str(scen), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_LOOPS_SHA256[name]
+
+
 class TestFieldGridAccuracy:
     """Cells where the stencil Hessian gave wrong unmasked fields."""
 
@@ -460,6 +511,42 @@ class TestExitCodes:
         assert out == "" and ran == []
         assert err.startswith("configuration error: ") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["field-grid", "--scenario", REST],
+        ["verify", "--checks", "matrix-relations,wave-residual"],
+        ["loop-phase", "--scenario", REST],
+        ["relations-dump"],
+    ], ids=["field-grid", "verify", "loop-phase", "relations-dump"])
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_out_fails_before_any_evaluation(self, tmp_path, capsys,
+                                                        monkeypatch, argv, target):
+        # the path is checked before anything is evaluated, not after
+        called = []
+        for name in ("run_checks", "prepotential_jets", "ab_phase_reports",
+                     "validate_relations"):
+            monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: called.append(_name))
+        out = tmp_path / "missing" / "out.csv" if target == "missing-dir" else tmp_path
+        assert main(argv + ["--out", str(out)]) == 2
+        assert called == []
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith(f"configuration error: cannot write output {out}: ")
+
+    def test_output_probe_keeps_an_existing_file(self, tmp_path):
+        # a run that stops at a configuration error after the output check
+        # leaves an existing file as it was, and creates none, also behind
+        # a symbolic link to a file that does not exist yet
+        old, new, link = tmp_path / "old.csv", tmp_path / "new.csv", tmp_path / "link.csv"
+        old.write_text("kept\n")
+        link.symlink_to(new)
+        for out in (old, new, link):
+            assert main(["loop-phase", "--scenario", UNIFORM, "--out", str(out)]) == 2
+        assert old.read_text() == "kept\n"
+        assert not new.exists() and link.is_symlink()
+        # and a run that succeeds writes through the link
+        assert main(["relations-dump", "--out", str(link)]) == 0
+        assert new.read_text().startswith("relation,")
 
     def test_open_loop_is_not_an_aborted_family(self):
         loop = potential.Path(np.array([[0, 1, 0, 0.5], [0, 0, 1, 0.5], [0, -1, 0, 0.5]]),

@@ -22,8 +22,28 @@ from prepotential import (
     minkowski_dot,
     retarded_null_vector,
 )
-from prepotential.errors import BEFORE_RANGE, BEYOND_RANGE, ON_LINE, ROW_FAILURES
-from prepotential.spacetime import retarded_null_vectors, retarded_rows
+from prepotential.errors import (
+    BEFORE_RANGE,
+    BEYOND_RANGE,
+    ON_AXIS,
+    ON_LINE,
+    ROW_FAILURES,
+    NotNullError,
+)
+from prepotential.potential import (
+    NULL_TOL,
+    SINGULAR_AXIS_FLOOR,
+    _reduce_rows,
+    _zeta_quotients,
+)
+from prepotential.spacetime import (
+    _ON_LINE_FLOOR,
+    _mdot_rows,
+    _sampled_segments,
+    _segment_frames,
+    retarded_null_vectors,
+    retarded_rows,
+)
 
 
 def V(*c):
@@ -203,6 +223,34 @@ class TestRetardedSampled:
             SampledLine((0.0, 1.0), (e0, V(0.5, 2.0, 0, 0)))  # spacelike step
         with pytest.raises(ValueError):
             SampledLine((0.0, 1.0), (e1, e0))  # decreasing x0
+
+    @pytest.mark.parametrize("k", [0, 3, 6])
+    @pytest.mark.parametrize("rule, message", [
+        ("tau", "sample parameters must be strictly increasing"),
+        ("x0", "sampled events must be strictly increasing in x0"),
+        ("timelike", "consecutive samples {k}..{k1} are not timelike-separated"),
+    ])
+    def test_first_bad_pair_names_its_rule(self, k, rule, message):
+        # 8 knots, pairs 0..6; pair k breaks `rule`, and for k < 6 the last
+        # pair breaks every rule, which must not be the one reported
+        taus = [float(t) for t in range(8)]
+        knots = [[float(t), 0.1 * t, 0.0, 0.0] for t in range(8)]
+
+        def spoil(j, rule):
+            if rule == "tau":
+                taus[j + 1] = taus[j]
+            elif rule == "x0":
+                knots[j + 1][0] = knots[j][0] - 0.5
+            else:
+                knots[j + 1][2] = 2.0
+
+        if k < 6:
+            for other in ("tau", "x0", "timelike"):
+                spoil(6, other)
+        spoil(k, rule)
+        with pytest.raises(ValueError) as info:
+            SampledLine(tuple(taus), tuple(V(*e) for e in knots))
+        assert str(info.value) == message.format(k=k, k1=k + 1)
 
 
 class TestWorldLineValidation:
@@ -513,3 +561,161 @@ class TestRetardedBatch:
         with pytest.raises(type(expected)) as info:
             retarded_null_vectors(line, np.array(good))
         assert type(info.value) is type(expected)
+
+
+def _row_retarded_rows(line, X):
+    """retarded_rows computed on (N, 4) rows, as before the solve moved to
+    (4, N) component columns: the oracle the column form matches bit for
+    bit."""
+    X = np.asarray(X, dtype=float)
+    if isinstance(line, SampledLine):
+        k, failure = _sampled_segments(line, X)
+        taus, E, seg_u, seg_rate = line.segments
+        R, t, rate, U = E[k], taus[k], seg_rate[k], seg_u[k]
+    else:
+        (R,), (U,) = _segment_frames(line)
+        t, rate, failure = 0.0, 1.0, np.zeros(len(X), dtype=np.int8)
+    U = np.broadcast_to(U, X.shape)
+    D = X - R
+    s = _mdot_rows(D, U)
+    P = D - U * s[:, None]
+    P -= U * _mdot_rows(P, U)[:, None]
+    r2 = -_mdot_rows(P, P)
+    failure[(failure == 0) & (r2 < _ON_LINE_FLOOR**2 * np.maximum(1.0, s * s))] = ON_LINE
+    r = np.sqrt(np.maximum(r2, 0.0))
+    A = P + U * r[:, None]
+    tau = t + rate * (s - r)
+    if failure.any():
+        A[failure != 0] = np.nan
+        tau[failure != 0] = np.nan
+    return tau, A, U, failure
+
+
+def _row_zeta_quotients(A):
+    """_zeta_quotients with a.a summed along rows of 4 by _mdot_rows, as
+    before its null check summed it column by column: the oracle the
+    column form matches bit for bit."""
+    A = np.asarray(A)
+    sq = np.abs(A)
+    scale = _reduce_rows(np.maximum, sq) ** 2
+    if (scale == 0.0).any():
+        raise NotNullError("zero vector has no invariant ratio")
+    nn = np.abs(_mdot_rows(A, A))
+    if (nn > NULL_TOL * scale).any():
+        i = int(np.argmax(nn > NULL_TOL * scale))
+        raise NotNullError(f"vector is not null: |a.a| = {nn[i]:.3e} at scale {scale[i]:.3e}")
+    sq *= sq
+    on_axis = sq[:, 1] + sq[:, 2] < SINGULAR_AXIS_FLOOR * (sq[:, 0] + sq[:, 3])
+    den1 = A[:, 0] + A[:, 3]
+    den2 = A[:, 1] + 1j * A[:, 2]
+    first = np.abs(den1) >= np.abs(den2)
+    num = np.where(first, A[:, 1] - 1j * A[:, 2], A[:, 0] - A[:, 3])
+    den = np.where(first, den1, den2)
+    failure = on_axis.astype(np.int8)
+    if failure.any():
+        num[on_axis] = den[on_axis] = np.nan
+        failure *= ON_AXIS
+    return num, den, (~first).astype(np.intp), failure
+
+
+def _laid_out(X, layout):
+    """X as a C-ordered array, an F-ordered array, or every second row of
+    a twice as long array."""
+    if layout == "C":
+        return np.ascontiguousarray(X)
+    if layout == "F":
+        return np.asfortranarray(X)
+    X2 = np.full((2 * len(X), X.shape[1]), 7.0, dtype=X.dtype)
+    X2[::2] = X
+    return X2[::2]
+
+
+def _on_axis(line, at, d):
+    """An event d past the line's point at `at` along (1, 0, 0, +-1): its
+    retarded vector lies on the singular axis a1 = a2 = 0."""
+    if isinstance(line, RestLine):
+        e = np.array([at, *line.position])
+    elif isinstance(line, UniformLine):
+        e = line.reference_event.as_array() + at * line.velocity_u.as_array()
+    else:
+        e = _on_line(line, at)
+    return e + np.array([abs(d), 0.0, 0.0, d])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotNullError as exc:
+        return exc
+
+
+def _assert_same_bits(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+class TestColumnKernels:
+    """The retarded solve computes on (4, N) component columns, and the
+    zeta quotient sums a.a column by column; both give every bit, NaN and
+    failure code of their row forms, whatever the memory layout of the
+    input."""
+
+    @given(
+        kind=st.sampled_from(["rest", "uniform", "sampled"]),
+        v3=_speeds,
+        turn=st.floats(-0.4, 0.4),
+        events=st.lists(_events, min_size=0, max_size=10),
+        on_line=st.integers(0, 3),
+        axis=st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-3.0, 3.0)), max_size=3),
+        layout=st.sampled_from(["C", "F", "strided"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_the_row_form(self, kind, v3, turn, events, on_line, axis, layout):
+        line, on = _line(kind, v3, turn)
+        rows = list(events) + on[:on_line] + [_on_axis(line, at, d) for at, d in axis]
+        if kind == "sampled":
+            rows += [np.array([-100.0, 0, 0, 0]), np.array([100.0, 0, 0, 0])]
+        X = _laid_out(np.array(rows, dtype=float).reshape(-1, 4), layout)
+        before = X.copy()
+        got = retarded_rows(line, X)
+        assert_array_equal(X, before)  # the input is not written
+        want = _row_retarded_rows(line, X)
+        _assert_same_bits(got, want)
+        assert got[1].flags["C_CONTIGUOUS"]
+        A = _laid_out(got[1], layout)
+        _assert_same_bits(_zeta_quotients(A), _row_zeta_quotients(A))
+
+    @given(
+        angles=st.lists(st.tuples(*[st.floats(-3.0, 3.0)] * 4, st.floats(0.1, 5.0)),
+                        min_size=1, max_size=12),
+        layout=st.sampled_from(["C", "F", "strided"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_complex_quotients_match_the_row_form(self, angles, layout):
+        # s (1, sin t cos p, sin t sin p, cos t) is null for complex t and
+        # p; only the null check reads a dot of complex rows
+        t = np.array([complex(a, b) for a, b, _, _, _ in angles])
+        p = np.array([complex(c, d) for _, _, c, d, _ in angles])
+        s = np.array([s for *_, s in angles])
+        A = s[:, None] * np.column_stack(
+            [np.ones_like(t), np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)])
+        A = _laid_out(A, layout)
+        want = _outcome(_row_zeta_quotients, A)
+        got = _outcome(_zeta_quotients, A)
+        if isinstance(want, NotNullError):
+            assert isinstance(got, NotNullError)
+        else:
+            _assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("row, message", [
+        ([0.0, 0.0, 0.0, 0.0], "zero vector has no invariant ratio"),
+        ([1.0, 0.5, 0.0, 0.0], "vector is not null: |a.a| = 7.500e-01 at scale 1.000e+00"),
+    ])
+    def test_rejected_rows_raise_as_the_row_form(self, row, message):
+        A = np.array([[1.0, 0.6, 0.0, 0.8], row, [2.0, 0.0, 0.0, -2.0]])
+        for layout in ("C", "F", "strided"):
+            for form in (_zeta_quotients, _row_zeta_quotients):
+                with pytest.raises(NotNullError) as info:
+                    form(_laid_out(A, layout))
+                assert str(info.value) == message
