@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PrepotentialError
+from .errors import PrepotentialError, ScenarioError
 from .fields import (
     ScalarField,
     _boosted_coulomb_rows,
@@ -33,13 +33,12 @@ from .spacetime import (
     retarded_null_vectors,
 )
 
-__all__ = ["CheckResult", "RunReport", "UnknownCheckError", "run_checks",
-           "check_tolerance_scale", "DEFAULT_SEED"]
+__all__ = ["CheckResult", "RunReport", "UnknownCheckError", "run_checks", "DEFAULT_SEED"]
 
 DEFAULT_SEED = 20240801
 
 
-class UnknownCheckError(KeyError):
+class UnknownCheckError(ScenarioError):
     """run_checks was given a name that is not a check family, or no name."""
 
 
@@ -107,18 +106,23 @@ def _random_nulls(rng, n: int) -> np.ndarray:
     return np.column_stack([np.linalg.norm(K, axis=1), K])
 
 
-def check_matrix_relations(rng, tol_scale: float, scenario) -> _Outcome:
+def _nearest(subchecks) -> int:
+    """Index of the (deviation, tolerance) sub-check nearest its tolerance
+    or furthest over it, the one a family's row reports: the largest
+    deviation / tolerance, or the first NaN deviation (argmax picks the
+    first NaN), so that a row's verdict is its deviation < its tolerance."""
+    return int(np.argmax([dev / tol for dev, tol in subchecks]))
+
+
+def check_matrix_relations(rng, scenario) -> _Outcome:
     report = validate_relations()
-    # argmax picks the first NaN ratio, so a NaN check is named worst
-    worst = report.checks[int(np.argmax([c.max_deviation / c.tolerance
-                                         for c in report.checks]))]
-    return (report.max_deviation, worst.tolerance * tol_scale,
-            all(c.max_deviation < c.tolerance * tol_scale for c in report.checks),
+    worst = report.checks[_nearest([(c.max_deviation, c.tolerance) for c in report.checks])]
+    return (worst.max_deviation, worst.tolerance, report.all_passed,
             f"{len(report.checks)} relation families; worst: {worst.name}")
 
 
-def check_zeta_invariance(rng, tol_scale: float, scenario) -> _Outcome:
-    tol = 1e-12 * tol_scale
+def check_zeta_invariance(rng, scenario) -> _Outcome:
+    tol = 1e-12
     psis = rng.uniform(-2.0, 2.0, size=5)
     A = _random_nulls(rng, 1000)
     z0 = zetas_of(A)
@@ -132,12 +136,11 @@ def check_zeta_invariance(rng, tol_scale: float, scenario) -> _Outcome:
             "|d zeta|/|zeta| over 1000 null vectors x 3 axes x 5 rapidities")
 
 
-def check_rest_charge_field(rng, tol_scale: float, scenario) -> _Outcome:
+def check_rest_charge_field(rng, scenario) -> _Outcome:
     q = 1.0
     charge = Charge(q, RestLine((0.0, 0.0, 0.0)))
     field = ScalarField.from_charge(charge)
-    e_tol = 1e-6 * tol_scale
-    b_tol = 1e-8 * tol_scale
+    e_tol, b_tol = 1e-6, 1e-8
     P = _shell_points(rng, 200)
     X = np.column_stack([np.zeros(len(P)), P])
     F = faraday_from_hessian_rows(second_partials_rows(field, X))
@@ -145,13 +148,9 @@ def check_rest_charge_field(rng, tol_scale: float, scenario) -> _Outcome:
     e_dev = float((np.abs(F.real - expected).max(axis=1)
                    / np.abs(expected).max(axis=1)).max())
     b_dev = float(np.abs(F.imag).max())
-    passed = e_dev < e_tol and b_dev < b_tol
-    # report the sub-check closest to (or over) its tolerance, or a NaN one
-    if math.isnan(b_dev) or b_dev / b_tol > e_dev / e_tol:
-        dev, tol = b_dev, b_tol
-    else:
-        dev, tol = e_dev, e_tol
-    return (dev, tol, passed,
+    subchecks = [(e_dev, e_tol), (b_dev, b_tol)]
+    dev, tol = subchecks[_nearest(subchecks)]
+    return (dev, tol, dev < tol,
             f"E rel dev {e_dev:.3e} (tol {e_tol:.0e}); B abs dev {b_dev:.3e} (tol {b_tol:.0e})")
 
 
@@ -173,10 +172,9 @@ def _triangle_points(rng, speed: float, n: int) -> np.ndarray:
         lambda E: _triangle_accepts(E, speed), n)
 
 
-def check_uniform_motion_triangle(rng, tol_scale: float, scenario) -> _Outcome:
+def check_uniform_motion_triangle(rng, scenario) -> _Outcome:
     q = 1.0
-    stencil_tol = 1e-4 * tol_scale
-    exact_tol = 1e-10 * tol_scale
+    stencil_tol, exact_tol = 1e-4, 1e-10
     su, so, uo = [], [], []
     for speed in (0.1, 0.5, 0.9):
         u = four_velocity_from_3velocity([0.0, 0.0, speed])
@@ -192,14 +190,15 @@ def check_uniform_motion_triangle(rng, tol_scale: float, scenario) -> _Outcome:
         so.append((np.abs(fs - fo).max(axis=1) / scale).max())
         uo.append((np.abs(fu - fo).max(axis=1) / scale).max())
     dev_su, dev_so, dev_uo = _worst(su), _worst(so), _worst(uo)
-    passed = dev_su < stencil_tol and dev_so < stencil_tol and dev_uo < exact_tol
-    return (_worst([dev_su, dev_so]), stencil_tol, passed,
+    subchecks = [(dev_su, stencil_tol), (dev_so, stencil_tol), (dev_uo, exact_tol)]
+    dev, tol = subchecks[_nearest(subchecks)]
+    return (dev, tol, dev < tol,
             f"S-vs-direct {dev_su:.3e}, S-vs-oracle {dev_so:.3e} (tol {stencil_tol:.0e}); "
             f"direct-vs-oracle {dev_uo:.3e} (tol {exact_tol:.0e})")
 
 
-def check_wave_residual(rng, tol_scale: float, scenario) -> _Outcome:
-    tol = 1e-5 * tol_scale
+def check_wave_residual(rng, scenario) -> _Outcome:
+    tol = 1e-5
     devs = []
     q = 1.0
     cases = [
@@ -224,8 +223,8 @@ def check_wave_residual(rng, tol_scale: float, scenario) -> _Outcome:
     return worst, tol, worst < tol, "|box S| scaled by q/R^2, rest and uniform, 40 points each"
 
 
-def check_claim1_covariance(rng, tol_scale: float, scenario) -> _Outcome:
-    tol = 1e-12 * tol_scale
+def check_claim1_covariance(rng, scenario) -> _Outcome:
+    tol = 1e-12
     # per vector, E and B, and the rapidities of the boosts along axes 1, 2, 3
     normals = rng.standard_normal((100, 6))
     psis = rng.uniform(-2.0, 2.0, (100, 3))
@@ -267,7 +266,7 @@ def _resampled_loops(loops) -> tuple[np.ndarray, np.ndarray]:
     return P[edge] + t[:, None] * chord[edge], np.bincount(owner[edge], minlength=len(loops))
 
 
-def check_loop_phase(rng, tol_scale: float, scenario: Scenario | None) -> _Outcome:
+def check_loop_phase(rng, scenario: Scenario | None) -> _Outcome:
     """Each loop's windings, read off its phase, against the signed
     crossings of its (a1, -a2) curve on the chords of _resampled_loops: on
     the loop's own samples alone, a coarse edge can hide a turn. The count
@@ -283,7 +282,7 @@ def check_loop_phase(rng, tol_scale: float, scenario: Scenario | None) -> _Outco
     for rep in reports:
         if isinstance(rep, PrepotentialError):
             raise rep
-    tol = reports[0].tolerance * tol_scale
+    tol = reports[0].tolerance
     # one solve per charge over every loop's chords
     P, sizes = _resampled_loops(loops)
     oracle = np.array([_crossing_counts(retarded_null_vectors(c.line, P)[1], sizes)
@@ -296,7 +295,7 @@ def check_loop_phase(rng, tol_scale: float, scenario: Scenario | None) -> _Outco
             f"windings {windings}; crossing oracle vs phase rounding agree: {agree}")
 
 
-# every family takes (rng, tol_scale, scenario) and returns an _Outcome;
+# every family takes (rng, scenario) and returns an _Outcome;
 # run_checks adds its name and its time
 _CHECK_FUNCTIONS = dict(zip(CHECK_NAMES, (
     check_matrix_relations,
@@ -309,27 +308,10 @@ _CHECK_FUNCTIONS = dict(zip(CHECK_NAMES, (
 ), strict=True))
 
 
-def check_tolerance_scale(scale) -> float:
-    """The tolerance scale as a float; ValueError unless it is finite and
-    above 0. An infinite scale would pass every family vacuously, and a
-    zero, negative or NaN one would fail them all."""
-    scale = float(scale)
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise ValueError(f"tolerance scale must be finite and above 0, got {scale!r}")
-    return scale
-
-
-def run_checks(
-    names,
-    seed: int = DEFAULT_SEED,
-    tolerance_scale: float = 1.0,
-    scenario: Scenario | None = None,
-) -> RunReport:
+def run_checks(names, seed: int = DEFAULT_SEED, scenario: Scenario | None = None) -> RunReport:
     """Run the named check families with a fresh deterministic generator
-    per family. Raises ValueError for a tolerance scale that is not
-    finite and above 0, and UnknownCheckError for a name that is not a
-    family, or for no name at all, before any family runs."""
-    tolerance_scale = check_tolerance_scale(tolerance_scale)
+    per family. Raises UnknownCheckError for a name that is not a family,
+    or for no name at all, before any family runs."""
     names = tuple(names)  # iterated twice: checked, then run
     if not names:
         # an empty run would pass vacuously
@@ -342,7 +324,7 @@ def run_checks(
         rng = np.random.default_rng(seed)
         t0 = time.perf_counter()
         try:
-            res = _CHECK_FUNCTIONS[name](rng, tolerance_scale, scenario)
+            res = _CHECK_FUNCTIONS[name](rng, scenario)
         except PrepotentialError as exc:
             res = (math.inf, 0.0, False, f"aborted: {exc}")
         results.append(CheckResult(name, *res, time.perf_counter() - t0))

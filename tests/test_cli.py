@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -406,27 +407,49 @@ class TestExitCodes:
     @pytest.mark.parametrize("flag", [["--seed", "7"], ["--tolerance-scale", "2"]])
     @pytest.mark.parametrize("command", ["field-grid", "loop-phase", "relations-dump"])
     def test_verify_only_flags_rejected(self, tmp_path, command, flag):
-        # only verify draws random numbers and has tolerances to scale
+        # only verify draws random numbers; no command scales a tolerance
         out = tmp_path / "out.csv"
         assert main([command, "--scenario", REST, *flag, "--out", str(out)]) == 2
         assert not out.exists()
 
-    def test_verification_failure_exits_one(self, tmp_path):
+    def test_verify_rejects_a_tolerance_scale(self, tmp_path, monkeypatch):
+        # each family checks the tolerance pinned in its own code
+        ran = []
+        monkeypatch.setitem(verify._CHECK_FUNCTIONS, "wave-residual",
+                            lambda rng, scenario: ran.append("wave-residual"))
         out = tmp_path / "v.csv"
-        code = main(["verify", "--checks", "matrix-relations",
-                     "--tolerance-scale", "1e-20", "--out", str(out)])
-        assert code == 1
-
-    @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
-    def test_bad_tolerance_scale_is_a_configuration_error(self, tmp_path, scale, capsys):
-        # inf passed every family vacuously; 0, -1 and nan failed them all
-        out = tmp_path / "v.csv"
-        assert main(["verify", "--checks", "wave-residual", "--tolerance-scale", scale,
+        assert main(["verify", "--checks", "wave-residual", "--tolerance-scale", "2",
                      "--out", str(out)]) == 2
-        assert not out.exists()
-        assert "tolerance scale must be finite and above 0" in capsys.readouterr().err
-        with pytest.raises(ValueError):
-            verify.run_checks(["matrix-relations"], tolerance_scale=float(scale))
+        assert not out.exists() and ran == []
+
+    def test_verification_failure_exits_one(self, tmp_path, monkeypatch):
+        # one relation finitely over its tolerance fails the run
+        monkeypatch.setattr(verify, "validate_relations", lambda: matrices.RelationReport(
+            (matrices.RelationCheck("over", 2e-12, 1e-12),)))
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--checks", "matrix-relations", "--out", str(out)]) == 1
+        (row,) = csv.DictReader(out.read_text().splitlines())
+        assert (row["max_deviation"], row["passed"]) == ("2e-12", "0")
+
+    def test_negative_seed_is_a_configuration_error(self, tmp_path, monkeypatch, capsys):
+        # numpy's generators refuse a negative seed with a ValueError, which
+        # ended in a traceback and exit 1, the code of a failed verification
+        ran = []
+        for name in list(verify._CHECK_FUNCTIONS):
+            monkeypatch.setitem(verify._CHECK_FUNCTIONS, name,
+                                lambda rng, scenario, name=name: ran.append(name))
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--seed", "-1", "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and ran == [] and not out.exists()
+        assert "seed must be 0 or more" in err and "Traceback" not in err
+
+    def test_seed_zero_runs(self, tmp_path):
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--checks", "claim1-covariance", "--seed", "0",
+                     "--out", str(out)]) == 0
+        (row,) = csv.DictReader(out.read_text().splitlines())
+        assert row["passed"] == "1"
 
     @pytest.mark.parametrize("where, value", [
         (("loops", 0, "radius"), "abc"),
@@ -505,7 +528,7 @@ class TestExitCodes:
                  **{name: tmp_path / f"{name}.json" for name in ("latin1", "open", "no_loops")}}
         ran = []
         monkeypatch.setitem(verify._CHECK_FUNCTIONS, "loop-phase",
-                            lambda rng, tol, scenario: ran.append("loop-phase"))
+                            lambda rng, scenario: ran.append("loop-phase"))
         assert main([arg.format(**paths) for arg in argv]) == 2
         out, err = capsys.readouterr()
         assert out == "" and ran == []
@@ -576,7 +599,7 @@ class TestCheckNames:
         ran = []
         for name in ("claim1-covariance", "zeta-invariance"):
             monkeypatch.setitem(verify._CHECK_FUNCTIONS, name,
-                                lambda rng, tol, scenario, name=name: ran.append(name))
+                                lambda rng, scenario, name=name: ran.append(name))
         with pytest.raises(verify.UnknownCheckError, match="'bogus-check'"):
             verify.run_checks(["claim1-covariance", "zeta-invariance", "bogus-check"])
         assert main(["verify", "--checks",
@@ -587,11 +610,11 @@ class TestCheckNames:
         assert "configuration error" in err and "'bogus-check'" in err
 
     def test_empty_selection_is_a_configuration_error(self, monkeypatch, capsys):
-        # no family run is a vacuous pass, like an infinite tolerance scale
+        # no family run is a vacuous pass
         ran = []
         for name in list(verify._CHECK_FUNCTIONS):
             monkeypatch.setitem(verify._CHECK_FUNCTIONS, name,
-                                lambda rng, tol, scenario, name=name: ran.append(name))
+                                lambda rng, scenario, name=name: ran.append(name))
         with pytest.raises(verify.UnknownCheckError, match="no check family"):
             verify.run_checks([])
         assert main(["verify", "--checks", ","]) == 2
@@ -605,7 +628,7 @@ class TestCheckNames:
         ("bogus-check", "unknown check name 'bogus-check'"),
     ])
     def test_configuration_message_is_unquoted(self, capsys, checks, message):
-        # str() of the KeyError subclass would print the message's repr
+        # str() of a KeyError would print the message's repr
         assert main(["verify", "--checks", checks]) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -616,7 +639,7 @@ class TestCheckNames:
         assert [r.name for r in report.results] == ["matrix-relations"]
 
     def test_key_error_inside_a_family_is_not_a_configuration_error(self, monkeypatch):
-        def broken(rng, tol, scenario):
+        def broken(rng, scenario):
             raise KeyError("a lookup inside the family")
 
         monkeypatch.setitem(verify._CHECK_FUNCTIONS, "matrix-relations", broken)
@@ -925,6 +948,38 @@ class TestVerifyFamilies:
         (row,) = csv.DictReader(path.read_text().splitlines())
         assert (row["max_deviation"], row["passed"]) == ("nan", "0")
         assert row["detail"] == "11 relation families; worst: commutator [rho_bar,rho] = 0"
+
+
+class TestUniformLineFromU:
+    @staticmethod
+    def _scenario(tmp_path, line):
+        doc = json.loads(Path(REST).read_text())
+        doc["charges"] = [{"q": 1.0, "line": {"kind": "uniform", **line}}]
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_u_gives_the_rows_of_its_velocity(self, tmp_path):
+        # (1.25, 0, 0, 0.75) is the 4-velocity of v = (0, 0, 0.6)
+        outs = []
+        for i, line in enumerate([{"u": [1.25, 0, 0, 0.75]}, {"velocity": [0, 0, 0.6]}]):
+            outs.append(tmp_path / f"{i}.csv")
+            assert main(["loop-phase", "--scenario", self._scenario(tmp_path, line),
+                         "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert len(outs[0].read_text().splitlines()) == 4
+
+    @pytest.mark.parametrize("line, message", [
+        ({"u": [2, 0, 0, 0]}, "4-velocity must satisfy u.u = 1, got 4.0"),
+        ({"u": [-1, 0, 0, 0]}, "4-velocity must be future-pointing (u0 > 0)"),
+        ({}, "uniform line needs 'velocity' or 'u'"),
+    ], ids=["not-unit", "past-pointing", "neither-key"])
+    def test_bad_uniform_line_is_a_configuration_error(self, tmp_path, capsys, line,
+                                                       message):
+        assert main(["loop-phase", "--scenario", self._scenario(tmp_path, line)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"configuration error: charges[0].line: {message}\n"
 
 
 class TestLoopPhaseCommand:

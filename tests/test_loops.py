@@ -491,6 +491,10 @@ class TestEdgeSamples:
         # The third vertex keeps 0.5 or more from the line: the oracle's
         # samples must resolve the turn of its edges as they pass the line
         assume(math.hypot(*third) >= 0.5)
+        # a third vertex on another one, from the same proper time and null
+        # vector, is no triangle: the oracle's resampling repeats samples
+        assume((taus[2], *third) not in {(taus[0], a1[0], 0.0, a3[0]),
+                                         (taus[1], a1[1], 0.0, a3[1])})
         charge, loop = ends_on_a2_zero_loop(event, v, taus, a1, a3, third)
         fine = Path(resampled(loop.points, 256), closed=True)
         try:
