@@ -37,7 +37,7 @@ from .potential import (
     potential_matrix,
     prepotential_point,
 )
-from .spacetime import METRIC_SIGNS, FourVector, _mdot_rows
+from .spacetime import METRIC_SIGNS, FourVector, _U_NORM_TOL, _mdot_rows
 
 __all__ = [
     "FaradayVector",
@@ -108,7 +108,7 @@ class ScalarField:
     @classmethod
     def from_charge(cls, charge: Charge) -> "ScalarField":
         def delta(X: np.ndarray, ib: np.ndarray, ia: np.ndarray) -> np.ndarray:
-            z, _ = _zeta_rows(charge, X)
+            z = _zeta_rows(charge, X)
             return charge.q * _log_ratios(z[ib], z[ia])
 
         return cls(
@@ -339,7 +339,7 @@ def faraday_uniform(q: float, a, u) -> FaradayVector:
     au = _mdot_rows(A, U)[0]
     if abs(_mdot_rows(A, A)[0]) > NULL_TOL * amax**2:
         raise NotNullError("a must be null")
-    if abs(_mdot_rows(U, U)[0] - 1.0) > 1e-9:
+    if abs(_mdot_rows(U, U)[0] - 1.0) > _U_NORM_TOL:
         raise ValueError("u must satisfy u.u = 1")
     if au <= _DENOM_FLOOR * amax:
         raise DegenerateDenominatorError(f"a.u = {au:.3e} is not positive at scale {amax:.3e}")

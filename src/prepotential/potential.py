@@ -37,7 +37,6 @@ from .spacetime import (
     FourVector,
     WorldLine,
     _mdot_rows,
-    _segment_frames,
     retarded_rows,
 )
 
@@ -156,6 +155,8 @@ class Charge:
     def __post_init__(self):
         if not math.isfinite(self.q) or self.q == 0.0:
             raise ValueError(f"charge must be finite and nonzero, got {self.q!r}")
+        if not isinstance(self.line, WorldLine):
+            raise TypeError(f"unknown world-line type: {type(self.line).__name__}")
 
 
 @dataclass(frozen=True)
@@ -229,23 +230,23 @@ class PrePotentialValue:
     value: complex
 
 
-def _zeta_rows(charge: Charge, X) -> tuple[np.ndarray, np.ndarray]:
-    """zeta at each row of an (N, 4) array of events and the retarded null
-    vectors it came from; raises the error of the first failing row."""
+def _zeta_rows(charge: Charge, X) -> np.ndarray:
+    """zeta at each row of an (N, 4) array of events; raises the error of
+    the first failing row."""
     _, A, _, failure = retarded_rows(charge.line, X)
     num, den, _, on_axis = _zeta_quotients(A)
     raise_first_failure(np.where(failure != 0, failure, on_axis))
-    return num / den, A
+    return num / den
 
 
 def zeta_at(charge: Charge, x: FourVector) -> Zeta:
     """Invariant of the charge's retarded null vector at the event x."""
-    return Zeta(complex(_zeta_rows(charge, x.as_array()[None])[0][0]))
+    return Zeta(complex(_zeta_rows(charge, x.as_array()[None])[0]))
 
 
 def prepotential_point(charge: Charge, x: FourVector) -> PrePotentialValue:
     """S(x) = q ln(zeta) on the principal branch."""
-    z, _ = _zeta_rows(charge, x.as_array()[None])
+    z = _zeta_rows(charge, x.as_array()[None])
     return PrePotentialValue(complex(charge.q * np.log(z[0])))
 
 
@@ -485,11 +486,13 @@ def _a2_roots(line: WorldLine, stack: _PathStack) -> np.ndarray:
     (1 - t) x_start + t x_end where a2 of the retarded null vector may
     vanish, else 1. On a segment through R with unit velocity u, Q = D - s u
     (D = x - R, s = D.u) is affine in t and a = Q + r u, r^2 = s^2 - D.D:
-    a2 = Q2 + u2 r is 0 only where the quadratic f = u2^2 r^2 - Q2^2 is. A
-    sampled line gives, per segment (rows of D, s and r^2), the roots where
-    the retarded point, s - r past R in proper time, lies on that segment.
-    On an edge in a2 = 0, where f = 0, those of a1 (the axis) stand in."""
-    R, U = _segment_frames(line)
+    a2 = Q2 + u2 r is 0 only where the quadratic f = u2^2 r^2 - Q2^2 is.
+    Each segment of line.segments gives a row of D, s and r^2; of a line of
+    several, only the roots whose retarded point, s - r past R in proper
+    time, lies on their own segment are kept. On an edge in a2 = 0, where
+    f = 0, those of a1 (the axis) stand in."""
+    taus, E, U, rate = line.segments
+    R = E[:len(U)]  # the knot starting each segment
     P, W, i0, i1 = stack.points, METRIC_SIGNS * U, stack.edges, stack.ends
     D = [P[:, m] - R[:, m, None] for m in range(4)]
     s = sum(W[:, m, None] * D[m] for m in range(4))
@@ -517,7 +520,6 @@ def _a2_roots(line: WorldLine, stack: _PathStack) -> np.ndarray:
         k, te = row % len(R), t[row, e]
         st = s[k, i0[e]] + te * (s[k, i1[e]] - s[k, i0[e]])
         rt = np.sqrt(np.maximum(r0[k, e] + te * (dr2[k, e] + te * L[k, e]), 0.0))
-        taus, _, _, rate = line.segments
         # a root near a knot may round off both segments that share it; a
         # spare root only adds a sample, a dropped one loses a turn
         slack = 1e-6 * (np.abs(st) + rt)

@@ -108,6 +108,11 @@ class RestLine:
         if len(self.position) != 3 or not all(math.isfinite(p) for p in self.position):
             raise ValueError("rest position must be 3 finite reals")
 
+    @cached_property
+    def segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """One knot, the event (0, position) at 0, and one unbounded segment with u = e0."""
+        return np.zeros(1), np.array([[0.0, *self.position]]), np.eye(4)[:1], np.ones(1)
+
 
 _U_NORM_TOL = 1e-12
 
@@ -127,6 +132,12 @@ class UniformLine:
             raise ValueError(f"4-velocity must satisfy u.u = 1, got {norm!r}")
         if u[0] <= 0:
             raise ValueError("4-velocity must be future-pointing (u0 > 0)")
+
+    @cached_property
+    def segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """One knot, reference_event at 0, and one unbounded segment with u = velocity_u."""
+        return (np.zeros(1), self.reference_event.as_array()[None],
+                self.velocity_u.as_array()[None], np.ones(1))
 
 
 @dataclass(frozen=True)
@@ -149,7 +160,8 @@ class SampledLine:
     def segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Knot parameters (K,) and events (K, 4); per segment, the unit
         4-velocity (K-1, 4) and the line parameter per unit proper time
-        (K-1,)."""
+        (K-1,). Rest and uniform lines share this layout, with one knot
+        and one unbounded segment."""
         taus = np.array(self.taus, dtype=float)
         E = np.array([(e.x0, e.x1, e.x2, e.x3) for e in self.events])
         dtau, dE = np.diff(taus), np.diff(E, axis=0)
@@ -185,8 +197,7 @@ def four_velocity_from_3velocity(v3) -> FourVector:
 class RetardedSolution:
     """Retarded intersection: line parameter, the null vector a from the
     retarded event to the observer (a.a = 0, a0 > 0), and the unit
-    4-velocity u of the line there (for a sampled line, that of the
-    segment holding the retarded event)."""
+    4-velocity u of the segment holding the retarded event."""
 
     tau_retarded: float
     a: FourVector
@@ -194,7 +205,6 @@ class RetardedSolution:
 
 
 _ON_LINE_FLOOR = 1e-14
-_E0 = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def _mdot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -202,7 +212,7 @@ def _mdot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     result does not depend on the other rows. On real rows it gives the
     bits of the column forms (_mdot_cols, and the component sum in
     potential._zeta_quotients); on complex rows those may differ from it
-    in the last ulp, and only that null check reads complex rows."""
+    in the last ulp."""
     return np.einsum("ij,ij,j->i", a, b, METRIC_SIGNS)
 
 
@@ -213,19 +223,22 @@ def _mdot_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij,i->j", a, b, METRIC_SIGNS)
 
 
-def _sampled_segments(line: SampledLine, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _locate_segments(line: WorldLine, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index k of the segment [tau_k, tau_k+1] holding each row's retarded
     point, by bisection on g(tau) = (x0 - line0(tau)) - |x - line(tau)|,
     monotone decreasing, at the knots; and the failure codes of the rows
-    whose past light cone misses the sampled range."""
+    whose past light cone misses the sampled range. A line of one knot has
+    one unbounded segment: k is [0] for all rows, and no row fails."""
     _, E, _, _ = line.segments
+    failure = np.zeros(len(X), dtype=np.int8)
+    if len(E) == 1:
+        return np.zeros(1, dtype=np.intp), failure
 
     def g(k):
         rel = X[:, 1:] - E[k, 1:]
         return (X[:, 0] - E[k, 0]) - np.sqrt(np.einsum("ij,ij->i", rel, rel))
 
     last = len(E) - 1
-    failure = np.zeros(len(X), dtype=np.int8)
     failure[g(last) > 0] = BEYOND_RANGE
     failure[g(0) < 0] = BEFORE_RANGE
     lo, hi = np.zeros(len(X), dtype=np.intp), np.full(len(X), last)
@@ -235,18 +248,6 @@ def _sampled_segments(line: SampledLine, X: np.ndarray) -> tuple[np.ndarray, np.
         lo = np.where(split & ahead, mid, lo)
         hi = np.where(split & ~ahead, mid, hi)
     return lo, failure
-
-
-def _segment_frames(line: WorldLine) -> tuple[np.ndarray, np.ndarray]:
-    """An event (K, 4) and the unit 4-velocity (K, 4) of each of the line's
-    K uniform segments: one for a rest or uniform line."""
-    if isinstance(line, RestLine):
-        return np.array([[0.0, *line.position]]), _E0[None]
-    if isinstance(line, UniformLine):
-        return line.reference_event.as_array()[None], line.velocity_u.as_array()[None]
-    if isinstance(line, SampledLine):
-        return line.segments[1][:-1], line.segments[2]
-    raise TypeError(f"unknown world-line type: {type(line).__name__}")
 
 
 def retarded_rows(
@@ -263,8 +264,9 @@ def retarded_rows(
     its unit 4-velocity U, split D = x - R into s = D.U along U and the
     rest-frame separation P = D - s U; with r = sqrt(-P.P) the past-cone
     point is a = P + r U, at tau = t + (s - r) * (parameter per unit
-    proper time). A rest line is uniform motion with U = e0; a sampled
-    line first finds each row's segment (_sampled_segments).
+    proper time). Every kind is a table of such segments (line.segments),
+    and _locate_segments finds the one of each row: a rest line is one
+    segment with U = e0, a uniform line one with its 4-velocity.
 
     P is projected off U a second time: the first projection leaves P.U
     with rounding of order eps * |D|, which near a moving line far from R
@@ -279,16 +281,11 @@ def retarded_rows(
     # P in place, and T holds each product with U, so that a call allocates
     # three (4, N) arrays (D, T and A)
     D = X.T.copy()
-    if isinstance(line, SampledLine):
-        k, failure = _sampled_segments(line, X)
-        taus, E, seg_u, seg_rate = line.segments
-        t, rate, U = taus[k], seg_rate[k], seg_u[k]
-        R, W = np.take(E.T, k, axis=1), np.ascontiguousarray(U.T)
-    else:
-        (R,), (U,) = _segment_frames(line)
-        t, rate, failure = 0.0, 1.0, np.zeros(len(X), dtype=np.int8)
-        R, W = R[:, None], U[:, None]
-        U = np.broadcast_to(U, X.shape)  # one row, viewed N times
+    k, failure = _locate_segments(line, X)
+    taus, E, seg_u, seg_rate = line.segments
+    t, rate, U = taus[k], seg_rate[k], seg_u[k]
+    R, W = np.take(E.T, k, axis=1), np.ascontiguousarray(U.T)
+    U = np.broadcast_to(U, X.shape)  # with k = [0], one row viewed N times
     D -= R
     s = _mdot_cols(D, W)
     T = W * s

@@ -162,7 +162,9 @@ MASKED_NEAR_LINE_GRID = {
 }
 
 # sha256 of the field-grid outputs, recorded while each row was still
-# formatted value by value; formatting the table as one array changed no byte
+# formatted value by value; formatting the table as one array changed no byte.
+# mixed_charges was recorded while the retarded solve still branched on the
+# line kind, before every kind read one segment table.
 GOLDEN_GRID_SHA256 = {
     ("rest_charge", "csv"): "04e14d6236711f8fa5031f8bd0b6d480178e6d8a69d9878112a7765571127630",
     ("rest_charge", "json"): "71ffb9e5cea51a26c2354e5dbadd6c4e55056b04a668a7060f0a19f49a9f80f5",
@@ -170,20 +172,23 @@ GOLDEN_GRID_SHA256 = {
     ("uniform_charge", "json"): "580f9cb7e68fd1fbfad8b911bb666410ba453b69842749597033bcbe8a549ef6",
     ("masked_near_line", "csv"): "33f02fad1c0037049a01197d5d89aca1d4f147f92f32771d055d9bfcc844763e",
     ("masked_near_line", "json"): "5cb81ad8c8a590f29eed458aeef2f45e63acd1b12b982a726447b44a18ce1f59",
+    ("mixed_charges", "csv"): "e97f6ecbb5fa072fa6190b0006bafca88b2872e27703a48d851aebd249dc31fc",
 }
 
 GOLDEN_GRID_SUMMARY = {
     "rest_charge": "field-grid: 1331 cells, 11 masked (SingularAxisError: 11)",
     "uniform_charge": "field-grid: 441 cells, 1 masked (SingularAxisError: 1)",
     "masked_near_line": "field-grid: 5 cells, 1 masked (SingularAxisError: 1)",
+    "mixed_charges": "field-grid: 32 cells, 0 masked",
 }
 
 
 @pytest.mark.parametrize("name, fmt", sorted(GOLDEN_GRID_SHA256))
 def test_field_grid_golden_bytes(tmp_path, capsys, name, fmt):
-    if name == "masked_near_line":
+    docs = {"masked_near_line": MASKED_NEAR_LINE_GRID, "mixed_charges": MIXED_GRID}
+    if name in docs:
         scen = tmp_path / "grid.json"
-        scen.write_text(json.dumps(MASKED_NEAR_LINE_GRID))
+        scen.write_text(json.dumps(docs[name]))
     else:
         scen = bundled_scenario_path(name)
     out = tmp_path / f"grid.{fmt}"
@@ -224,6 +229,15 @@ MIXED_LOOPS = {
              + [{"kind": "points", "events": _near_axis_polygon(i)} for i in range(4)],
 }
 
+# The charges of MIXED_LOOPS on 4 x 4 x 2 cells, whose retarded points lie
+# on the last two segments of the sampled line.
+MIXED_GRID = {
+    "version": 1,
+    "charges": MIXED_LOOPS["charges"],
+    "grid": {"time": 0.5, "origin": [-1.5, -1.0, 0.2], "axes": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+             "extents": [3.0, 3.0, 0.6], "resolution": [4, 4, 2]},
+}
+
 # sha256 of the loop-phase CSV, recorded before the Minkowski dots of the
 # retarded solve and the zeta quotient moved from rows of 4 to columns
 GOLDEN_LOOPS_SHA256 = {
@@ -242,6 +256,36 @@ def test_loop_phase_golden_bytes(tmp_path, name):
     out = tmp_path / "loops.csv"
     assert main(["loop-phase", "--scenario", str(scen), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_LOOPS_SHA256[name]
+
+
+# One charge at rest at the origin, given as each kind of line: a rest line
+# is uniform motion with u = e0, and a sampled line is uniform motion on the
+# segment that holds the retarded point.
+AT_REST_LINES = {
+    "rest": {"kind": "rest", "position": [0.0, 0.0, 0.0]},
+    "uniform": {"kind": "uniform", "event": [0.0, 0.0, 0.0, 0.0], "velocity": [0.0, 0.0, 0.0]},
+    "sampled": {"kind": "sampled", "taus": [-50.0, 50.0],
+                "events": [[-50.0, 0.0, 0.0, 0.0], [50.0, 0.0, 0.0, 0.0]]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(AT_REST_LINES))
+def test_every_line_kind_at_rest_gives_the_rest_bytes(tmp_path, kind):
+    # the rest_charge scenario on 5 x 5 x 5 cells, with its loops
+    doc = json.loads(Path(REST).read_text())
+    doc["grid"]["resolution"] = [5, 5, 5]
+    doc["charges"] = [{"q": 1.0, "line": AT_REST_LINES[kind]}]
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps(doc))
+    got = {}
+    for command in ("field-grid", "loop-phase"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--scenario", str(scen), "--out", str(out)]) == 0
+        got[command] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == {
+        "field-grid": "a0148604aee4e01c06fc02551c4e908d3defa9860eca66648dc609127cd32096",
+        "loop-phase": GOLDEN_LOOPS_SHA256["rest_charge"],
+    }
 
 
 class TestFieldGridAccuracy:

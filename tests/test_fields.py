@@ -40,6 +40,7 @@ from prepotential import (
     local_scale,
     prepotential_jets,
     local_scales,
+    minkowski_dot,
     retarded_null_vector,
     rho,
     second_partials,
@@ -261,6 +262,16 @@ class TestFaradayUniform:
         with pytest.raises(ValueError, match=r"u\.u = 1") as info:
             faraday_uniform(1.0, V(1, 1, 0, 0), V(2, 0, 0, 0))
         assert type(info.value) is ValueError
+
+    def test_shares_the_uniform_line_velocity_tolerance(self):
+        # |u.u - 1| = 1e-10 is over the 1e-12 a UniformLine allows, and
+        # faraday_uniform holds u to the same tolerance
+        u = V(math.sqrt(1.0 + 1e-10), 0, 0, 0)
+        assert abs(abs(minkowski_dot(u, u) - 1.0) - 1e-10) < 1e-15
+        with pytest.raises(ValueError, match=r"u\.u = 1"):
+            faraday_uniform(1.0, V(1, 1, 0, 0), u)
+        with pytest.raises(ValueError, match=r"u\.u = 1"):
+            UniformLine(V(0, 0, 0, 0), u)
 
 
 class TestOracles:

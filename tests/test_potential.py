@@ -201,6 +201,12 @@ class TestPrePotentialSystem:
         with pytest.raises(ValueError):
             ChargeSystem(())
 
+    @pytest.mark.parametrize("line", [(0.0, 0.0, 0.0), FourVector(0, 0, 0, 0), None])
+    def test_charge_rejects_an_unknown_line_kind(self, line):
+        # at construction, not at its first solve
+        with pytest.raises(TypeError, match="unknown world-line type"):
+            Charge(1.0, line)
+
 
 def _direction(theta, phi, side=1.0):
     """Unit 3-vector at polar angle theta from the +x3 (side 1) or -x3

@@ -38,9 +38,8 @@ from prepotential.potential import (
 )
 from prepotential.spacetime import (
     _ON_LINE_FLOOR,
+    _locate_segments,
     _mdot_rows,
-    _sampled_segments,
-    _segment_frames,
     retarded_null_vectors,
     retarded_rows,
 )
@@ -257,6 +256,22 @@ class TestWorldLineValidation:
     def test_uniform_velocity_must_be_normalized(self):
         with pytest.raises(ValueError):
             UniformLine(V(0, 0, 0, 0), V(1.0, 0.5, 0, 0))
+
+    def test_segments_of_rest_and_uniform_lines(self):
+        # one knot at parameter 0 and one unbounded segment of rate 1
+        u = four_velocity_from_3velocity([0.3, -0.2, 0.1])
+        for line, event, velocity in [
+            (RestLine((0.5, -1.0, 2.0)), [0.0, 0.5, -1.0, 2.0], [1.0, 0.0, 0.0, 0.0]),
+            (UniformLine(V(1, 2, 3, 4), u), [1.0, 2.0, 3.0, 4.0], u.as_array()),
+        ]:
+            taus, E, U, rate = line.segments
+            assert_array_equal(taus, [0.0])
+            assert_array_equal(E, [event])
+            assert_array_equal(U, [velocity])
+            assert_array_equal(rate, [1.0])
+            k, failure = _locate_segments(line, np.zeros((3, 4)))
+            assert_array_equal(k, [0])
+            assert_array_equal(failure, [0, 0, 0])
 
     def test_four_velocity_from_3velocity(self):
         u = four_velocity_from_3velocity([0.3, 0.2, -0.4])
@@ -568,13 +583,9 @@ def _row_retarded_rows(line, X):
     (4, N) component columns: the oracle the column form matches bit for
     bit."""
     X = np.asarray(X, dtype=float)
-    if isinstance(line, SampledLine):
-        k, failure = _sampled_segments(line, X)
-        taus, E, seg_u, seg_rate = line.segments
-        R, t, rate, U = E[k], taus[k], seg_rate[k], seg_u[k]
-    else:
-        (R,), (U,) = _segment_frames(line)
-        t, rate, failure = 0.0, 1.0, np.zeros(len(X), dtype=np.int8)
+    k, failure = _locate_segments(line, X)
+    taus, E, seg_u, seg_rate = line.segments
+    R, t, rate, U = E[k], taus[k], seg_rate[k], seg_u[k]
     U = np.broadcast_to(U, X.shape)
     D = X - R
     s = _mdot_rows(D, U)
