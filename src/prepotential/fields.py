@@ -23,13 +23,12 @@ from .errors import (
     SingularStencilError,
     StepTooLargeError,
 )
-from .matrices import IDENTITY4, _axis, rho
+from .matrices import IDENTITY4, _RHO, _axis, rho
 from .potential import (
     Charge,
     ChargeSystem,
     NULL_TOL,
     UNIFORM_FIELD_CALIBRATION,
-    _RHO_STACK,
     _log_ratios,
     _velocity_fields,
     _zeta_rows,
@@ -37,7 +36,7 @@ from .potential import (
     potential_matrix,
     prepotential_point,
 )
-from .spacetime import METRIC_SIGNS, FourVector, _U_NORM_TOL, _mdot_rows
+from .spacetime import EYE, METRIC_SIGNS, FourVector, _U_NORM_TOL, _mdot_rows
 
 __all__ = [
     "FaradayVector",
@@ -138,7 +137,6 @@ SECOND_STEP_FACTOR = 2e-3
 # plain (non-extrapolated) stencil Hessian.
 RESIDUAL_STEP_FACTOR = 2e-4
 
-_BASIS = np.eye(4)
 _DIAG = np.arange(4)
 # the six (m, n) index pairs with m < n of the mixed entries
 _M, _N = np.triu_indices(4, 1)
@@ -189,7 +187,7 @@ def _hessian_level(field: ScalarField, X: np.ndarray, h: np.ndarray) -> np.ndarr
     distinct events per row. A failing stencil event raises
     SingularStencilError; StepTooLargeError passes unchanged."""
     C = X[:, None, :]
-    E = h[:, None, None] * _BASIS
+    E = h[:, None, None] * EYE
     plus, minus = C + E, C - E
     pm, mm, En = plus[:, _M], minus[:, _M], E[:, _N]
     events = np.concatenate([C, plus, minus, pm + En, pm - En, mm + En, mm - En], axis=1)
@@ -316,7 +314,7 @@ def faraday_from_A(
     )
     dA = np.zeros((4, 4), dtype=complex)
     for nu in range(4):
-        e = h * _BASIS[nu]
+        e = h * EYE[nu]
         dA[nu] = (
             np.asarray(A(FourVector.from_array(xv + e)), dtype=complex)
             - np.asarray(A(FourVector.from_array(xv - e)), dtype=complex)
@@ -438,13 +436,13 @@ def claim1_covariance_rows(F, axes, psis) -> np.ndarray:
     bad = ~np.isin(axes, (1, 2, 3))
     if bad.any():
         _axis(axes[bad][0].item())
-    t = np.einsum("nj,jab->nab", F, _RHO_STACK)
+    t = np.einsum("nj,jab->nab", F, _RHO)
     tbar = t.conj()
     # Upsilon(psi) = cosh(psi/2) I + sinh(psi/2) 2 rho^j, its conjugate
     # with conj(rho^j), and the inverses at -psi
     c = np.cosh(psis / 2.0)[:, None, None] * IDENTITY4
     s2 = (np.sinh(psis / 2.0) * 2.0)[:, None, None]
-    r = _RHO_STACK[axes.astype(np.intp) - 1]
+    r = _RHO[axes.astype(np.intp) - 1]
     rbar = r.conj()
     u, u_inv = c + s2 * r, c - s2 * r
     ub, ub_inv = c + s2 * rbar, c - s2 * rbar

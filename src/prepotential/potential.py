@@ -31,8 +31,10 @@ from .errors import (
     StepTooLargeError,
     raise_first_failure,
 )
-from .matrices import METRIC, conjugation_C, rho
+from .matrices import METRIC, _RHO, conjugation_C
 from .spacetime import (
+    ETA,
+    EYE,
     METRIC_SIGNS,
     FourVector,
     WorldLine,
@@ -288,17 +290,13 @@ def local_scale(charge: Charge, x: FourVector) -> float:
 # Coulomb's E = q x / r^3 fixes the factor at 1 / (-1/2) = -2.
 UNIFORM_FIELD_CALIBRATION = -2.0
 
-_ETA = np.diag(METRIC_SIGNS)
-_EYE = np.eye(4)
-_RHO_STACK = np.stack([rho(j) for j in (1, 2, 3)])
-
 
 def _velocity_fields(q: float, A: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Field 3-vectors E + iB (N, 3) of a charge moving with 4-velocities U
     (N, 4), from the retarded null vectors A (N, 4): F_j = cal * q *
     a_mu rho^j[mu,nu] u^nu / (a.u)^3. No validation; each a must be null
     and a.u positive."""
-    F = np.einsum("jmk,nk,nm->nj", _RHO_STACK, U, METRIC_SIGNS * A)
+    F = np.einsum("jmk,nk,nm->nj", _RHO, U, METRIC_SIGNS * A)
     return (UNIFORM_FIELD_CALIBRATION * q / _mdot_rows(A, U) ** 3)[:, None] * F
 
 
@@ -344,8 +342,8 @@ def _jet_rows(charge: Charge, X) -> tuple[PrePotentialJet, np.ndarray]:
         U_low = METRIC_SIGNS * U
         au = _mdot_rows(A, U)
         K = METRIC_SIGNS * A / au[:, None]
-        J = _EYE - U[:, :, None] * K[:, None, :]
-        M = (_ETA - U_low[:, :, None] * K[:, None, :] - K[:, :, None] * U_low[:, None, :]
+        J = EYE - U[:, :, None] * K[:, None, :]
+        M = (ETA - U_low[:, :, None] * K[:, None, :] - K[:, :, None] * U_low[:, None, :]
              + K[:, :, None] * K[:, None, :]) / au[:, None, None]
         gu = np.einsum("ni,ni->n", g, U)
         jet = PrePotentialJet(
@@ -361,7 +359,10 @@ def prepotential_jets(system: ChargeSystem, X) -> tuple[PrePotentialJet, np.ndar
     each row of an (N, 4) array of events, with per-row failure codes
     (errors.ROW_FAILURES): a row fails with the first failing charge's
     code and holds NaN. A numerical failure on charge k raises
-    ChargeSystemError(k, ...) for the batch."""
+    ChargeSystemError(k, ...) for the batch. So does a row that no charge
+    fails whose S, Hessian or field is not finite (its squares overflow,
+    say): k is the first charge whose own jet there is not finite, or the
+    last one when only the sum is not."""
     X = np.asarray(X, dtype=float)
     failure = np.zeros(len(X), dtype=np.int8)
     value = np.zeros(len(X), dtype=complex)
@@ -376,7 +377,21 @@ def prepotential_jets(system: ChargeSystem, X) -> tuple[PrePotentialJet, np.ndar
         value += jet.value
         hessian += jet.hessian
         field += jet.field
-    return PrePotentialJet(value, hessian, field), failure
+    jet = PrePotentialJet(value, hessian, field)
+    bad = np.flatnonzero((failure == 0) & ~_finite_rows(jet))
+    if len(bad):
+        x = X[bad[:1]]
+        k = next((i for i, charge in enumerate(system)
+                  if not _finite_rows(_jet_rows(charge, x)[0])[0]), len(system) - 1)
+        raise ChargeSystemError(k, "S, its Hessian or field is not finite "
+                                f"at {tuple(x[0].tolist())}")
+    return jet, failure
+
+
+def _finite_rows(jet: PrePotentialJet) -> np.ndarray:
+    """Per row, whether S, its Hessian and the field are all finite."""
+    return (np.isfinite(jet.value) & np.isfinite(jet.hessian).all(axis=(1, 2))
+            & np.isfinite(jet.field).all(axis=1))
 
 
 # A principal log-ratio of zeta between two samples is a faithful local
@@ -485,26 +500,30 @@ def _a2_roots(line: WorldLine, stack: _PathStack) -> np.ndarray:
     """Per edge (columns), the parameters t in [0, 1) (2K, E) of the points
     (1 - t) x_start + t x_end where a2 of the retarded null vector may
     vanish, else 1. On a segment through R with unit velocity u, Q = D - s u
-    (D = x - R, s = D.u) is affine in t and a = Q + r u, r^2 = s^2 - D.D:
+    (D = x - R, s = D.u) is affine in t and a = Q + r u, r^2 = -Q.Q:
     a2 = Q2 + u2 r is 0 only where the quadratic f = u2^2 r^2 - Q2^2 is.
-    Each segment of line.segments gives a row of D, s and r^2; of a line of
+    r^2 is taken from Q, not as s^2 - D.D, which cancels when x is far in
+    s from R: the roots would then depend on which event names the line.
+    Each segment of line.segments gives a row of Q, s and r^2; of a line of
     several, only the roots whose retarded point, s - r past R in proper
     time, lies on their own segment are kept. On an edge in a2 = 0, where
     f = 0, those of a1 (the axis) stand in."""
     taus, E, U, rate = line.segments
     R = E[:len(U)]  # the knot starting each segment
     P, W, i0, i1 = stack.points, METRIC_SIGNS * U, stack.edges, stack.ends
-    D = [P[:, m] - R[:, m, None] for m in range(4)]
-    s = sum(W[:, m, None] * D[m] for m in range(4))
-    r2 = s * s - sum(METRIC_SIGNS[m] * D[m] * D[m] for m in range(4))
+    Q = [P[:, m] - R[:, m, None] for m in range(4)]  # D, until s is known
+    s = sum(W[:, m, None] * Q[m] for m in range(4))
+    for m in range(4):
+        Q[m] -= s * U[:, m, None]
+    r2 = Q[1] * Q[1] + Q[2] * Q[2] + Q[3] * Q[3] - Q[0] * Q[0]
     r0 = r2[:, i0]
     # r^2 along the edge is r0 + dr2 t + L t^2, with L = -dQ.dQ
     L = (s[:, i1] - s[:, i0]) ** 2 - stack.chord_sq
     dr2 = r2[:, i1] - r0 - L
 
     def quadratic(j):  # f = a t^2 + 2 b t + c for component j
-        uu, Q = U[:, j, None] ** 2, D[j] - s * U[:, j, None]
-        q0, dq = Q[:, i0], Q[:, i1] - Q[:, i0]
+        uu, q0 = U[:, j, None] ** 2, Q[j][:, i0]
+        dq = Q[j][:, i1] - q0
         return uu * L - dq * dq, 0.5 * uu * dr2 - q0 * dq, uu * r0 - q0 * q0
 
     a, b, c = quadratic(2)

@@ -37,6 +37,9 @@ __all__ = [
 ]
 
 METRIC_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
+# the metric eta and the real 4x4 identity, for every module
+ETA = np.diag(METRIC_SIGNS)
+EYE = np.eye(4)
 
 
 @dataclass(frozen=True)

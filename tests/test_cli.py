@@ -258,6 +258,21 @@ def test_loop_phase_golden_bytes(tmp_path, name):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_LOOPS_SHA256[name]
 
 
+
+# sha256 of the relations-dump outputs, recorded while each relation family
+# was still checked one (j, k) pair at a time
+GOLDEN_RELATIONS_SHA256 = {
+    "csv": "0e68f4d143b76339555eb5fb59df8ecff20f0d680856e071b269a30131a751fb",
+    "json": "ad04661e7cd6d0e33c7edbb37907343a4c71ea1b625dee82b033fc2092950aa4",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(GOLDEN_RELATIONS_SHA256))
+def test_relations_dump_golden_bytes(tmp_path, fmt):
+    out = tmp_path / f"relations.{fmt}"
+    assert main(["relations-dump", "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_RELATIONS_SHA256[fmt]
+
 # One charge at rest at the origin, given as each kind of line: a rest line
 # is uniform motion with u = e0, and a sampled line is uniform motion on the
 # segment that holds the retarded point.
@@ -379,6 +394,22 @@ class TestFieldGridMasking:
         monkeypatch.setattr(cli, "prepotential_jets", failing_kernel)
         assert main(["field-grid", "--scenario", REST,
                      "--out", str(tmp_path / "g.csv")]) == 3
+
+    def test_overflowing_cell_exits_three(self, tmp_path, capsys):
+        # the first cell is finite but its squares overflow, and the other
+        # two lie at x1 = inf: all three printed NaN rows with masked 0
+        scen, out = tmp_path / "grid.json", tmp_path / "grid.csv"
+        scen.write_text(json.dumps({
+            "version": 1,
+            "charges": [{"q": 1.0, "line": {"kind": "rest", "position": [0, 0, 0]}}],
+            "grid": {"time": 0.0, "origin": [1e308, 0.5, 0.5], "axes": [[1e308, 0.0, 0.0]],
+                     "extents": [10.0], "resolution": [3]},
+        }))
+        with pytest.warns(RuntimeWarning):
+            assert main(["field-grid", "--scenario", str(scen), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert ("runtime error: charge 0: S, its Hessian or field is not finite "
+                "at (0.0, 1e+308, 0.5, 0.5)") in capsys.readouterr().err
 
     def test_near_line_cell_is_exact(self, tmp_path, capsys):
         # cell 0 is 3e-8 from a sampled line moving at v = 0.5 and 4.6 from
@@ -993,6 +1024,21 @@ class TestVerifyFamilies:
         assert (row["max_deviation"], row["passed"]) == ("nan", "0")
         assert row["detail"] == "11 relation families; worst: commutator [rho_bar,rho] = 0"
 
+    def test_wrong_sigma_fails_exactly_its_families(self, monkeypatch, tmp_path):
+        # sigma = -i rho flips every eps^{jk}_l sigma^l, which is nonzero
+        # only for j != k: the three families that use sigma fail, by
+        # |2 eps rho| = 1, and the other eight pass
+        monkeypatch.setattr(matrices, "sigma", lambda j: -1j * matrices.rho(j))
+        wrong = {"commutator [sigma,sigma] = -eps sigma",
+                 "commutator [rho,rho] = +eps sigma",
+                 "commutator [sigma,rho] = -eps rho (validated sign)"}
+        path = tmp_path / "r.csv"
+        assert main(["relations-dump", "--out", str(path)]) == 1
+        rows = list(csv.DictReader(path.read_text().splitlines()))
+        assert len(rows) == 11
+        assert {r["relation"] for r in rows if r["passed"] == "0"} == wrong
+        assert {r["max_deviation"] for r in rows if r["relation"] in wrong} == {"1"}
+
 
 class TestUniformLineFromU:
     @staticmethod
@@ -1117,6 +1163,34 @@ class TestLoopPhaseCommand:
             "0", "-6.2831853071795862")
         assert (row["winding"], row["samples"], row["status"]) == ("-1", "16", "ok")
         assert float(row["residual"]) < 1e-17
+
+    @pytest.mark.parametrize("event_x0", [0.0, 1e8])
+    def test_far_triangle_winding_whatever_event_names_its_line(self, tmp_path, event_x0):
+        # a triangle at x0 = 1e8, 0.5 round a line through the origin: named
+        # by its event at x0 = 0, r^2 = s^2 - D.D cancelled there and read
+        # winding 0 on 7 samples, which the crossing oracle refused
+        v = np.array([0.5, -0.6, 0.3])
+        present = 1e8 * v
+        phi = 0.1 + 2 * math.pi * np.arange(3) / 3
+        scen = tmp_path / "far.json"
+        scen.write_text(json.dumps({
+            "version": 1,
+            "charges": [{"q": 1.0, "line": {"kind": "uniform",
+                                            "event": [event_x0, *(event_x0 * v).tolist()],
+                                            "velocity": v.tolist()}}],
+            "loops": [{"kind": "points", "events": [
+                [1e8, present[0] + 0.5 * math.cos(p), present[1] + 0.5 * math.sin(p),
+                 present[2] + 0.3] for p in phi]}],
+        }))
+        out = tmp_path / "far.csv"
+        assert main(["loop-phase", "--scenario", str(scen), "--out", str(out)]) == 0
+        (row,) = csv.DictReader(out.read_text().splitlines())
+        assert (row["winding"], row["samples"], row["status"]) == ("-1", "14", "ok")
+        assert abs(float(row["delta_S_im"]) + 2 * math.pi) < 1e-14
+        assert main(["verify", "--scenario", str(scen), "--checks", "loop-phase",
+                     "--out", str(out)]) == 0
+        (row,) = csv.DictReader(out.read_text().splitlines())
+        assert row["detail"] == "windings [-1]; crossing oracle vs phase rounding agree: True"
 
     def test_one_charge_winding_is_a_number(self, tmp_path):
         out = tmp_path / "loops.json"

@@ -561,6 +561,39 @@ class TestEdgeSamples:
         fine = Path(resampled(loop.points, 4096), closed=True)
         assert ab_phase_report(charge, loop).windings == (winding_number(fine, charge),) == (0,)
 
+    @given(
+        # u2 off 0: with u2 ~ 1e-9 a vertex at the line's x2 lies within
+        # rounding of a2 = 0, and an event 1e8 away fixes the line only to
+        # ~1e-8, so a root at that vertex may add a sample (not a turn)
+        v=st.tuples(st.floats(-0.6, 0.6), st.floats(0.05, 0.6) | st.floats(-0.6, -0.05),
+                    st.floats(-0.5, 0.5)),
+        far=st.sampled_from([1e4, 1e6, 1e7, 1e8]),
+        n=st.integers(3, 6),
+        phase=st.floats(0.0, 2 * math.pi),
+        radii=st.lists(st.floats(0.2, 1.0), min_size=6, max_size=6),
+        height=st.floats(-1.0, 1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    # r^2 = s^2 - D.D cancelled at 1e8 from the first event: winding 0 and
+    # 7 samples there, against -1 and 14 from the event at the loop's time
+    @example(v=(0.5, -0.6, 0.3), far=1e8, n=3, phase=0.1, radii=[0.5] * 6, height=0.3)
+    def test_windings_do_not_depend_on_the_event_that_names_the_line(
+        self, v, far, n, phase, radii, height
+    ):
+        # one uniform line through the origin, named by its event at x0 = 0
+        # and by its event at x0 = far, the time of a loop round it
+        assume(math.hypot(v[0], v[1]) > 0.05 and math.hypot(*v) < 0.9)
+        u = four_velocity_from_3velocity(v)
+        present = far * np.array([1.0, *v])
+        theta = phase + 2 * math.pi * np.arange(n) / n
+        loop = Path(np.column_stack([
+            np.full(n, far), present[1] + np.multiply(radii[:n], np.cos(theta)),
+            present[2] + np.multiply(radii[:n], np.sin(theta)), np.full(n, present[3] + height),
+        ]), closed=True)
+        near, distant = (ab_phase_reports(Charge(1.0, UniformLine(V(*event), u)), [loop])[0]
+                         for event in (present, np.zeros(4)))
+        assert (distant.windings, distant.samples_used) == (near.windings, near.samples_used)
+
     @pytest.mark.parametrize("speed", [0.0, 0.6])
     def test_edge_in_a2_zero_through_the_axis(self, speed):
         # the first edge lies in x2 = 0, where a2 vanishes identically, and

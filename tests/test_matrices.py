@@ -16,6 +16,7 @@ from prepotential import (
     upsilon_bar,
     validate_relations,
 )
+from prepotential import matrices
 
 I4 = np.eye(4, dtype=complex)
 
@@ -209,6 +210,40 @@ class TestValidateRelations:
         report = validate_relations()
         assert report.all_passed
         assert report.max_deviation < 1e-12
+
+    def test_stacked_families_match_pairwise_loops(self, monkeypatch, rng):
+        # perturbed generators give each family a nonzero deviation; the
+        # stacked identities must read the worst (j, k) pair of the loop
+        # over all nine, to rounding
+        for name in ("sigma", "rho", "rho_bar", "alpha"):
+            noise = 1e-3 * (rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4)))
+            f = getattr(matrices, name)
+            monkeypatch.setattr(matrices, name, lambda j, f=f, noise=noise: f(j) + noise[j - 1])
+        eps = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1,
+               (2, 1, 3): -1, (3, 2, 1): -1, (1, 3, 2): -1}
+
+        def combo(j, k, f):
+            return sum((s * f(l) for (a, b, l), s in eps.items() if (a, b) == (j, k)),
+                       np.zeros((4, 4), dtype=complex))
+
+        def half_delta(j, k):
+            return (0.5 if j == k else 0.0) * I4
+
+        m = matrices
+        families = [
+            lambda j, k: comm(m.sigma(j), m.sigma(k)) + combo(j, k, m.sigma),
+            lambda j, k: comm(m.rho(j), m.rho(k)) - combo(j, k, m.sigma),
+            lambda j, k: comm(m.sigma(j), m.rho(k)) + combo(j, k, m.rho),
+            lambda j, k: comm(m.rho_bar(j), m.rho(k)),
+            lambda j, k: anti(m.rho(j), m.rho(k)) - half_delta(j, k),
+            lambda j, k: anti(m.rho_bar(j), m.rho_bar(k)) - half_delta(j, k),
+            lambda j, k: anti(m.alpha(j), m.alpha(k)) - half_delta(j, k),
+        ]
+        want = [max(np.abs(f(j, k)).max() for j in (1, 2, 3) for k in (1, 2, 3))
+                for f in families]
+        got = [c.max_deviation for c in validate_relations().checks[:7]]
+        assert min(want) > 1e-4
+        assert_allclose(got, want, rtol=1e-12)
 
     def test_families_present(self):
         report = validate_relations()
