@@ -39,6 +39,9 @@ from .spacetime import (
     FourVector,
     WorldLine,
     _mdot_rows,
+    _retarded_table_rows,
+    _segment_table,
+    _SegmentTable,
     retarded_rows,
 )
 
@@ -177,6 +180,17 @@ class ChargeSystem:
     def __len__(self):
         return len(self.charges)
 
+    @cached_property
+    def segments(self) -> _SegmentTable:
+        """The charges' segment tables, charge after charge, for one
+        retarded solve of the whole system."""
+        return _segment_table([charge.line for charge in self.charges])
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        """The charges' q (C,), in order."""
+        return np.array([charge.q for charge in self.charges])
+
 
 @dataclass(frozen=True, eq=False, init=False)
 class Path:
@@ -311,10 +325,14 @@ class PrePotentialJet:
     field: np.ndarray
 
 
-def _jet_rows(charge: Charge, X) -> tuple[PrePotentialJet, np.ndarray]:
-    """S = q ln(zeta(a)) with its second derivatives in closed form at
-    each row of an (N, 4) array of events, from one retarded solve, and
-    the rows' failure codes (failing rows hold NaN).
+def _jet_rows(system: ChargeSystem, X) -> tuple[PrePotentialJet, np.ndarray]:
+    """S = q ln(zeta(a)) with its second derivatives in closed form for
+    each charge of the system at each row of an (N, 4) array of events,
+    from one retarded solve: C * N rows, charge after charge, with their
+    failure codes (failing rows hold NaN). A batch-level error of the
+    quotients is raised as ChargeSystemError(k, ...), k the lowest charge
+    whose rows alone raise it. A one-charge system solves its line
+    directly, so a one-knot line keeps one frame viewed N times.
 
     The motion is uniform (4-velocity u) within the segment holding the
     retarded point, so da^mu/dx^nu = J^mu_nu = delta^mu_nu - u^mu k_nu
@@ -330,10 +348,23 @@ def _jet_rows(charge: Charge, X) -> tuple[PrePotentialJet, np.ndarray]:
     while the field does not, so contracting the rounded matrix would lose
     about eps * (r/rho)^2 relative.
     """
-    _, A, U, failure = retarded_rows(charge.line, X)
-    num, den, pick, on_axis = _zeta_quotients(A)
+    if len(system) == 1:
+        (charge,) = system
+        _, A, U, failure = retarded_rows(charge.line, X)
+        q = charge.q
+    else:
+        _, A, U, failure = _retarded_table_rows(system.segments, X)
+        q = np.repeat(system.q, len(X))
+    try:
+        num, den, pick, on_axis = _zeta_quotients(A)
+    except PrepotentialError:
+        for k, part in enumerate(np.split(A, len(system))):
+            try:
+                _zeta_quotients(part)
+            except PrepotentialError as exc:
+                raise ChargeSystemError(k, str(exc)) from exc
+        raise
     n, d = _NUMERATORS[pick], _DENOMINATORS[pick]
-    q = charge.q
     # failing rows carry NaN through the arithmetic
     with np.errstate(invalid="ignore"):
         g = n / num[:, None] - d / den[:, None]
@@ -348,10 +379,18 @@ def _jet_rows(charge: Charge, X) -> tuple[PrePotentialJet, np.ndarray]:
         gu = np.einsum("ni,ni->n", g, U)
         jet = PrePotentialJet(
             q * np.log(num / den),
-            q * (np.swapaxes(J, 1, 2) @ h @ J - gu[:, None, None] * M),
+            np.reshape(q, (-1, 1, 1)) * (np.swapaxes(J, 1, 2) @ h @ J - gu[:, None, None] * M),
             _velocity_fields(q, A, U),
         )
     return jet, np.where(failure != 0, failure, on_axis)
+
+
+def _charge_sum(a: np.ndarray, c: int) -> np.ndarray:
+    """The sum over c charges of an array of rows laid charge after charge,
+    taken onto zeros in charge order: the bits, -0.0 and NaN included, of
+    adding each charge's rows in turn."""
+    parts = a.reshape(c, -1, *a.shape[1:])
+    return sum(parts, np.zeros_like(parts[0]))
 
 
 def prepotential_jets(system: ChargeSystem, X) -> tuple[PrePotentialJet, np.ndarray]:
@@ -364,27 +403,17 @@ def prepotential_jets(system: ChargeSystem, X) -> tuple[PrePotentialJet, np.ndar
     say): k is the first charge whose own jet there is not finite, or the
     last one when only the sum is not."""
     X = np.asarray(X, dtype=float)
-    failure = np.zeros(len(X), dtype=np.int8)
-    value = np.zeros(len(X), dtype=complex)
-    hessian = np.zeros((len(X), 4, 4), dtype=complex)
-    field = np.zeros((len(X), 3), dtype=complex)
-    for i, charge in enumerate(system):
-        try:
-            jet, fail = _jet_rows(charge, X)
-        except PrepotentialError as exc:
-            raise ChargeSystemError(i, str(exc)) from exc
-        failure = np.where(failure != 0, failure, fail)
-        value += jet.value
-        hessian += jet.hessian
-        field += jet.field
-    jet = PrePotentialJet(value, hessian, field)
+    c, rows = len(system), np.arange(len(X))
+    parts, fail = _jet_rows(system, X)
+    fail = fail.reshape(c, -1)
+    failure = fail[(fail != 0).argmax(axis=0), rows]
+    jet = PrePotentialJet(*(_charge_sum(a, c) for a in (parts.value, parts.hessian, parts.field)))
     bad = np.flatnonzero((failure == 0) & ~_finite_rows(jet))
     if len(bad):
-        x = X[bad[:1]]
-        k = next((i for i, charge in enumerate(system)
-                  if not _finite_rows(_jet_rows(charge, x)[0])[0]), len(system) - 1)
+        own = _finite_rows(parts).reshape(c, -1)[:, bad[0]]
+        k = int(np.argmin(own)) if not own.all() else c - 1
         raise ChargeSystemError(k, "S, its Hessian or field is not finite "
-                                f"at {tuple(x[0].tolist())}")
+                                f"at {tuple(X[bad[0]].tolist())}")
     return jet, failure
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path as FsPath
 
@@ -96,6 +96,12 @@ class GridSpec:
         X[:, 1:] = pos
         return X
 
+    def corners(self) -> np.ndarray:
+        """The 2^d corner cells, by the arithmetic of array(). Each cell is
+        affine in the ticks and rounding is monotone, so every coordinate
+        of every cell lies between its values at two corners."""
+        return replace(self, resolution=(2,) * len(self.axes)).array()
+
     def points(self):
         """Yield FourVector grid points in row-major axis order."""
         for row in self.array():
@@ -150,6 +156,23 @@ def _floats(raw, n: int, where: str) -> tuple[float, ...]:
     return tuple(_number(v, where) for v in raw)
 
 
+def _rows(raw: list, width: int | None, where: str) -> np.ndarray:
+    """A list of numbers (width None) or of width-number lists read as one
+    float array. numpy reads the whole list at once, as float() would each
+    number; whatever it rejects, shapes otherwise or reads as not finite is
+    read again number by number, so that the error names its element."""
+    shape = (len(raw),) if width is None else (len(raw), width)
+    try:
+        arr = np.array(raw, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.shape != shape or not np.isfinite(arr).all():
+        if width is None:
+            return np.array(_floats(raw, len(raw), where))
+        return np.array([_floats(e, width, f"{where}[{i}]") for i, e in enumerate(raw)])
+    return arr
+
+
 def _parse_line(raw: dict, where: str):
     _require(isinstance(raw, dict), f"{where}: line must be an object")
     kind = raw.get("kind")
@@ -176,10 +199,9 @@ def _parse_line(raw: dict, where: str):
         _require(isinstance(taus, list) and isinstance(events, list)
                  and len(taus) == len(events) and len(taus) >= 2,
                  f"{where}: sampled line needs matching 'taus' and 'events' lists")
-        evs = tuple(FourVector(*_floats(e, 4, f"{where}.events[{i}]"))
-                    for i, e in enumerate(events))
+        evs = tuple(FourVector(*e) for e in _rows(events, 4, f"{where}.events").tolist())
         try:
-            return SampledLine(_floats(taus, len(taus), f"{where}.taus"), evs)
+            return SampledLine(tuple(_rows(taus, None, f"{where}.taus").tolist()), evs)
         except ValueError as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
     raise ScenarioError(f"{where}: unknown line kind {kind!r}")
@@ -210,8 +232,7 @@ def build_loop(raw: dict, where: str) -> Path:
         events = raw.get("events")
         _require(isinstance(events, list) and len(events) >= 2,
                  f"{where}: points loop needs an 'events' list")
-        points = np.array([_floats(e, 4, f"{where}.events[{i}]")
-                           for i, e in enumerate(events)])
+        points = _rows(events, 4, f"{where}.events")
         closed = raw.get("closed", True)
         _require(isinstance(closed, bool),
                  f"{where}.closed: expected true or false, got {closed!r}")
@@ -264,6 +285,9 @@ def parse_scenario(doc: dict) -> Scenario:
             extents=extents,
             resolution=resolution,
         )
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(grid.corners()).all()
+        _require(finite, "grid: every cell must be finite, but a corner cell overflows")
 
     raw_loops = doc.get("loops", [])
     _require(isinstance(raw_loops, list), "loops: need a list")

@@ -226,31 +226,99 @@ def _mdot_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij,i->j", a, b, METRIC_SIGNS)
 
 
-def _locate_segments(line: WorldLine, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index k of the segment [tau_k, tau_k+1] holding each row's retarded
-    point, by bisection on g(tau) = (x0 - line0(tau)) - |x - line(tau)|,
-    monotone decreasing, at the knots; and the failure codes of the rows
-    whose past light cone misses the sampled range. A line of one knot has
-    one unbounded segment: k is [0] for all rows, and no row fails."""
-    _, E, _, _ = line.segments
+def _bisect(E: np.ndarray, X: np.ndarray, lo: np.ndarray,
+            hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index k (N,) of the segment [tau_k, tau_k+1] holding each row's
+    retarded point, by bisection between the knots lo and hi (N,) of the
+    row's own line in the knot events E, on g(tau) = (x0 - line0(tau)) -
+    |x - line(tau)|, monotone decreasing, at the knots; and the failure
+    codes of the rows whose past light cone misses that range."""
     failure = np.zeros(len(X), dtype=np.int8)
-    if len(E) == 1:
-        return np.zeros(1, dtype=np.intp), failure
 
     def g(k):
         rel = X[:, 1:] - E[k, 1:]
         return (X[:, 0] - E[k, 0]) - np.sqrt(np.einsum("ij,ij->i", rel, rel))
 
-    last = len(E) - 1
-    failure[g(last) > 0] = BEYOND_RANGE
-    failure[g(0) < 0] = BEFORE_RANGE
-    lo, hi = np.zeros(len(X), dtype=np.intp), np.full(len(X), last)
+    failure[g(hi) > 0] = BEYOND_RANGE
+    failure[g(lo) < 0] = BEFORE_RANGE
     while (split := hi - lo > 1).any():
         mid = (lo + hi) // 2
         ahead = g(mid) >= 0
         lo = np.where(split & ahead, mid, lo)
         hi = np.where(split & ~ahead, mid, hi)
     return lo, failure
+
+
+def _locate_segments(line: WorldLine, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_bisect over the line's knots for each row. A line of one knot has
+    one unbounded segment: k is [0] for all rows, and no row fails."""
+    _, E, _, _ = line.segments
+    if len(E) == 1:
+        return np.zeros(1, dtype=np.intp), np.zeros(len(X), dtype=np.int8)
+    return _bisect(E, X, np.zeros(len(X), dtype=np.intp), np.full(len(X), len(E) - 1))
+
+
+@dataclass(frozen=True, eq=False)
+class _SegmentTable:
+    """The segment tables of several world-lines laid line after line, so
+    that one index names a knot and the segment it starts: segments holds
+    the knot parameters (M,) and events (M, 4), and per segment U (M, 4)
+    and rate (M,), where the last knot of a line of several has a row of
+    NaN; first and last (C,) are each line's first and last knot."""
+
+    segments: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    first: np.ndarray
+    last: np.ndarray
+
+
+def _segment_table(lines) -> _SegmentTable:
+    """The _SegmentTable of a sequence of world-lines."""
+    taus, E, U, rate = zip(*(line.segments for line in lines))
+    sizes = np.array([len(t) for t in taus])
+    last = np.cumsum(sizes) - 1
+    first = last - sizes + 1
+    # a line of K > 1 knots has K - 1 segments: its last knot starts none
+    seg_u, seg_rate = np.full((last[-1] + 1, 4), np.nan), np.full(last[-1] + 1, np.nan)
+    for k, u, r in zip(first, U, rate):
+        seg_u[k:k + len(u)], seg_rate[k:k + len(r)] = u, r
+    taus, E = np.concatenate(taus, dtype=float), np.concatenate(E, dtype=float)
+    return _SegmentTable((taus, E, seg_u, seg_rate), first, last)
+
+
+def _event_rows(X) -> np.ndarray:
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != 4:
+        raise ValueError(f"expected an (N, 4) array of events, got shape {X.shape}")
+    return X
+
+
+def _retarded(segments, X: np.ndarray, k: np.ndarray, failure: np.ndarray):
+    """The retarded solve of retarded_rows for the rows of X in the segments
+    k of a segment table (taus, E, U, rate), with the rows' failure codes
+    so far: k is one index for all rows, or one per row."""
+    # the arithmetic runs on contiguous (4, N) component columns: D becomes
+    # P in place, and T holds each product with U, so that a call allocates
+    # three (4, N) arrays (D, T and A)
+    D = X.T.copy()
+    taus, E, seg_u, seg_rate = segments
+    t, rate, U = taus[k], seg_rate[k], seg_u[k]
+    R, W = np.take(E.T, k, axis=1), np.ascontiguousarray(U.T)
+    U = np.broadcast_to(U, X.shape)  # with k = [0], one row viewed N times
+    D -= R
+    s = _mdot_cols(D, W)
+    T = W * s
+    D -= T
+    D -= np.multiply(W, _mdot_cols(D, W), out=T)
+    r2 = -_mdot_cols(D, D)  # squared rest-frame distance, >= 0
+    failure[(failure == 0) & (r2 < _ON_LINE_FLOOR**2 * np.maximum(1.0, s * s))] = ON_LINE
+    r = np.sqrt(np.maximum(r2, 0.0))
+    A = np.empty(X.shape)  # C-ordered, as the row code downstream expects
+    np.add(D, np.multiply(W, r, out=T), out=A.T)
+    tau = t + rate * (s - r)
+    if failure.any():
+        A[failure != 0] = np.nan
+        tau[failure != 0] = np.nan
+    return tau, A, U, failure
 
 
 def retarded_rows(
@@ -277,33 +345,28 @@ def retarded_rows(
     After the second, P.U is of order eps * r, so a is null to rounding,
     and a0 > 0 for r > 0 (r U0 >= |P_vec| > |P0|).
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != 4:
-        raise ValueError(f"expected an (N, 4) array of events, got shape {X.shape}")
-    # the arithmetic runs on contiguous (4, N) component columns: D becomes
-    # P in place, and T holds each product with U, so that a call allocates
-    # three (4, N) arrays (D, T and A)
-    D = X.T.copy()
-    k, failure = _locate_segments(line, X)
-    taus, E, seg_u, seg_rate = line.segments
-    t, rate, U = taus[k], seg_rate[k], seg_u[k]
-    R, W = np.take(E.T, k, axis=1), np.ascontiguousarray(U.T)
-    U = np.broadcast_to(U, X.shape)  # with k = [0], one row viewed N times
-    D -= R
-    s = _mdot_cols(D, W)
-    T = W * s
-    D -= T
-    D -= np.multiply(W, _mdot_cols(D, W), out=T)
-    r2 = -_mdot_cols(D, D)  # squared rest-frame distance, >= 0
-    failure[(failure == 0) & (r2 < _ON_LINE_FLOOR**2 * np.maximum(1.0, s * s))] = ON_LINE
-    r = np.sqrt(np.maximum(r2, 0.0))
-    A = np.empty(X.shape)  # C-ordered, as the row code downstream expects
-    np.add(D, np.multiply(W, r, out=T), out=A.T)
-    tau = t + rate * (s - r)
-    if failure.any():
-        A[failure != 0] = np.nan
-        tau[failure != 0] = np.nan
-    return tau, A, U, failure
+    X = _event_rows(X)
+    return _retarded(line.segments, X, *_locate_segments(line, X))
+
+
+def _retarded_table_rows(
+    table: _SegmentTable, X
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """retarded_rows for every line of a segment table in one solve, on C * N
+    rows laid line after line: row c * N + i is event i seen from line c.
+    Only the rows of lines of several knots bisect, each within its own
+    line's knots; a row of a one-knot line takes that knot's segment by
+    index. Each row gets the bits of retarded_rows for its line."""
+    X = _event_rows(X)
+    n = len(X)
+    rows = np.tile(X, (len(table.first), 1))
+    k = np.repeat(table.first, n)
+    failure = np.zeros(len(rows), dtype=np.int8)
+    many = np.repeat(table.last > table.first, n)
+    if many.any():
+        k[many], failure[many] = _bisect(table.segments[1], rows[many], k[many],
+                                         np.repeat(table.last, n)[many])
+    return _retarded(table.segments, rows, k, failure)
 
 
 def retarded_null_vectors(line: WorldLine, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

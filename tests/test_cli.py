@@ -18,7 +18,7 @@ import pytest
 import prepotential
 from prepotential import cli, matrices, potential, spacetime, verify
 from prepotential.cli import main
-from prepotential.errors import ChargeSystemError, StepTooLargeError
+from prepotential.errors import ChargeSystemError, NotNullError, StepTooLargeError
 from prepotential.fields import FaradayVector, boosted_coulomb_oracle, coulomb_oracle
 from prepotential.scenario import bundled_scenario_path, load_scenario
 from prepotential.spacetime import FourVector
@@ -122,6 +122,12 @@ def _grid_rows(tmp_path, doc, capsys=None):
     scen.write_text(json.dumps(doc))
     assert main(["field-grid", "--scenario", str(scen), "--out", str(out)]) == 0
     return list(csv.DictReader(out.read_text().splitlines()))
+
+
+def _written(tmp_path, doc) -> str:
+    scen = tmp_path / "scenario.json"
+    scen.write_text(json.dumps(doc))
+    return str(scen)
 
 
 def _max_field_error(row, oracle):
@@ -396,8 +402,24 @@ class TestFieldGridMasking:
                      "--out", str(tmp_path / "g.csv")]) == 3
 
     def test_overflowing_cell_exits_three(self, tmp_path, capsys):
-        # the first cell is finite but its squares overflow, and the other
-        # two lie at x1 = inf: all three printed NaN rows with masked 0
+        # both cells are finite but their squares overflow: they printed
+        # NaN rows with masked 0
+        scen, out = tmp_path / "grid.json", tmp_path / "grid.csv"
+        scen.write_text(json.dumps({
+            "version": 1,
+            "charges": [{"q": 1.0, "line": {"kind": "rest", "position": [0, 0, 0]}}],
+            "grid": {"time": 0.0, "origin": [1e308, 0.5, 0.5], "axes": [[1.0, 0.0, 0.0]],
+                     "extents": [1.0], "resolution": [2]},
+        }))
+        with pytest.warns(RuntimeWarning):
+            assert main(["field-grid", "--scenario", str(scen), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert ("runtime error: charge 0: S, its Hessian or field is not finite "
+                "at (0.0, 1e+308, 0.5, 0.5)") in capsys.readouterr().err
+
+    def test_overflowing_grid_is_a_configuration_error(self, tmp_path, capsys):
+        # the last two cells lie at x1 = inf; the grid is rejected at load,
+        # with no RuntimeWarning (the suite makes one an error)
         scen, out = tmp_path / "grid.json", tmp_path / "grid.csv"
         scen.write_text(json.dumps({
             "version": 1,
@@ -405,11 +427,56 @@ class TestFieldGridMasking:
             "grid": {"time": 0.0, "origin": [1e308, 0.5, 0.5], "axes": [[1e308, 0.0, 0.0]],
                      "extents": [10.0], "resolution": [3]},
         }))
-        with pytest.warns(RuntimeWarning):
-            assert main(["field-grid", "--scenario", str(scen), "--out", str(out)]) == 3
+        assert main(["field-grid", "--scenario", str(scen), "--out", str(out)]) == 2
         assert not out.exists()
-        assert ("runtime error: charge 0: S, its Hessian or field is not finite "
-                "at (0.0, 1e+308, 0.5, 0.5)") in capsys.readouterr().err
+        assert ("configuration error: grid: every cell must be finite, but a corner "
+                "cell overflows") in capsys.readouterr().err
+
+    def test_one_solve_and_one_quotient_call_per_system(self, tmp_path, monkeypatch):
+        # the three charges of MIXED_GRID are solved as one table of 3 x 32
+        # rows; no charge is solved on its own
+        solves, quotients = [], []
+        table_rows, zeta_quotients = potential._retarded_table_rows, potential._zeta_quotients
+
+        def counting_solve(table, X):
+            out = table_rows(table, X)
+            solves.append(len(out[1]))
+            return out
+
+        def counting_quotients(A):
+            quotients.append(len(A))
+            return zeta_quotients(A)
+
+        def single(line, X):
+            raise AssertionError("a charge of the system was solved on its own")
+
+        monkeypatch.setattr(potential, "_retarded_table_rows", counting_solve)
+        monkeypatch.setattr(potential, "_zeta_quotients", counting_quotients)
+        monkeypatch.setattr(potential, "retarded_rows", single)
+        _grid_rows(tmp_path, MIXED_GRID)
+        assert solves == quotients == [3 * 32]
+
+    def test_failing_quotient_names_its_charge(self, tmp_path, monkeypatch, capsys):
+        # only charge 1, the uniform one, has retarded vectors with a3 > 0.5
+        # at these cells; a batch-level error there names charge 1
+        zeta_quotients = potential._zeta_quotients
+
+        def failing(A):
+            if (A[:, 3] > 0.5).any():
+                raise NotNullError("vector is not null")
+            return zeta_quotients(A)
+
+        doc = dict(MIXED_GRID, grid={"time": 0.5, "origin": [-1.5, -1.0, 0.0],
+                                     "axes": [[1, 0, 0]], "extents": [3.0], "resolution": [4]})
+        charges = load_scenario(_written(tmp_path, doc)).charges
+        X = np.array([[0.5, -1.5 + i, -1.0, 0.0] for i in range(4)])
+        for k, charge in enumerate(charges):
+            A = spacetime.retarded_rows(charge.line, X)[1]
+            assert (A[:, 3] > 0.5).any() == (k == 1)
+        monkeypatch.setattr(potential, "_zeta_quotients", failing)
+        assert main(["field-grid", "--scenario", _written(tmp_path, doc),
+                     "--out", str(tmp_path / "g.csv")]) == 3
+        assert "runtime error: charge 1: vector is not null" in capsys.readouterr().err
 
     def test_near_line_cell_is_exact(self, tmp_path, capsys):
         # cell 0 is 3e-8 from a sampled line moving at v = 0.5 and 4.6 from

@@ -38,6 +38,7 @@ from prepotential import (
     zeta_at,
     zeta_of,
 )
+from prepotential import potential
 from prepotential.errors import ROW_FAILURES
 from prepotential.potential import (
     _DENOMINATORS,
@@ -448,34 +449,69 @@ class TestZetaProperties:
         assert_allclose(z1 / z0, np.exp(-1j * theta), rtol=1e-13)
 
     @given(
-        kinds=st.lists(st.sampled_from(["rest", "uniform", "sampled"]), min_size=1, max_size=3),
-        qs=st.lists(st.sampled_from([-1.5, -0.4, 0.7, 2.0]), min_size=3, max_size=3),
+        kinds=st.lists(st.sampled_from(["rest", "uniform", "sampled"]), min_size=1, max_size=4),
+        qs=st.lists(st.sampled_from([-1.5, -0.4, 0.7, 2.0]), min_size=4, max_size=4),
         v3=_speeds,
         sights=st.lists(_sights, min_size=1, max_size=6),
         bad=st.integers(0, 9),
+        early=st.booleans(),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_system_jet_is_sum_of_charge_jets(self, kinds, qs, v3, sights, bad):
-        # one extra row on charge `bad`'s axis fails; a failing row takes
-        # the code of the first charge that fails there
+    @settings(max_examples=80, deadline=None)
+    def test_system_jet_is_sum_of_charge_jets(self, kinds, qs, v3, sights, bad, early):
+        # the system's one solve gives every row the bits of the one-charge
+        # jets added onto zeros in charge order, NaN rows included. One
+        # extra row on charge `bad`'s axis fails, and an early one precedes
+        # the sampled line's range; a failing row takes the code of the
+        # first charge that fails there
         charges, events = zip(*(_charge_of_kind(k, q, v3, 0.5) for k, q in zip(kinds, qs)))
         X = [_sight(kinds[0], v3, s)[1].as_array() for s in sights]
         k_bad = bad % len(charges)
         X.append(_observer(events[k_bad], 1.5, np.array([0.0, 0.0, 1.0])).as_array())
+        if early:
+            X.append(np.array([-20.0, 0.5, 0.5, 0.5]))
         X = np.array(X)
         jet, failure = prepotential_jets(ChargeSystem(charges), X)
-        parts = [_jet_rows(c, X) for c in charges]
+        parts = [_jet_rows(ChargeSystem((c,)), X) for c in charges]
         first = np.zeros(len(X), dtype=np.int8)
         for _, fail in reversed(parts):
             first = np.where(fail != 0, fail, first)
         assert_array_equal(failure, first)
-        assert failure[-1] != 0
-        ok = failure == 0
-        assert np.isnan(jet.value[~ok]).all()
+        assert failure[len(sights)] != 0
+        assert np.isnan(jet.value[failure != 0]).all()
         for name in ("value", "hessian", "field"):
-            got = getattr(jet, name)[ok]
-            want = sum(getattr(p, name)[ok] for p, _ in parts)
-            assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max(initial=0.0))
+            want = np.zeros_like(getattr(parts[0][0], name))
+            for part, _ in parts:
+                want += getattr(part, name)
+            assert getattr(jet, name).tobytes() == want.tobytes()
+
+    def test_signed_zeros_sum_onto_zeros(self):
+        # each charge's E2 at (0, 1, 0, 0.5) is -0.0; a sum that started
+        # from the first charge's rows would keep the sign
+        charges = (rest_charge(), rest_charge(0.5))
+        X = np.array([[0.0, 1.0, 0.0, 0.5]])
+        parts = [_jet_rows(ChargeSystem((c,)), X)[0].field for c in charges]
+        assert all(math.copysign(1.0, p[0, 1].real) == -1.0 for p in parts)
+        field = prepotential_jets(ChargeSystem(charges), X)[0].field
+        assert field.tobytes() == (np.zeros_like(parts[0]) + parts[0] + parts[1]).tobytes()
+        assert math.copysign(1.0, field[0, 1].real) == 1.0
+
+    def test_charge_of_a_failing_quotient(self, monkeypatch):
+        # a batch-level error names the lowest charge whose rows raise it
+        # alone: charge 1 is the only one whose retarded vectors reach |a| = 50
+        charges = (rest_charge(), rest_charge(0.5, (100.0, 0.0, 0.0)), rest_charge(0.5))
+        quotients = potential._zeta_quotients
+
+        def failing(A):
+            if (np.abs(A) > 50.0).any():
+                raise NotNullError("far rows")
+            return quotients(A)
+
+        monkeypatch.setattr(potential, "_zeta_quotients", failing)
+        X = np.array([[0.0, 1.0, 2.0, 0.5], [1.0, -1.0, 0.5, 0.5]])
+        with pytest.raises(ChargeSystemError, match=r"^charge 1: far rows$") as err:
+            prepotential_jets(ChargeSystem(charges), X)
+        assert err.value.index == 1
+        assert isinstance(err.value.__cause__, NotNullError)
 
 
 class TestDeltaSAlongPath:

@@ -2,10 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prepotential import ScenarioError, load_scenario, parse_scenario
-from prepotential.scenario import bundled_scenario_path
+from prepotential import ScenarioError, load_scenario, parse_scenario, scenario
+from prepotential.scenario import GridSpec, _floats, bundled_scenario_path
 
 
 def minimal_doc(**overrides):
@@ -140,3 +143,109 @@ class TestLoading:
     def test_unknown_bundled_name(self):
         with pytest.raises(ScenarioError, match="available"):
             bundled_scenario_path("does_not_exist")
+
+
+def _per_number(raw, width, where):
+    """scenario._rows read number by number with _floats, as every list was
+    read before _rows."""
+    if width is None:
+        return np.array(_floats(raw, len(raw), where))
+    return np.array([_floats(e, width, f"{where}[{i}]") for i, e in enumerate(raw)])
+
+
+# JSON values: numbers, bools, None, strings that float() reads or does not,
+# and lists and objects of them
+_strings = st.one_of(
+    st.sampled_from(["1_000", " 1.5 ", "infinity", "-inf", "nan", "١٢", "0x10", "1.5j",
+                     "", "-0", "1e400", "1__0", "2"]),
+    st.from_regex(r"\s?[-+]?[0-9_]{0,3}(\.[0-9]{0,2})?([eE][-+]?[0-9]{1,3})?\s?",
+                  fullmatch=True),
+    st.text(max_size=3),
+)
+_scalars = st.one_of(st.floats(), st.integers(-2**70, 2**70), st.booleans(), st.none(),
+                     _strings)
+_values = st.recursive(_scalars, lambda inner: st.lists(inner, max_size=5)
+                       | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+                       max_leaves=12)
+
+
+@st.composite
+def _line_and_loop(draw):
+    """A document with a sampled line and a points loop, valid before up to
+    three of their entries (a number, an event or a list) are replaced by
+    arbitrary JSON values."""
+    n = draw(st.integers(2, 6))
+    taus = [float(t) for t in range(n)]
+    events = [[t, 0.1 * t, 0.0, 0.0] for t in taus]
+    loop = [[0.0, float(np.cos(t)), float(np.sin(t)), 0.5] for t in range(n + 1)]
+    for _ in range(draw(st.integers(0, 3))):
+        target = draw(st.sampled_from([taus, events, loop]))
+        i = draw(st.integers(0, len(target) - 1))
+        entry = target[i]
+        if isinstance(entry, list) and len(entry) == 4 and draw(st.booleans()):
+            entry[draw(st.integers(0, 3))] = draw(_values)
+        else:
+            target[i] = draw(_values)
+    if draw(st.booleans()):
+        loop.append(draw(_values))
+    return minimal_doc(
+        charges=[{"q": 1.0, "line": {"kind": "sampled", "taus": taus, "events": events}}],
+        loops=[{"kind": "points", "events": loop}])
+
+
+def _parsed(doc):
+    try:
+        sc = parse_scenario(doc)
+    except ScenarioError as exc:
+        return str(exc)
+    return repr(sc.charges), [loop.points.tobytes() for loop in sc.loops]
+
+
+class TestListsAsArrays:
+    @given(doc=_line_and_loop())
+    @settings(max_examples=300, deadline=None)
+    def test_same_documents_and_messages_as_number_by_number(self, doc):
+        got = _parsed(doc)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scenario, "_rows", _per_number)
+            want = _parsed(doc)
+        assert got == want
+
+    @given(raw=st.lists(st.one_of(_scalars, st.lists(_scalars, min_size=4, max_size=4)),
+                        min_size=1, max_size=4),
+           width=st.sampled_from([None, 4]))
+    @settings(max_examples=300, deadline=None)
+    def test_rows_read_as_number_by_number(self, raw, width):
+        def outcome(read):
+            try:
+                return read(raw, width, "x").tobytes()
+            except ScenarioError as exc:
+                return str(exc)
+
+        assert outcome(scenario._rows) == outcome(_per_number)
+
+
+_wide = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestGridCorners:
+    @given(
+        time=_wide,
+        origin=st.tuples(_wide, _wide, _wide),
+        axes=st.lists(st.tuples(_wide, _wide, _wide), min_size=1, max_size=3),
+        extents=st.lists(_wide, min_size=3, max_size=3),
+        resolution=st.lists(st.integers(2, 4), min_size=3, max_size=3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_corners_are_finite_iff_every_cell_is(self, time, origin, axes, extents,
+                                                  resolution):
+        d = len(axes)
+        grid = GridSpec(time, origin, tuple(axes), tuple(extents[:d]), tuple(resolution[:d]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isfinite(grid.corners()).all() == np.isfinite(grid.array()).all()
+
+    def test_overflowing_grid_rejected(self):
+        with pytest.raises(ScenarioError, match="a corner cell overflows"):
+            parse_scenario(minimal_doc(grid={
+                "time": 0.0, "origin": [1e308, 0.5, 0.5], "axes": [[1e308, 0, 0]],
+                "extents": [10.0], "resolution": [3]}))

@@ -40,6 +40,8 @@ from prepotential.spacetime import (
     _ON_LINE_FLOOR,
     _locate_segments,
     _mdot_rows,
+    _retarded_table_rows,
+    _segment_table,
     retarded_null_vectors,
     retarded_rows,
 )
@@ -730,3 +732,38 @@ class TestColumnKernels:
                 with pytest.raises(NotNullError) as info:
                     form(_laid_out(A, layout))
                 assert str(info.value) == message
+
+
+class TestSegmentTable:
+    """The lines of a segment table are solved in one batch, with the bits
+    each line's own solve gives."""
+
+    @given(
+        kinds=st.lists(st.sampled_from(["rest", "uniform", "sampled"]), min_size=1, max_size=4),
+        v3=_speeds,
+        turn=st.floats(-0.4, 0.4),
+        events=st.lists(_events, min_size=1, max_size=8),
+        layout=st.sampled_from(["C", "F", "strided"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rows_match_each_line_alone(self, kinds, v3, turn, events, layout):
+        lines = [_line(kind, v3, turn)[0] for kind in kinds]
+        on = [_line(kind, v3, turn)[1][0] for kind in kinds]  # on each line
+        rows = list(events) + on + [np.array([-100.0, 0, 0, 0]), np.array([100.0, 0, 0, 0])]
+        X = _laid_out(np.array(rows, dtype=float), layout)
+        before = X.copy()
+        tau, A, U, failure = _retarded_table_rows(_segment_table(lines), X)
+        assert_array_equal(X, before)
+        n = len(X)
+        for c, line in enumerate(lines):
+            want = retarded_rows(line, X)
+            got = tuple(a[c * n:(c + 1) * n] for a in (tau, A, U, failure))
+            _assert_same_bits(got, tuple(np.ascontiguousarray(a) for a in want))
+
+    def test_one_knot_line_keeps_one_frame(self):
+        # a rest or uniform line's frame is one row viewed N times, so a
+        # batch allocates no (N, 4) array of frames
+        u = four_velocity_from_3velocity([0.3, -0.2, 0.1])
+        for line in (RestLine((0.5, -1.0, 2.0)), UniformLine(V(1, 2, 3, 4), u)):
+            U = retarded_rows(line, np.full((5, 4), 7.0))[2]
+            assert U.shape == (5, 4) and U.strides[0] == 0
