@@ -41,7 +41,6 @@ from .spacetime import (
     _mdot_rows,
     _retarded_table_rows,
     _segment_table,
-    _SegmentTable,
     retarded_rows,
 )
 
@@ -181,9 +180,9 @@ class ChargeSystem:
         return len(self.charges)
 
     @cached_property
-    def segments(self) -> _SegmentTable:
-        """The charges' segment tables, charge after charge, for one
-        retarded solve of the whole system."""
+    def segments(self) -> tuple:
+        """The charges' segment tables, charge after charge
+        (spacetime._segment_table), for one retarded solve of the system."""
         return _segment_table([charge.line for charge in self.charges])
 
     @cached_property
@@ -351,10 +350,11 @@ def _jet_rows(system: ChargeSystem, X) -> tuple[PrePotentialJet, np.ndarray]:
     if len(system) == 1:
         (charge,) = system
         _, A, U, failure = retarded_rows(charge.line, X)
-        q = charge.q
+        q = q3 = charge.q
     else:
         _, A, U, failure = _retarded_table_rows(system.segments, X)
         q = np.repeat(system.q, len(X))
+        q3 = q[:, None, None]
     try:
         num, den, pick, on_axis = _zeta_quotients(A)
     except PrepotentialError:
@@ -379,7 +379,7 @@ def _jet_rows(system: ChargeSystem, X) -> tuple[PrePotentialJet, np.ndarray]:
         gu = np.einsum("ni,ni->n", g, U)
         jet = PrePotentialJet(
             q * np.log(num / den),
-            np.reshape(q, (-1, 1, 1)) * (np.swapaxes(J, 1, 2) @ h @ J - gu[:, None, None] * M),
+            q3 * (np.swapaxes(J, 1, 2) @ h @ J - gu[:, None, None] * M),
             _velocity_fields(q, A, U),
         )
     return jet, np.where(failure != 0, failure, on_axis)
@@ -389,8 +389,11 @@ def _charge_sum(a: np.ndarray, c: int) -> np.ndarray:
     """The sum over c charges of an array of rows laid charge after charge,
     taken onto zeros in charge order: the bits, -0.0 and NaN included, of
     adding each charge's rows in turn."""
-    parts = a.reshape(c, -1, *a.shape[1:])
-    return sum(parts, np.zeros_like(parts[0]))
+    n = len(a) // c
+    total = np.zeros((n,) + a.shape[1:], dtype=a.dtype)
+    for k in range(c):
+        total += a[k * n:(k + 1) * n]
+    return total
 
 
 def prepotential_jets(system: ChargeSystem, X) -> tuple[PrePotentialJet, np.ndarray]:

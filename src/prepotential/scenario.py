@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path as FsPath
 
@@ -96,11 +97,17 @@ class GridSpec:
         X[:, 1:] = pos
         return X
 
-    def corners(self) -> np.ndarray:
-        """The 2^d corner cells, by the arithmetic of array(). Each cell is
-        affine in the ticks and rounding is monotone, so every coordinate
-        of every cell lies between its values at two corners."""
-        return replace(self, resolution=(2,) * len(self.axes)).array()
+    def finite(self) -> bool:
+        """Whether every cell of array() is finite, from its 2^d corner cells
+        alone: each cell is affine in the ticks and rounding is monotone, so
+        every coordinate of every cell lies between its values at two
+        corners. The corners are summed in array()'s order in Python floats,
+        which overflow to inf without a warning."""
+        corners = [tuple(map(float, self.origin))]
+        for ax, ext in zip(self.axes, self.extents):
+            ends = [0.0 * a for a in ax], [ext * a for a in ax]
+            corners = [tuple(map(operator.add, c, d)) for c in corners for d in ends]
+        return all(map(math.isfinite, [v for c in corners for v in c]))
 
     def points(self):
         """Yield FourVector grid points in row-major axis order."""
@@ -285,9 +292,7 @@ def parse_scenario(doc: dict) -> Scenario:
             extents=extents,
             resolution=resolution,
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(grid.corners()).all()
-        _require(finite, "grid: every cell must be finite, but a corner cell overflows")
+        _require(grid.finite(), "grid: every cell must be finite, but a corner cell overflows")
 
     raw_loops = doc.get("loops", [])
     _require(isinstance(raw_loops, list), "loops: need a list")

@@ -258,21 +258,12 @@ def _locate_segments(line: WorldLine, X: np.ndarray) -> tuple[np.ndarray, np.nda
     return _bisect(E, X, np.zeros(len(X), dtype=np.intp), np.full(len(X), len(E) - 1))
 
 
-@dataclass(frozen=True, eq=False)
-class _SegmentTable:
+def _segment_table(lines) -> tuple[tuple, np.ndarray, np.ndarray]:
     """The segment tables of several world-lines laid line after line, so
-    that one index names a knot and the segment it starts: segments holds
-    the knot parameters (M,) and events (M, 4), and per segment U (M, 4)
-    and rate (M,), where the last knot of a line of several has a row of
-    NaN; first and last (C,) are each line's first and last knot."""
-
-    segments: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    first: np.ndarray
-    last: np.ndarray
-
-
-def _segment_table(lines) -> _SegmentTable:
-    """The _SegmentTable of a sequence of world-lines."""
+    that one index names a knot and the segment it starts: the knot
+    parameters (M,) and events (M, 4), and per segment U (M, 4) and rate
+    (M,), where the last knot of a line of several has a row of NaN; then
+    each line's first and last knot (C,)."""
     taus, E, U, rate = zip(*(line.segments for line in lines))
     sizes = np.array([len(t) for t in taus])
     last = np.cumsum(sizes) - 1
@@ -282,7 +273,7 @@ def _segment_table(lines) -> _SegmentTable:
     for k, u, r in zip(first, U, rate):
         seg_u[k:k + len(u)], seg_rate[k:k + len(r)] = u, r
     taus, E = np.concatenate(taus, dtype=float), np.concatenate(E, dtype=float)
-    return _SegmentTable((taus, E, seg_u, seg_rate), first, last)
+    return (taus, E, seg_u, seg_rate), first, last
 
 
 def _event_rows(X) -> np.ndarray:
@@ -350,23 +341,24 @@ def retarded_rows(
 
 
 def _retarded_table_rows(
-    table: _SegmentTable, X
+    table: tuple, X
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """retarded_rows for every line of a segment table in one solve, on C * N
     rows laid line after line: row c * N + i is event i seen from line c.
     Only the rows of lines of several knots bisect, each within its own
     line's knots; a row of a one-knot line takes that knot's segment by
     index. Each row gets the bits of retarded_rows for its line."""
+    segments, first, last = table
     X = _event_rows(X)
     n = len(X)
-    rows = np.tile(X, (len(table.first), 1))
-    k = np.repeat(table.first, n)
+    rows = np.tile(X, (len(first), 1))
+    k = np.repeat(first, n)
     failure = np.zeros(len(rows), dtype=np.int8)
-    many = np.repeat(table.last > table.first, n)
+    many = np.repeat(last > first, n)
     if many.any():
-        k[many], failure[many] = _bisect(table.segments[1], rows[many], k[many],
-                                         np.repeat(table.last, n)[many])
-    return _retarded(table.segments, rows, k, failure)
+        k[many], failure[many] = _bisect(segments[1], rows[many], k[many],
+                                         np.repeat(last, n)[many])
+    return _retarded(segments, rows, k, failure)
 
 
 def retarded_null_vectors(line: WorldLine, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -402,8 +402,7 @@ class TestFieldGridMasking:
                      "--out", str(tmp_path / "g.csv")]) == 3
 
     def test_overflowing_cell_exits_three(self, tmp_path, capsys):
-        # both cells are finite but their squares overflow: they printed
-        # NaN rows with masked 0
+        # both cells are finite, but their squares overflow
         scen, out = tmp_path / "grid.json", tmp_path / "grid.csv"
         scen.write_text(json.dumps({
             "version": 1,

@@ -242,7 +242,7 @@ class TestGridCorners:
         d = len(axes)
         grid = GridSpec(time, origin, tuple(axes), tuple(extents[:d]), tuple(resolution[:d]))
         with np.errstate(over="ignore", invalid="ignore"):
-            assert np.isfinite(grid.corners()).all() == np.isfinite(grid.array()).all()
+            assert grid.finite() == np.isfinite(grid.array()).all()
 
     def test_overflowing_grid_rejected(self):
         with pytest.raises(ScenarioError, match="a corner cell overflows"):
