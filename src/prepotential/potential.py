@@ -385,17 +385,6 @@ def _jet_rows(system: ChargeSystem, X) -> tuple[PrePotentialJet, np.ndarray]:
     return jet, np.where(failure != 0, failure, on_axis)
 
 
-def _charge_sum(a: np.ndarray, c: int) -> np.ndarray:
-    """The sum over c charges of an array of rows laid charge after charge,
-    taken onto zeros in charge order: the bits, -0.0 and NaN included, of
-    adding each charge's rows in turn."""
-    n = len(a) // c
-    total = np.zeros((n,) + a.shape[1:], dtype=a.dtype)
-    for k in range(c):
-        total += a[k * n:(k + 1) * n]
-    return total
-
-
 def prepotential_jets(system: ChargeSystem, X) -> tuple[PrePotentialJet, np.ndarray]:
     """Superposition of the closed-form jets over the system's charges at
     each row of an (N, 4) array of events, with per-row failure codes
@@ -406,15 +395,25 @@ def prepotential_jets(system: ChargeSystem, X) -> tuple[PrePotentialJet, np.ndar
     say): k is the first charge whose own jet there is not finite, or the
     last one when only the sum is not."""
     X = np.asarray(X, dtype=float)
-    c, rows = len(system), np.arange(len(X))
+    n = len(X)
     parts, fail = _jet_rows(system, X)
-    fail = fail.reshape(c, -1)
-    failure = fail[(fail != 0).argmax(axis=0), rows]
-    jet = PrePotentialJet(*(_charge_sum(a, c) for a in (parts.value, parts.hessian, parts.field)))
+    failure = np.zeros(n, dtype=np.int8)
+    value = np.zeros(n, dtype=complex)
+    hessian = np.zeros((n, 4, 4), dtype=complex)
+    field = np.zeros((n, 3), dtype=complex)
+    # each charge's slice added onto zeros in charge order: the bits, -0.0
+    # and NaN included, of adding the one-charge jets in turn
+    for k in range(len(system)):
+        rows = slice(k * n, (k + 1) * n)
+        failure = np.where(failure != 0, failure, fail[rows])
+        value += parts.value[rows]
+        hessian += parts.hessian[rows]
+        field += parts.field[rows]
+    jet = PrePotentialJet(value, hessian, field)
     bad = np.flatnonzero((failure == 0) & ~_finite_rows(jet))
     if len(bad):
-        own = _finite_rows(parts).reshape(c, -1)[:, bad[0]]
-        k = int(np.argmin(own)) if not own.all() else c - 1
+        own = _finite_rows(parts)[bad[0]::n]
+        k = int(np.argmin(own)) if not own.all() else len(system) - 1
         raise ChargeSystemError(k, "S, its Hessian or field is not finite "
                                 f"at {tuple(X[bad[0]].tolist())}")
     return jet, failure
