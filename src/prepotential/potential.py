@@ -185,11 +185,6 @@ class ChargeSystem:
         (spacetime._segment_table), for one retarded solve of the system."""
         return _segment_table([charge.line for charge in self.charges])
 
-    @cached_property
-    def q(self) -> np.ndarray:
-        """The charges' q (C,), in order."""
-        return np.array([charge.q for charge in self.charges])
-
 
 @dataclass(frozen=True, eq=False, init=False)
 class Path:
@@ -330,8 +325,7 @@ def _jet_rows(system: ChargeSystem, X) -> tuple[PrePotentialJet, np.ndarray]:
     from one retarded solve: C * N rows, charge after charge, with their
     failure codes (failing rows hold NaN). A batch-level error of the
     quotients is raised as ChargeSystemError(k, ...), k the lowest charge
-    whose rows alone raise it. A one-charge system solves its line
-    directly, so a one-knot line keeps one frame viewed N times.
+    whose rows alone raise it.
 
     The motion is uniform (4-velocity u) within the segment holding the
     retarded point, so da^mu/dx^nu = J^mu_nu = delta^mu_nu - u^mu k_nu
@@ -347,14 +341,8 @@ def _jet_rows(system: ChargeSystem, X) -> tuple[PrePotentialJet, np.ndarray]:
     while the field does not, so contracting the rounded matrix would lose
     about eps * (r/rho)^2 relative.
     """
-    if len(system) == 1:
-        (charge,) = system
-        _, A, U, failure = retarded_rows(charge.line, X)
-        q = q3 = charge.q
-    else:
-        _, A, U, failure = _retarded_table_rows(system.segments, X)
-        q = np.repeat(system.q, len(X))
-        q3 = q[:, None, None]
+    _, A, U, failure = _retarded_table_rows(system.segments, X)
+    q = np.repeat([charge.q for charge in system], len(X))
     try:
         num, den, pick, on_axis = _zeta_quotients(A)
     except PrepotentialError:
@@ -379,7 +367,7 @@ def _jet_rows(system: ChargeSystem, X) -> tuple[PrePotentialJet, np.ndarray]:
         gu = np.einsum("ni,ni->n", g, U)
         jet = PrePotentialJet(
             q * np.log(num / den),
-            q3 * (np.swapaxes(J, 1, 2) @ h @ J - gu[:, None, None] * M),
+            q[:, None, None] * (np.swapaxes(J, 1, 2) @ h @ J - gu[:, None, None] * M),
             _velocity_fields(q, A, U),
         )
     return jet, np.where(failure != 0, failure, on_axis)
@@ -535,12 +523,12 @@ def _a2_roots(line: WorldLine, stack: _PathStack) -> np.ndarray:
     a2 = Q2 + u2 r is 0 only where the quadratic f = u2^2 r^2 - Q2^2 is.
     r^2 is taken from Q, not as s^2 - D.D, which cancels when x is far in
     s from R: the roots would then depend on which event names the line.
-    Each segment of line.segments gives a row of Q, s and r^2; of a line of
+    Each segment of line.segments gives a row of Q, s and r^2 (the NaN row
+    at a sampled line's last knot gives NaN roots, none kept); of a line of
     several, only the roots whose retarded point, s - r past R in proper
     time, lies on their own segment are kept. On an edge in a2 = 0, where
     f = 0, those of a1 (the axis) stand in."""
-    taus, E, U, rate = line.segments
-    R = E[:len(U)]  # the knot starting each segment
+    taus, R, U, rate = line.segments  # R, the knot starting each segment
     P, W, i0, i1 = stack.points, METRIC_SIGNS * U, stack.edges, stack.ends
     Q = [P[:, m] - R[:, m, None] for m in range(4)]  # D, until s is known
     s = sum(W[:, m, None] * Q[m] for m in range(4))
@@ -573,7 +561,8 @@ def _a2_roots(line: WorldLine, stack: _PathStack) -> np.ndarray:
         # a root near a knot may round off both segments that share it; a
         # spare root only adds a sample, a dropped one loses a turn
         slack = 1e-6 * (np.abs(st) + rt)
-        keep[row, e] = (st - rt >= -slack) & (st - rt <= (np.diff(taus) / rate)[k] + slack)
+        span = np.diff(taus, append=np.nan) / rate  # proper time along each segment
+        keep[row, e] = (st - rt >= -slack) & (st - rt <= span[k] + slack)
     return np.where(keep, t, 1.0)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Union
 
 import numpy as np
@@ -162,9 +163,9 @@ class SampledLine:
     @cached_property
     def segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Knot parameters (K,) and events (K, 4); per segment, the unit
-        4-velocity (K-1, 4) and the line parameter per unit proper time
-        (K-1,). Rest and uniform lines share this layout, with one knot
-        and one unbounded segment."""
+        4-velocity (K, 4) and the line parameter per unit proper time (K,),
+        NaN at the last knot, which starts no segment. Rest and uniform
+        lines share this layout, with one knot and one unbounded segment."""
         taus = np.array(self.taus, dtype=float)
         E = np.array([(e.x0, e.x1, e.x2, e.x3) for e in self.events])
         dtau, dE = np.diff(taus), np.diff(E, axis=0)
@@ -180,7 +181,8 @@ class SampledLine:
                 f"consecutive samples {k}..{k + 1} are not timelike-separated",
             )[int(np.argmax(broken[:, k]))])
         norm = np.sqrt(norm2)
-        return taus, E, dE / norm[:, None], dtau / norm
+        return (taus, E, np.concatenate([dE / norm[:, None], np.full((1, 4), np.nan)]),
+                np.append(dtau / norm, np.nan))
 
 
 WorldLine = Union[RestLine, UniformLine, SampledLine]
@@ -220,24 +222,28 @@ def _mdot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _mdot_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """minkowski_dot of the columns of (4, N) arrays, either of which may
-    be one (4, 1) column: numpy's inner loop runs along N, about twice as
-    fast as _mdot_rows's along rows of 4 at N = 4880."""
-    return np.einsum("ij,ij,i->j", a, b, METRIC_SIGNS)
+    """minkowski_dot along the first axis of (4, ...) arrays, broadcasting
+    the rest, as a (4, C, 1) frame against (4, C, N) columns: numpy's inner
+    loop runs along the N events, about twice as fast as _mdot_rows's along
+    rows of 4 at N = 4880."""
+    return np.einsum("i...,i...,i->...", a, b, METRIC_SIGNS)
 
 
 def _bisect(E: np.ndarray, X: np.ndarray, lo: np.ndarray,
             hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index k (N,) of the segment [tau_k, tau_k+1] holding each row's
-    retarded point, by bisection between the knots lo and hi (N,) of the
-    row's own line in the knot events E, on g(tau) = (x0 - line0(tau)) -
-    |x - line(tau)|, monotone decreasing, at the knots; and the failure
-    codes of the rows whose past light cone misses that range."""
-    failure = np.zeros(len(X), dtype=np.int8)
+    """Index k of the segment [tau_k, tau_k+1] holding the retarded point
+    of each event of X (N, 4) seen from each of m lines, by bisection
+    between the knots lo (m, N) and hi (m, 1) of the line in the knot
+    events E, on g(tau) = (x0 - line0(tau)) - |x - line(tau)|, monotone
+    decreasing, at the knots; and the failure codes (m, N) of the rows
+    whose past light cone misses that range."""
+    failure = np.zeros(lo.shape, dtype=np.int8)
 
     def g(k):
         rel = X[:, 1:] - E[k, 1:]
-        return (X[:, 0] - E[k, 0]) - np.sqrt(np.einsum("ij,ij->i", rel, rel))
+        flat = rel.reshape(-1, 3)
+        dist = np.sqrt(np.einsum("ij,ij->i", flat, flat)).reshape(rel.shape[:-1])
+        return (X[:, 0] - E[k, 0]) - dist
 
     failure[g(hi) > 0] = BEYOND_RANGE
     failure[g(lo) < 0] = BEFORE_RANGE
@@ -249,31 +255,16 @@ def _bisect(E: np.ndarray, X: np.ndarray, lo: np.ndarray,
     return lo, failure
 
 
-def _locate_segments(line: WorldLine, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_bisect over the line's knots for each row. A line of one knot has
-    one unbounded segment: k is [0] for all rows, and no row fails."""
-    _, E, _, _ = line.segments
-    if len(E) == 1:
-        return np.zeros(1, dtype=np.intp), np.zeros(len(X), dtype=np.int8)
-    return _bisect(E, X, np.zeros(len(X), dtype=np.intp), np.full(len(X), len(E) - 1))
-
-
 def _segment_table(lines) -> tuple[tuple, np.ndarray, np.ndarray]:
     """The segment tables of several world-lines laid line after line, so
     that one index names a knot and the segment it starts: the knot
     parameters (M,) and events (M, 4), and per segment U (M, 4) and rate
-    (M,), where the last knot of a line of several has a row of NaN; then
-    each line's first and last knot (C,)."""
-    taus, E, U, rate = zip(*(line.segments for line in lines))
-    sizes = np.array([len(t) for t in taus])
-    last = np.cumsum(sizes) - 1
-    first = last - sizes + 1
-    # a line of K > 1 knots has K - 1 segments: its last knot starts none
-    seg_u, seg_rate = np.full((last[-1] + 1, 4), np.nan), np.full(last[-1] + 1, np.nan)
-    for k, u, r in zip(first, U, rate):
-        seg_u[k:k + len(u)], seg_rate[k:k + len(r)] = u, r
-    taus, E = np.concatenate(taus, dtype=float), np.concatenate(E, dtype=float)
-    return (taus, E, seg_u, seg_rate), first, last
+    (M,), NaN at the last knot of a line of several; then each line's
+    first and last knot (C,)."""
+    tables = [line.segments for line in lines]
+    ends = list(accumulate(len(table[0]) for table in tables))
+    return (tuple(np.concatenate(part) for part in zip(*tables)),
+            np.array([0, *ends[:-1]]), np.array(ends) - 1)
 
 
 def _event_rows(X) -> np.ndarray:
@@ -283,33 +274,63 @@ def _event_rows(X) -> np.ndarray:
     return X
 
 
-def _retarded(segments, X: np.ndarray, k: np.ndarray, failure: np.ndarray):
-    """The retarded solve of retarded_rows for the rows of X in the segments
-    k of a segment table (taus, E, U, rate), with the rows' failure codes
-    so far: k is one index for all rows, or one per row."""
-    # the arithmetic runs on contiguous (4, N) component columns: D becomes
-    # P in place, and T holds each product with U, so that a call allocates
-    # three (4, N) arrays (D, T and A)
-    D = X.T.copy()
-    taus, E, seg_u, seg_rate = segments
+def _retarded_table_rows(
+    table: tuple, X
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """retarded_rows for every line of a segment table (_segment_table) in
+    one solve, on C * N rows laid line after line: row c * N + i is event
+    i seen from line c.
+
+    Every line kind moves uniformly within a segment, so one formula
+    solves them all. For an event R of the segment, its parameter t and
+    its unit 4-velocity U, split D = x - R into s = D.U along U and the
+    rest-frame separation P = D - s U; with r = sqrt(-P.P) the past-cone
+    point is a = P + r U, at tau = t + (s - r) * (parameter per unit
+    proper time). A rest line is one unbounded segment with U = e0, a
+    uniform line one with its 4-velocity; only the rows of lines of
+    several knots bisect (_bisect), each within its own line's knots.
+
+    P is projected off U a second time: the first projection leaves P.U
+    with rounding of order eps * |D|, which near a moving line far from R
+    is not small against r, and a = P + r U would miss null by 2 r P.U.
+    After the second, P.U is of order eps * r, so a is null to rounding,
+    and a0 > 0 for r > 0 (r U0 >= |P_vec| > |P0|).
+    """
+    (taus, E, seg_u, seg_rate), first, last = table
+    X = _event_rows(X)
+    c, n = len(first), len(X)
+    # k is (C, 1), so a one-knot line's frame is one row viewed N times,
+    # until some line bisects and k becomes (C, N)
+    k = first[:, None]
+    failure = np.zeros((c, n), dtype=np.int8)
+    if len(taus) > c:  # some line has several knots
+        many = last > first
+        k = np.repeat(k, n, axis=1)
+        k[many], failure[many] = _bisect(E, X, k[many], last[many, None])
     t, rate, U = taus[k], seg_rate[k], seg_u[k]
-    R, W = np.take(E.T, k, axis=1), np.ascontiguousarray(U.T)
-    U = np.broadcast_to(U, X.shape)  # with k = [0], one row viewed N times
-    D -= R
-    s = _mdot_cols(D, W)
-    T = W * s
-    D -= T
-    D -= np.multiply(W, _mdot_cols(D, W), out=T)
-    r2 = -_mdot_cols(D, D)  # squared rest-frame distance, >= 0
-    failure[(failure == 0) & (r2 < _ON_LINE_FLOOR**2 * np.maximum(1.0, s * s))] = ON_LINE
-    r = np.sqrt(np.maximum(r2, 0.0))
-    A = np.empty(X.shape)  # C-ordered, as the row code downstream expects
-    np.add(D, np.multiply(W, r, out=T), out=A.T)
-    tau = t + rate * (s - r)
+    # the arithmetic runs on contiguous (4, C, N) component columns: D
+    # becomes P in place, and T holds each product with U, so that a call
+    # allocates three (4, C, N) arrays (D, T and A)
+    W = np.ascontiguousarray(U.transpose(2, 0, 1))
+    D = np.subtract(X.T[:, None], np.take(E.T, k, axis=1), out=np.empty((4, c, n)))
+    # an event near the float limit overflows in its squares; its row
+    # comes out inf or NaN, which the callers report
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = _mdot_cols(D, W)
+        T = W * s
+        D -= T
+        D -= np.multiply(W, _mdot_cols(D, W), out=T)
+        r2 = -_mdot_cols(D, D)  # squared rest-frame distance, >= 0
+        failure[(failure == 0) & (r2 < _ON_LINE_FLOOR**2 * np.maximum(1.0, s * s))] = ON_LINE
+        r = np.sqrt(np.maximum(r2, 0.0))
+        A = np.empty((c, n, 4))  # C-ordered, as the row code downstream expects
+        np.add(D, np.multiply(W, r, out=T), out=A.transpose(2, 0, 1))
+        tau = t + rate * (s - r)
     if failure.any():
         A[failure != 0] = np.nan
         tau[failure != 0] = np.nan
-    return tau, A, U, failure
+    return (tau.reshape(c * n), A.reshape(c * n, 4),
+            np.broadcast_to(U, (c, n, 4)).reshape(c * n, 4), failure.reshape(c * n))
 
 
 def retarded_rows(
@@ -320,45 +341,10 @@ def retarded_rows(
     unit 4-velocities U (N, 4) there, and failure codes (N,) indexing
     errors.ROW_FAILURES, 0 for a good row. A failing row holds NaN in tau
     and A; every failure is geometric, and nothing raises for the batch.
-
-    Every line kind moves uniformly within a segment, so one formula
-    solves them all. For an event R of the segment, its parameter t and
-    its unit 4-velocity U, split D = x - R into s = D.U along U and the
-    rest-frame separation P = D - s U; with r = sqrt(-P.P) the past-cone
-    point is a = P + r U, at tau = t + (s - r) * (parameter per unit
-    proper time). Every kind is a table of such segments (line.segments),
-    and _locate_segments finds the one of each row: a rest line is one
-    segment with U = e0, a uniform line one with its 4-velocity.
-
-    P is projected off U a second time: the first projection leaves P.U
-    with rounding of order eps * |D|, which near a moving line far from R
-    is not small against r, and a = P + r U would miss null by 2 r P.U.
-    After the second, P.U is of order eps * r, so a is null to rounding,
-    and a0 > 0 for r > 0 (r U0 >= |P_vec| > |P0|).
+    The line's segments are a table of one line for _retarded_table_rows.
     """
-    X = _event_rows(X)
-    return _retarded(line.segments, X, *_locate_segments(line, X))
-
-
-def _retarded_table_rows(
-    table: tuple, X
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """retarded_rows for every line of a segment table in one solve, on C * N
-    rows laid line after line: row c * N + i is event i seen from line c.
-    Only the rows of lines of several knots bisect, each within its own
-    line's knots; a row of a one-knot line takes that knot's segment by
-    index. Each row gets the bits of retarded_rows for its line."""
-    segments, first, last = table
-    X = _event_rows(X)
-    n = len(X)
-    rows = np.tile(X, (len(first), 1))
-    k = np.repeat(first, n)
-    failure = np.zeros(len(rows), dtype=np.int8)
-    many = np.repeat(last > first, n)
-    if many.any():
-        k[many], failure[many] = _bisect(segments[1], rows[many], k[many],
-                                         np.repeat(last, n)[many])
-    return _retarded(segments, rows, k, failure)
+    segments = line.segments
+    return _retarded_table_rows((segments, np.array([0]), np.array([len(segments[0]) - 1])), X)
 
 
 def retarded_null_vectors(line: WorldLine, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -402,19 +402,21 @@ class TestFieldGridMasking:
                      "--out", str(tmp_path / "g.csv")]) == 3
 
     def test_overflowing_cell_exits_three(self, tmp_path, capsys):
-        # both cells are finite, but their squares overflow
+        # both cells are finite, but their squares overflow; no RuntimeWarning
+        # escapes (the suite makes one an error)
         scen, out = tmp_path / "grid.json", tmp_path / "grid.csv"
-        scen.write_text(json.dumps({
-            "version": 1,
-            "charges": [{"q": 1.0, "line": {"kind": "rest", "position": [0, 0, 0]}}],
-            "grid": {"time": 0.0, "origin": [1e308, 0.5, 0.5], "axes": [[1.0, 0.0, 0.0]],
-                     "extents": [1.0], "resolution": [2]},
-        }))
-        with pytest.warns(RuntimeWarning):
+        for line in ({"kind": "rest", "position": [0, 0, 0]},
+                     {"kind": "uniform", "event": [0, 0, 0, 0], "velocity": [0.3, -0.2, 0.4]}):
+            scen.write_text(json.dumps({
+                "version": 1,
+                "charges": [{"q": 1.0, "line": line}],
+                "grid": {"time": 0.0, "origin": [1e308, 0.5, 0.5], "axes": [[1.0, 0.0, 0.0]],
+                         "extents": [1.0], "resolution": [2]},
+            }))
             assert main(["field-grid", "--scenario", str(scen), "--out", str(out)]) == 3
-        assert not out.exists()
-        assert ("runtime error: charge 0: S, its Hessian or field is not finite "
-                "at (0.0, 1e+308, 0.5, 0.5)") in capsys.readouterr().err
+            assert not out.exists()
+            assert capsys.readouterr().err == ("runtime error: charge 0: S, its Hessian or "
+                                               "field is not finite at (0.0, 1e+308, 0.5, 0.5)\n")
 
     def test_overflowing_grid_is_a_configuration_error(self, tmp_path, capsys):
         # the last two cells lie at x1 = inf; the grid is rejected at load,
@@ -433,8 +435,8 @@ class TestFieldGridMasking:
 
     def test_one_solve_and_one_quotient_call_per_system(self, tmp_path, monkeypatch):
         # the three charges of MIXED_GRID are solved as one table of 3 x 32
-        # rows; no charge is solved on its own
-        solves, quotients = [], []
+        # rows, and the one charge of rest_charge as a table of one line of
+        # 1331 rows; no charge is solved on its own
         table_rows, zeta_quotients = potential._retarded_table_rows, potential._zeta_quotients
 
         def counting_solve(table, X):
@@ -452,8 +454,11 @@ class TestFieldGridMasking:
         monkeypatch.setattr(potential, "_retarded_table_rows", counting_solve)
         monkeypatch.setattr(potential, "_zeta_quotients", counting_quotients)
         monkeypatch.setattr(potential, "retarded_rows", single)
-        _grid_rows(tmp_path, MIXED_GRID)
-        assert solves == quotients == [3 * 32]
+        for scenario, rows in ((_written(tmp_path, MIXED_GRID), 3 * 32), (REST, 1331)):
+            solves, quotients = [], []
+            assert main(["field-grid", "--scenario", scenario,
+                         "--out", str(tmp_path / "g.csv")]) == 0
+            assert solves == quotients == [rows]
 
     def test_failing_quotient_names_its_charge(self, tmp_path, monkeypatch, capsys):
         # only charge 1, the uniform one, has retarded vectors with a3 > 0.5

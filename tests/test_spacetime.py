@@ -38,7 +38,7 @@ from prepotential.potential import (
 )
 from prepotential.spacetime import (
     _ON_LINE_FLOOR,
-    _locate_segments,
+    _bisect,
     _mdot_rows,
     _retarded_table_rows,
     _segment_table,
@@ -271,9 +271,18 @@ class TestWorldLineValidation:
             assert_array_equal(E, [event])
             assert_array_equal(U, [velocity])
             assert_array_equal(rate, [1.0])
-            k, failure = _locate_segments(line, np.zeros((3, 4)))
-            assert_array_equal(k, [0])
-            assert_array_equal(failure, [0, 0, 0])
+
+    def test_segments_of_a_sampled_line(self):
+        # one segment per consecutive pair of knots; the last knot starts
+        # none, so its U and rate are NaN
+        line = SampledLine((0.0, 1.0, 3.0), (V(0, 0, 0, 0), V(1, 0.5, 0, 0), V(3, 0.5, 1, 0)))
+        taus, E, U, rate = line.segments
+        assert_array_equal(taus, [0.0, 1.0, 3.0])
+        assert_array_equal(E, [[0, 0, 0, 0], [1, 0.5, 0, 0], [3, 0.5, 1, 0]])
+        nan = [np.nan] * 4
+        assert_allclose(U, [[1 / 0.75**0.5, 0.5 / 0.75**0.5, 0, 0], [2 / 3**0.5, 0, 1 / 3**0.5, 0],
+                            nan], rtol=1e-15)
+        assert_allclose(rate, [1 / 0.75**0.5, 2 / 3**0.5, np.nan], rtol=1e-15)
 
     def test_four_velocity_from_3velocity(self):
         u = four_velocity_from_3velocity([0.3, 0.2, -0.4])
@@ -581,12 +590,15 @@ class TestRetardedBatch:
 
 
 def _row_retarded_rows(line, X):
-    """retarded_rows computed on (N, 4) rows, as before the solve moved to
-    (4, N) component columns: the oracle the column form matches bit for
-    bit."""
+    """retarded_rows computed on (N, 4) rows of one line, as before the
+    solve moved to (4, C, N) component columns: the oracle the column form
+    matches bit for bit. A line of several knots bisects over them."""
     X = np.asarray(X, dtype=float)
-    k, failure = _locate_segments(line, X)
     taus, E, seg_u, seg_rate = line.segments
+    k, failure = np.zeros(1, dtype=np.intp), np.zeros(len(X), dtype=np.int8)
+    if len(E) > 1:
+        k, failure = _bisect(E, X, np.zeros((1, len(X)), dtype=np.intp), np.array([[len(E) - 1]]))
+        k, failure = k[0], failure[0]
     R, t, rate, U = E[k], taus[k], seg_rate[k], seg_u[k]
     U = np.broadcast_to(U, X.shape)
     D = X - R
@@ -736,7 +748,7 @@ class TestColumnKernels:
 
 class TestSegmentTable:
     """The lines of a segment table are solved in one batch, with the bits
-    each line's own solve gives."""
+    the row form gives each line alone."""
 
     @given(
         kinds=st.lists(st.sampled_from(["rest", "uniform", "sampled"]), min_size=1, max_size=4),
@@ -756,7 +768,7 @@ class TestSegmentTable:
         assert_array_equal(X, before)
         n = len(X)
         for c, line in enumerate(lines):
-            want = retarded_rows(line, X)
+            want = _row_retarded_rows(line, X)
             got = tuple(a[c * n:(c + 1) * n] for a in (tau, A, U, failure))
             _assert_same_bits(got, tuple(np.ascontiguousarray(a) for a in want))
 
@@ -764,6 +776,8 @@ class TestSegmentTable:
         # a rest or uniform line's frame is one row viewed N times, so a
         # batch allocates no (N, 4) array of frames
         u = four_velocity_from_3velocity([0.3, -0.2, 0.1])
+        X = np.full((5, 4), 7.0)
         for line in (RestLine((0.5, -1.0, 2.0)), UniformLine(V(1, 2, 3, 4), u)):
-            U = retarded_rows(line, np.full((5, 4), 7.0))[2]
-            assert U.shape == (5, 4) and U.strides[0] == 0
+            table = _segment_table([line])
+            for U in (retarded_rows(line, X)[2], _retarded_table_rows(table, X)[2]):
+                assert U.shape == (5, 4) and U.strides[0] == 0
