@@ -323,7 +323,10 @@ def _retarded_table_rows(
         r2 = -_mdot_cols(D, D)  # squared rest-frame distance, >= 0
         failure[(failure == 0) & (r2 < _ON_LINE_FLOOR**2 * np.maximum(1.0, s * s))] = ON_LINE
         r = np.sqrt(np.maximum(r2, 0.0))
-        A = np.empty((c, n, 4))  # C-ordered, as the row code downstream expects
+        # A is C-ordered, as the row code downstream expects, and allocated
+        # after the work arrays: freed below it, they leave no heap top for
+        # glibc to trim and the next call to fault back in
+        A = np.empty((c, n, 4))
         np.add(D, np.multiply(W, r, out=T), out=A.transpose(2, 0, 1))
         tau = t + rate * (s - r)
     if failure.any():
