@@ -34,7 +34,6 @@ from .errors import (
 from .matrices import METRIC, _RHO, conjugation_C
 from .spacetime import (
     ETA,
-    EYE,
     METRIC_SIGNS,
     FourVector,
     WorldLine,
@@ -299,12 +298,17 @@ def local_scale(charge: Charge, x: FourVector) -> float:
 UNIFORM_FIELD_CALIBRATION = -2.0
 
 
+# rho^j[mu, nu] at row 4 mu + nu, column j - 1: the contraction
+# a_mu rho^j[mu, nu] u^nu of each row's a_low u^T, flattened, as one product
+_RHO_COLUMNS = _RHO.reshape(3, 16).T.copy()
+
+
 def _velocity_fields(q: float, A: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Field 3-vectors E + iB (N, 3) of a charge moving with 4-velocities U
     (N, 4), from the retarded null vectors A (N, 4): F_j = cal * q *
     a_mu rho^j[mu,nu] u^nu / (a.u)^3. No validation; each a must be null
     and a.u positive."""
-    F = np.einsum("jmk,nk,nm->nj", _RHO, U, METRIC_SIGNS * A)
+    F = ((METRIC_SIGNS * A)[:, :, None] * U[:, None, :]).reshape(len(A), 16) @ _RHO_COLUMNS
     return (UNIFORM_FIELD_CALIBRATION * q / _mdot_rows(A, U) ** 3)[:, None] * F
 
 
@@ -327,19 +331,25 @@ def _jet_rows(system: ChargeSystem, X) -> tuple[PrePotentialJet, np.ndarray]:
     quotients is raised as ChargeSystemError(k, ...), k the lowest charge
     whose rows alone raise it.
 
-    The motion is uniform (4-velocity u) within the segment holding the
+    zeta = num / den, with num = n.a and den = d.a the linear forms of the
+    quotient zeta_of uses, so ln(zeta) has a-gradient g = n^ - d^ and
+    a-Hessian h = d^ d^T - n^ n^T, with n^ = n / num and d^ = d / den. The
+    motion is uniform (4-velocity u) within the segment holding the
     retarded point, so da^mu/dx^nu = J^mu_nu = delta^mu_nu - u^mu k_nu
     with k = a_low / (a.u), and by the chain rule
 
-        d S  = q g^T J
         dd S = q (J^T h J - (g.u) M),  M = dk/dx = (eta - u k^T - k u^T + k k^T) / (a.u)
 
-    (u lowered in M), where g and h are the first and second a-derivatives
-    of ln(zeta) taken from the same quotient that zeta_of uses. The field
-    is the contraction of dd S (faraday_from_hessian) summed in closed
-    form: near the singular axis the Hessian entries grow like 1/rho^2
-    while the field does not, so contracting the rounded matrix would lose
-    about eps * (r/rho)^2 relative.
+    (u lowered in M). J^T v = v - k (u.v), so h of rank 2 gives
+    J^T h J = p p^T - m m^T with p = d^ - k (u.d^), m = n^ - k (u.n^), and
+    (g.u) M = c (eta - u u^T + w w^T) with w = u - k, c = (g.u) / (a.u)
+    (u lowered; u.v and g.u are plain sums over the index). So dd S is a
+    sum of outer products of 4-vectors, with q folded into one factor of
+    each and into c. The field is the contraction of dd S
+    (faraday_from_hessian) summed in closed form: near the singular axis
+    the Hessian entries grow like 1/rho^2 while the field does not, so
+    contracting the rounded matrix would lose about eps * (r/rho)^2
+    relative.
     """
     _, A, U, failure = _retarded_table_rows(system.segments, X)
     q = np.repeat([charge.q for charge in system], len(X))
@@ -352,24 +362,24 @@ def _jet_rows(system: ChargeSystem, X) -> tuple[PrePotentialJet, np.ndarray]:
             except PrepotentialError as exc:
                 raise ChargeSystemError(k, str(exc)) from exc
         raise
-    n, d = _NUMERATORS[pick], _DENOMINATORS[pick]
     # failing rows carry NaN through the arithmetic
     with np.errstate(invalid="ignore"):
-        g = n / num[:, None] - d / den[:, None]
-        h = (d[:, :, None] * d[:, None, :]) / (den**2)[:, None, None] - (
-            n[:, :, None] * n[:, None, :]) / (num**2)[:, None, None]
+        n_hat = _NUMERATORS[pick] / num[:, None]
+        d_hat = _DENOMINATORS[pick] / den[:, None]
+        un = np.einsum("ni,ni->n", n_hat, U)
+        ud = np.einsum("ni,ni->n", d_hat, U)
         U_low = METRIC_SIGNS * U
         au = _mdot_rows(A, U)
         K = METRIC_SIGNS * A / au[:, None]
-        J = EYE - U[:, :, None] * K[:, None, :]
-        M = (ETA - U_low[:, :, None] * K[:, None, :] - K[:, :, None] * U_low[:, None, :]
-             + K[:, :, None] * K[:, None, :]) / au[:, None, None]
-        gu = np.einsum("ni,ni->n", g, U)
-        jet = PrePotentialJet(
-            q * np.log(num / den),
-            q[:, None, None] * (np.swapaxes(J, 1, 2) @ h @ J - gu[:, None, None] * M),
-            _velocity_fields(q, A, U),
-        )
+        p = d_hat - K * ud[:, None]
+        m = n_hat - K * un[:, None]
+        w = U_low - K
+        qc = q * (un - ud) / au
+        hessian = (q[:, None] * p)[:, :, None] * p[:, None, :]
+        hessian -= (q[:, None] * m)[:, :, None] * m[:, None, :]
+        hessian -= qc[:, None, None] * (
+            ETA - U_low[:, :, None] * U_low[:, None, :] + w[:, :, None] * w[:, None, :])
+        jet = PrePotentialJet(q * np.log(num / den), hessian, _velocity_fields(q, A, U))
     return jet, np.where(failure != 0, failure, on_axis)
 
 

@@ -238,12 +238,16 @@ def _bisect(E: np.ndarray, X: np.ndarray, lo: np.ndarray,
     decreasing, at the knots; and the failure codes (m, N) of the rows
     whose past light cone misses that range."""
     failure = np.zeros(lo.shape, dtype=np.int8)
+    # each level gathers from contiguous columns of E, several times faster
+    # than gathering its rows E[k]; the squares are summed as numpy's einsum
+    # sums a row of 3, (r1^2 + r3^2) + r2^2, so the segments found keep
+    # their bits
+    x0, x1, x2, x3 = np.ascontiguousarray(X.T)
+    e0, e1, e2, e3 = np.ascontiguousarray(E.T)
 
     def g(k):
-        rel = X[:, 1:] - E[k, 1:]
-        flat = rel.reshape(-1, 3)
-        dist = np.sqrt(np.einsum("ij,ij->i", flat, flat)).reshape(rel.shape[:-1])
-        return (X[:, 0] - E[k, 0]) - dist
+        r1, r2, r3 = x1 - e1[k], x2 - e2[k], x3 - e3[k]
+        return (x0 - e0[k]) - np.sqrt((r1 * r1 + r3 * r3) + r2 * r2)
 
     failure[g(hi) > 0] = BEYOND_RANGE
     failure[g(lo) < 0] = BEFORE_RANGE

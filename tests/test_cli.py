@@ -167,18 +167,17 @@ MASKED_NEAR_LINE_GRID = {
              "extents": [4.0], "resolution": [5]},
 }
 
-# sha256 of the field-grid outputs, recorded while each row was still
-# formatted value by value; formatting the table as one array changed no byte.
-# mixed_charges was recorded while the retarded solve still branched on the
-# line kind, before every kind read one segment table.
+# sha256 of the field-grid outputs, recorded when the Hessian became a sum
+# of outer products of 4-vectors. That moved only the wave_residual and
+# laplacian_residual columns (GOLDEN_GRID_COLUMNS_SHA256 pins the rest).
 GOLDEN_GRID_SHA256 = {
-    ("rest_charge", "csv"): "04e14d6236711f8fa5031f8bd0b6d480178e6d8a69d9878112a7765571127630",
-    ("rest_charge", "json"): "71ffb9e5cea51a26c2354e5dbadd6c4e55056b04a668a7060f0a19f49a9f80f5",
-    ("uniform_charge", "csv"): "74e04cb25de317c65eadf0cb745d600b0a6ce2409e1fa4f956cf85ca240b2945",
-    ("uniform_charge", "json"): "580f9cb7e68fd1fbfad8b911bb666410ba453b69842749597033bcbe8a549ef6",
-    ("masked_near_line", "csv"): "33f02fad1c0037049a01197d5d89aca1d4f147f92f32771d055d9bfcc844763e",
-    ("masked_near_line", "json"): "5cb81ad8c8a590f29eed458aeef2f45e63acd1b12b982a726447b44a18ce1f59",
-    ("mixed_charges", "csv"): "e97f6ecbb5fa072fa6190b0006bafca88b2872e27703a48d851aebd249dc31fc",
+    ("rest_charge", "csv"): "b79291f04686376cb145fda8c0503a5bfd15999718f6d63dc9bf04b2595b8448",
+    ("rest_charge", "json"): "148a15245872a6e218c63acfcdd77e1f450cbdddac93f1ddc31b48515b95df68",
+    ("uniform_charge", "csv"): "33f001b2a3983cbe0a70c963309f1d36a8dea6f4306064ca0bd79c781aaa86f0",
+    ("uniform_charge", "json"): "b00c46191c7202192dcb5f9d9318f0b0586d6cfe341a5ed7f6dcc4c348d9d4ec",
+    ("masked_near_line", "csv"): "68d11dccfbc3f18a1cd6c8f44f99da4572a393490d9b3578952fbfc53d9d5bb5",
+    ("masked_near_line", "json"): "113cb5179ddd97aa4814c72d726664e28fd089c8d19c183d8e4c47b026c25558",
+    ("mixed_charges", "csv"): "51f26d8115ff7389b470dfa54daead37c20d8c6b4b37d7be7361c7f6dd2b7111",
 }
 
 GOLDEN_GRID_SUMMARY = {
@@ -189,8 +188,30 @@ GOLDEN_GRID_SUMMARY = {
 }
 
 
-@pytest.mark.parametrize("name, fmt", sorted(GOLDEN_GRID_SHA256))
-def test_field_grid_golden_bytes(tmp_path, capsys, name, fmt):
+# sha256 of the field-grid CSV outputs without the wave_residual and
+# laplacian_residual columns: the x, S, E, B and masked columns, recorded
+# while the Hessian was still formed as J^T h J - (g.u) M by matmuls. The
+# residuals are sums of rounded Hessian entries, so a rewrite of the
+# Hessian may move them; it must not move these.
+GOLDEN_GRID_COLUMNS_SHA256 = {
+    "rest_charge": "de70daa811d44d21abe3d30aa98f3d1fba4f65d795c62fadac8101a78676e904",
+    "uniform_charge": "fc2a5d82be6c514dabb01f035fd50cbfaaf31a0114de58f3463ec23028c45d4f",
+    "masked_near_line": "b1d6850396d1295581070d0c7965e6943d6cdf246297767cf3631104eb1e2c12",
+    "mixed_charges": "f5e5204bdf17e4b4991d8952e442e9cb5c2e4cc1858a9de77e54da1a47a40dd6",
+    "at_rest": "4b8a0f62adcc46117ede3c77b731ff89d2586c3a0f833bc1e5e5cd380a2c5662",
+}
+
+
+def _sha256_without_residuals(csv_bytes: bytes) -> str:
+    """sha256 of a field-grid CSV with its two residual columns dropped."""
+    lines = csv_bytes.decode().splitlines()
+    drop = {cli.GRID_HEADER.index("wave_residual"), cli.GRID_HEADER.index("laplacian_residual")}
+    kept = [",".join(v for i, v in enumerate(line.split(",")) if i not in drop)
+            for line in lines]
+    return hashlib.sha256("\n".join(kept).encode()).hexdigest()
+
+
+def _golden_grid(tmp_path, name: str, fmt: str) -> bytes:
     docs = {"masked_near_line": MASKED_NEAR_LINE_GRID, "mixed_charges": MIXED_GRID}
     if name in docs:
         scen = tmp_path / "grid.json"
@@ -200,8 +221,20 @@ def test_field_grid_golden_bytes(tmp_path, capsys, name, fmt):
     out = tmp_path / f"grid.{fmt}"
     assert main(["field-grid", "--scenario", str(scen), "--format", fmt,
                  "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_GRID_SHA256[name, fmt]
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("name, fmt", sorted(GOLDEN_GRID_SHA256))
+def test_field_grid_golden_bytes(tmp_path, capsys, name, fmt):
+    out = _golden_grid(tmp_path, name, fmt)
+    assert hashlib.sha256(out).hexdigest() == GOLDEN_GRID_SHA256[name, fmt]
     assert GOLDEN_GRID_SUMMARY[name] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(name for name, fmt in GOLDEN_GRID_SHA256 if fmt == "csv"))
+def test_field_grid_golden_columns(tmp_path, name):
+    out = _golden_grid(tmp_path, name, "csv")
+    assert _sha256_without_residuals(out) == GOLDEN_GRID_COLUMNS_SHA256[name]
 
 
 def _near_axis_polygon(i: int) -> list:
@@ -303,8 +336,11 @@ def test_every_line_kind_at_rest_gives_the_rest_bytes(tmp_path, kind):
         out = tmp_path / f"{command}.csv"
         assert main([command, "--scenario", str(scen), "--out", str(out)]) == 0
         got[command] = hashlib.sha256(out.read_bytes()).hexdigest()
+        if command == "field-grid":
+            got["columns"] = _sha256_without_residuals(out.read_bytes())
     assert got == {
-        "field-grid": "a0148604aee4e01c06fc02551c4e908d3defa9860eca66648dc609127cd32096",
+        "field-grid": "49ab28e2fd804c6a4ea8fccd5b9f9b3bbdbc5e2e64d2db2f68472f01e743c165",
+        "columns": GOLDEN_GRID_COLUMNS_SHA256["at_rest"],
         "loop-phase": GOLDEN_LOOPS_SHA256["rest_charge"],
     }
 
