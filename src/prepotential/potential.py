@@ -340,16 +340,17 @@ def _jet_rows(system: ChargeSystem, X) -> tuple[PrePotentialJet, np.ndarray]:
 
         dd S = q (J^T h J - (g.u) M),  M = dk/dx = (eta - u k^T - k u^T + k k^T) / (a.u)
 
-    (u lowered in M). J^T v = v - k (u.v), so h of rank 2 gives
-    J^T h J = p p^T - m m^T with p = d^ - k (u.d^), m = n^ - k (u.n^), and
-    (g.u) M = c (eta - u u^T + w w^T) with w = u - k, c = (g.u) / (a.u)
-    (u lowered; u.v and g.u are plain sums over the index). So dd S is a
-    sum of outer products of 4-vectors, with q folded into one factor of
-    each and into c. The field is the contraction of dd S
-    (faraday_from_hessian) summed in closed form: near the singular axis
-    the Hessian entries grow like 1/rho^2 while the field does not, so
-    contracting the rounded matrix would lose about eps * (r/rho)^2
-    relative.
+    (u lowered in M). h has rank 2 and J^T v = v - k (u.v), so
+
+        dd S = q (p p^T - m m^T - c (eta - u u^T + w w^T))
+
+    with p = d^ - k (u.d^), m = n^ - k (u.n^), w = u - k, c = (g.u) / (a.u)
+    (u lowered; u.v and g.u are plain sums over the index): outer products
+    of 4-vectors, with q folded into one factor of each and into c. The
+    field is the contraction of dd S (faraday_from_hessian) summed in
+    closed form: near the singular axis the Hessian entries grow like
+    1/rho^2 while the field does not, so contracting the rounded matrix
+    would lose about eps * (r/rho)^2 relative.
     """
     _, A, U, failure = _retarded_table_rows(system.segments, X)
     q = np.repeat([charge.q for charge in system], len(X))

@@ -49,7 +49,7 @@ from prepotential.potential import (
     prepotential_jets,
     zetas_of,
 )
-from prepotential.spacetime import retarded_null_vectors
+from prepotential.spacetime import ETA, METRIC_SIGNS, retarded_null_vectors, retarded_rows
 
 
 def V(*c):
@@ -250,6 +250,59 @@ _speeds = st.tuples(*[st.floats(-0.5, 0.5)] * 3).filter(
     lambda v: float(np.dot(v, v)) <= 0.81)
 
 
+_sights = st.tuples(
+    st.integers(-3, 3), st.floats(0.3, 0.7), st.floats(0.5, 3.0),
+    st.floats(-7.0, 0.0), st.floats(0.0, 2.0 * math.pi), st.sampled_from([1.0, -1.0]))
+
+
+def _sight(kind, v3, sight):
+    """The charge and an observer seeing its line at parameter
+    knot + frac, from `distance` at 10**log_theta rad off the axis."""
+    knot, frac, distance, log_theta, phi, side = sight
+    charge, event = _charge_of_kind(kind, 1.0, v3, knot + frac)
+    return charge, _observer(event, distance, _direction(10.0**log_theta, phi, side))
+
+
+EPS = np.finfo(float).eps
+
+
+def _outer(x, y):
+    return x[:, :, None] * y[:, None, :]
+
+
+def _matmul_hessian(charge, X):
+    """For one charge at the rows of X (none failing), the Hessian of S as
+    q (J^T h J - (g.u) M), the matmul form of the _jet_rows docstring, from
+    the package's A, U, num and den; the entrywise term bound B (N, 4, 4)
+    of that form and of the outer-product form, each term's modulus being
+    summed, so that a form's rounding error in an entry is at most the
+    operations on its path times B there; and the part of the exact trace
+    on these inputs that a not exactly null a leaves,
+    q ((u.d^)^2 - (u.n^)^2) (a.a) / (a.u)^2, bounded as Z (N,)."""
+    _, A, U, _ = retarded_rows(charge.line, X)
+    num, den, pick, _ = _zeta_quotients(A)
+    n, d = _NUMERATORS[pick], _DENOMINATORS[pick]
+    g = n / num[:, None] - d / den[:, None]
+    h = _outer(d, d) / (den**2)[:, None, None] - _outer(n, n) / (num**2)[:, None, None]
+    U_low = METRIC_SIGNS * U
+    au = np.einsum("ni,ni,i->n", A, U, METRIC_SIGNS)
+    K = METRIC_SIGNS * A / au[:, None]
+    J = np.eye(4) - _outer(U, K)
+    M = (ETA - _outer(U_low, K) - _outer(K, U_low) + _outer(K, K)) / au[:, None, None]
+    gu = np.einsum("ni,ni->n", g, U)
+    H = charge.q * (np.swapaxes(J, 1, 2) @ h @ J - gu[:, None, None] * M)
+    # |J| <= I + |u||k|^T, |p| <= |J|^T |d^|, |m| <= |J|^T |n^|, |w| <= |u| + |k|
+    dh, nh, aU, aK = np.abs(d / den[:, None]), np.abs(n / num[:, None]), np.abs(U), np.abs(K)
+    aJ = np.eye(4) + _outer(aU, aK)
+    ud, un = np.einsum("ni,ni->n", aU, dh), np.einsum("ni,ni->n", aU, nh)
+    N = np.abs(ETA) + 2.0 * _outer(aU, aU) + _outer(aU, aK) + _outer(aK, aU) + _outer(aK, aK)
+    B = abs(charge.q) * (np.swapaxes(aJ, 1, 2) @ (_outer(dh, dh) + _outer(nh, nh)) @ aJ
+                         + ((ud + un) / np.abs(au))[:, None, None] * N)
+    # a.a with the rounding of its own sum
+    aa = np.abs(np.einsum("ni,ni,i->n", A, A, METRIC_SIGNS)) + 2.0 * EPS * (A * A).sum(axis=1)
+    return H, B, abs(charge.q) * (ud**2 + un**2) * aa / au**2
+
+
 class TestPrePotentialJet:
     """The closed-form kernel against the stencil and the textbook oracles."""
 
@@ -291,6 +344,52 @@ class TestPrePotentialJet:
             v = line.velocity_u.as_array()[1:] / line.velocity_u.x0
             want = boosted_coulomb_oracle(-1.3, v, x, line.reference_event).as_array()
         assert np.abs(F - want).max() <= 1e-9 * np.abs(want).max()
+
+    @given(
+        kind=st.sampled_from(["rest", "uniform", "sampled"]),
+        v3=st.tuples(*[st.floats(-0.9, 0.9)] * 3).filter(lambda v: float(np.dot(v, v)) <= 0.81),
+        sights=st.lists(_sights, min_size=1, max_size=10),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_hessian_matches_the_matmul_form(self, kind, v3, sights):
+        """The outer-product Hessian against q (J^T h J - (g.u) M), and its
+        wave residual, for |v| <= 0.9 and down to 1e-7 rad off the axis.
+
+        The two forms are one function of the same A, U, num and den, so
+        each differs from its exact value only by its own rounding. Along
+        the path to any entry each form takes at most L = 16 operations:
+        the outer products 1 (n^ or d^) + 4 (u.d^) + 1 (times k) + 1 (p)
+        + 1 (times q) + 1 (the product) + 3 (the terms summed) = 12, and
+        c's path 1 + 4 + 1 (g.u) + 1 (over a.u) + 1 (times q) + 1 + 3 = 12;
+        the matmul form 2 (h) + 1 (its difference) + 2 (J) + 2 x 4 (a
+        matmul's product and 3 sums, twice) + 1 (times q) + 1 = 15, and its
+        M term 2 + 3 + 1 + 1 + 1 + 1 = 9. A real or complex product,
+        quotient or sum errs by at most 4u (u = eps / 2), so each form errs
+        by at most 16 x 4u x B = 32 eps B in an entry, and the two differ
+        by at most c eps B with c = 64.
+
+        The exact trace eta^{mu nu} H_{mu nu} on these inputs is
+        q (p.p - m.m - 2c). Exactly, d and n are null and k.d^ = 1 / (a.u),
+        so it vanishes up to Z (the part from a.a) and the rounding of the
+        inputs: den and a.u of one relative u each give at most 2u B_00
+        over both quotients, and n^, d^ of u each give 2u per diagonal entry
+        of their own outer product, 8u max B over four entries and both.
+        Summing the four computed entries adds their errors, 4 x 32 eps
+        max B, and three rounded sums, at most 3u x 4 max B. So
+        |box S| <= c' eps max B + Z with c' = 128 + 6 + 4 + 1 = 139.
+        B is at most a few tens of max|H| over the drawn range, so these
+        are c eps max|H| and c' eps max|H| bounds scaled by that condition
+        number, not by a fitted constant.
+        """
+        charge = _sight(kind, v3, sights[0])[0]
+        X = np.array([_sight(kind, v3, s)[1].as_array() for s in sights])
+        jet, failure = prepotential_jets(ChargeSystem((charge,)), X)
+        assert not failure.any()
+        want, B, Z = _matmul_hessian(charge, X)
+        H = jet.hessian
+        assert (np.abs(H - want) <= 64 * EPS * B).all()
+        box = np.abs(H[:, 0, 0] - H[:, 1, 1] - H[:, 2, 2] - H[:, 3, 3])
+        assert (box <= 139 * EPS * B.max(axis=(1, 2)) + Z).all()
 
     def test_field_is_contracted_hessian(self, rng):
         for kind in ("rest", "uniform", "sampled"):
@@ -335,19 +434,6 @@ class TestPrePotentialJet:
         assert abs(sol.tau_retarded - 1.5) < 1e-9
         e1, e2 = charge.line.events[5].as_array(), charge.line.events[6].as_array()
         assert_allclose(sol.u.as_array(), e2 - e1, atol=1e-15)
-
-
-_sights = st.tuples(
-    st.integers(-3, 3), st.floats(0.3, 0.7), st.floats(0.5, 3.0),
-    st.floats(-7.0, 0.0), st.floats(0.0, 2.0 * math.pi), st.sampled_from([1.0, -1.0]))
-
-
-def _sight(kind, v3, sight):
-    """The charge and an observer seeing its line at parameter
-    knot + frac, from `distance` at 10**log_theta rad off the axis."""
-    knot, frac, distance, log_theta, phi, side = sight
-    charge, event = _charge_of_kind(kind, 1.0, v3, knot + frac)
-    return charge, _observer(event, distance, _direction(10.0**log_theta, phi, side))
 
 
 class TestZetaBatch:
