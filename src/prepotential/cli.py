@@ -172,7 +172,7 @@ def _cmd_loop_phase(scenario: Scenario, fmt: str, out: str | None) -> int:
     rows = []
     had_error = False
     nan = float("nan")
-    # all loops in one batch per charge; a failing loop fails only its row
+    # all loops and charges in one pass; a failing loop fails only its row
     for i, rep in enumerate(ab_phase_reports(scenario.charges, scenario.loops)):
         if isinstance(rep, PrepotentialError):
             had_error = True

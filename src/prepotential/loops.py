@@ -98,31 +98,31 @@ def ab_phase_reports(
     charges: Charge | ChargeSystem, loops
 ) -> list[LoopPhaseReport | PrepotentialError]:
     """ab_phase_report for each of a list of closed loops, with the error a
-    failing loop's ab_phase_report raises in its place. All loops are
-    evaluated together, in at most two batches per charge (their points,
-    then their edge samples), and a failure affects only its own loop."""
+    failing loop's ab_phase_report raises in its place. All loops and all
+    charges are evaluated in one pass of two batches (their points, then
+    their edge samples; 2 retarded solves per call), and a failure affects
+    only its own loop."""
     if not all(loop.closed for loop in loops):
         raise ValueError("ab_phase_report requires a closed loop")
-    system = isinstance(charges, ChargeSystem)
-    members = charges.charges if system else (charges,)
-    tolerance = 1e-8 * max(abs(c.q) for c in members)
+    lone = not isinstance(charges, ChargeSystem)
+    system = ChargeSystem((charges,)) if lone else charges
+    tolerance = 1e-8 * max(abs(c.q) for c in system)
     if not loops:
         return []
-    deltas = np.zeros((len(members), len(loops)), dtype=complex)
-    samples = np.zeros(len(loops), dtype=np.intp)
+    try:
+        deltas, samples, failed = _delta_S_paths(system, _stack_paths(loops))
+    except ChargeSystemError as exc:  # a lone charge's error is its own
+        if lone:
+            raise exc.__cause__ from None
+        raise
     errors: dict = {}
-    stack = _stack_paths(loops)
-    for k, charge in enumerate(members):
-        deltas[k], used, failed = _delta_S_paths(charge, stack)
-        samples += used
-        for j, exc in failed.items():
-            if j not in errors:
-                if system:
-                    wrapped = ChargeSystemError(k, str(exc))
-                    wrapped.__cause__ = exc
-                    exc = wrapped
-                errors[j] = exc
-    q = np.array([c.q for c in members])
+    for j, (k, exc) in failed.items():
+        if not lone:
+            wrapped = ChargeSystemError(k, str(exc))
+            wrapped.__cause__ = exc
+            exc = wrapped
+        errors[j] = exc
+    q = np.array([c.q for c in system])
     # each edge's phase is the exact turn of zeta along it, so
     # Im delta_S_k / (2 pi q_k) counts the branches the loop crosses; a
     # failed loop's delta_S may be NaN, which has no integer

@@ -126,6 +126,22 @@ def _zeta_quotients(A):
     return num, den, (~first).astype(np.intp), failure
 
 
+def _charge_quotients(A, parts):
+    """_zeta_quotients of rows laid charge after charge, np.split(A, parts)
+    giving each charge's rows. An error it raises for the batch is raised
+    as ChargeSystemError(k, ...), k the lowest charge whose rows alone
+    raise it."""
+    try:
+        return _zeta_quotients(A)
+    except PrepotentialError:
+        for k, part in enumerate(np.split(A, parts)):
+            try:
+                _zeta_quotients(part)
+            except PrepotentialError as exc:
+                raise ChargeSystemError(k, str(exc)) from exc
+        raise
+
+
 def zetas_of(A) -> np.ndarray:
     """zeta of each row of an (N, 4) array of null vectors, real or
     complex, from the better-conditioned quotient; raises the error of the
@@ -328,8 +344,7 @@ def _jet_rows(system: ChargeSystem, X) -> tuple[PrePotentialJet, np.ndarray]:
     each charge of the system at each row of an (N, 4) array of events,
     from one retarded solve: C * N rows, charge after charge, with their
     failure codes (failing rows hold NaN). A batch-level error of the
-    quotients is raised as ChargeSystemError(k, ...), k the lowest charge
-    whose rows alone raise it.
+    quotients names its charge (_charge_quotients).
 
     zeta = num / den, with num = n.a and den = d.a the linear forms of the
     quotient zeta_of uses, so ln(zeta) has a-gradient g = n^ - d^ and
@@ -353,16 +368,9 @@ def _jet_rows(system: ChargeSystem, X) -> tuple[PrePotentialJet, np.ndarray]:
     would lose about eps * (r/rho)^2 relative.
     """
     _, A, U, failure = _retarded_table_rows(system.segments, X)
+    U = U.reshape(len(A), 4)
     q = np.repeat([charge.q for charge in system], len(X))
-    try:
-        num, den, pick, on_axis = _zeta_quotients(A)
-    except PrepotentialError:
-        for k, part in enumerate(np.split(A, len(system))):
-            try:
-                _zeta_quotients(part)
-            except PrepotentialError as exc:
-                raise ChargeSystemError(k, str(exc)) from exc
-        raise
+    num, den, pick, on_axis = _charge_quotients(A, len(system))
     # failing rows carry NaN through the arithmetic
     with np.errstate(invalid="ignore"):
         n_hat = _NUMERATORS[pick] / num[:, None]
@@ -507,39 +515,21 @@ def _stack_paths(paths) -> _PathStack:
     return _PathStack(P, owner, edges, nxt[edges], _mdot_rows(chord, chord), sizes, closed, last)
 
 
-def _path_zetas(charge: Charge, X: np.ndarray, owner: np.ndarray,
-                errors: dict) -> np.ndarray:
-    """zeta at each row of X. Row i belongs to path owner[i]; a path with a
-    failing row gets the error of its first failing row in errors (path
-    index -> error) unless it has one already. Failing rows hold NaN."""
-    _, A, _, failure = retarded_rows(charge.line, X)
-    num, den, _, on_axis = _zeta_quotients(A)
-    failure = np.where(failure != 0, failure, on_axis)
-    bad = np.flatnonzero(failure)
-    paths, first = np.unique(owner[bad], return_index=True)
-    for path, code in zip(paths.tolist(), failure[bad[first]].tolist()):
-        cls, message = ROW_FAILURES[code]
-        if cls is SingularAxisError:
-            cls = PathThroughSingularAxisError
-        errors.setdefault(path, cls(message))
-    with np.errstate(invalid="ignore"):  # NaN rows
-        return num / den
-
-
-def _a2_roots(line: WorldLine, stack: _PathStack) -> np.ndarray:
-    """Per edge (columns), the parameters t in [0, 1) (2K, E) of the points
+def _a2_roots(table: tuple, stack: _PathStack) -> np.ndarray:
+    """Per segment of a segment table (spacetime._segment_table) and per
+    edge (columns), the parameters t in [0, 1) (2, M, E) of the points
     (1 - t) x_start + t x_end where a2 of the retarded null vector may
     vanish, else 1. On a segment through R with unit velocity u, Q = D - s u
     (D = x - R, s = D.u) is affine in t and a = Q + r u, r^2 = -Q.Q:
     a2 = Q2 + u2 r is 0 only where the quadratic f = u2^2 r^2 - Q2^2 is.
     r^2 is taken from Q, not as s^2 - D.D, which cancels when x is far in
     s from R: the roots would then depend on which event names the line.
-    Each segment of line.segments gives a row of Q, s and r^2 (the NaN row
-    at a sampled line's last knot gives NaN roots, none kept); of a line of
-    several, only the roots whose retarded point, s - r past R in proper
-    time, lies on their own segment are kept. On an edge in a2 = 0, where
-    f = 0, those of a1 (the axis) stand in."""
-    taus, R, U, rate = line.segments  # R, the knot starting each segment
+    Each segment gives a row of Q, s and r^2 (the NaN row at a sampled
+    line's last knot gives NaN roots, none kept); of a line of several,
+    only the roots whose retarded point, s - r past R in proper time, lies
+    on their own segment are kept. On an edge in a2 = 0, where f = 0,
+    those of a1 (the axis) stand in."""
+    (taus, R, U, rate), first, last = table  # R, the knot starting each segment
     P, W, i0, i1 = stack.points, METRIC_SIGNS * U, stack.edges, stack.ends
     Q = [P[:, m] - R[:, m, None] for m in range(4)]  # D, until s is known
     s = sum(W[:, m, None] * Q[m] for m in range(4))
@@ -562,26 +552,67 @@ def _a2_roots(line: WorldLine, stack: _PathStack) -> np.ndarray:
     # inf and NaN roots fall outside [0, 1); a double root's discriminant may round below 0
     with np.errstate(all="ignore"):
         q = -(b + np.copysign(np.sqrt(np.maximum(b * b - a * c, 0.0)), b))
-        t = np.concatenate([q / a, c / q])
+        t = np.stack([q / a, c / q])
     keep = (t >= 0.0) & (t < 1.0)
-    if len(R) > 1:
-        row, e = np.nonzero(keep)
-        k, te = row % len(R), t[row, e]
+    # per segment, whether its line has several knots; a one-knot line's
+    # segment is unbounded, and its span below means nothing
+    many = np.repeat(last > first, last - first + 1)
+    if many.any():
+        half, k, e = np.nonzero(keep & many[:, None])
+        te = t[half, k, e]
         st = s[k, i0[e]] + te * (s[k, i1[e]] - s[k, i0[e]])
         rt = np.sqrt(np.maximum(r0[k, e] + te * (dr2[k, e] + te * L[k, e]), 0.0))
         # a root near a knot may round off both segments that share it; a
         # spare root only adds a sample, a dropped one loses a turn
         slack = 1e-6 * (np.abs(st) + rt)
         span = np.diff(taus, append=np.nan) / rate  # proper time along each segment
-        keep[row, e] = (st - rt >= -slack) & (st - rt <= span[k] + slack)
+        keep[half, k, e] = (st - rt >= -slack) & (st - rt <= span[k] + slack)
     return np.where(keep, t, 1.0)
 
 
-def _delta_S_paths(charge: Charge, stack: _PathStack) -> tuple[np.ndarray, np.ndarray, dict]:
-    """delta_S_along_path for a stack of paths in one batch: per path its
-    delta_S and the number of samples it evaluated, and the error of each
-    failed path (path index -> error); a path fails at its first failing
-    point or sample, and a failed path's delta_S and samples mean nothing.
+def _table_zetas(table: tuple, X: np.ndarray, pick, parts) -> tuple[np.ndarray, np.ndarray]:
+    """zeta and failure codes at the rows A[pick] of the retarded solve of
+    every line of a segment table at each row of X, laid charge after
+    charge as np.split(A[pick], parts) gives them; failing rows hold NaN.
+    Rows of A not picked can neither fail nor raise."""
+    _, A, _, failure = _retarded_table_rows(table, X)
+    num, den, _, on_axis = _charge_quotients(A[pick], parts)
+    failure = failure[pick]
+    with np.errstate(invalid="ignore"):  # NaN rows
+        return num / den, np.where(failure != 0, failure, on_axis)
+
+
+def _path_failures(code: np.ndarray, charge: np.ndarray, path: np.ndarray,
+                   points: int) -> dict:
+    """The error each failed path meets first (path index -> (charge,
+    error)), from the codes of failing rows with each row's charge and
+    path: the first `points` rows are points, the rest samples, each part
+    in charge order and, within a charge, in the order of its rows. A path
+    gets the error of its lowest failing charge, of that charge's first
+    failing point, else of its first failing sample."""
+    if not len(code):
+        return {}
+    order = np.argsort(2 * charge + (np.arange(len(code)) >= points), kind="stable")
+    paths, first = np.unique(path[order], return_index=True)
+    errors = {}
+    for j, k, c in zip(paths.tolist(), charge[order[first]].tolist(),
+                       code[order[first]].tolist()):
+        cls, message = ROW_FAILURES[c]
+        if cls is SingularAxisError:
+            cls = PathThroughSingularAxisError
+        errors[j] = (k, cls(message))
+    return errors
+
+
+def _delta_S_paths(system: ChargeSystem, stack: _PathStack) -> tuple[np.ndarray, np.ndarray, dict]:
+    """delta_S_along_path for every charge of a system and a stack of paths
+    in one pass: per charge and path its delta_S (C, n), per path the
+    number of samples the charges evaluated, and the error of each failed
+    path (path index -> (charge k, error)): that of the lowest charge k
+    that fails on it, at its first failing point, else at its first
+    failing sample. A failed path's delta_S and samples mean nothing. A
+    batch-level error of the quotients names its charge
+    (_charge_quotients), points before samples.
 
     Only arg(zeta), the polar angle of (a1, -a2) as a0 + a3 >= 0, is
     multiple-valued. An edge without _a2_roots turns by less than pi: its
@@ -593,40 +624,68 @@ def _delta_S_paths(charge: Charge, stack: _PathStack) -> tuple[np.ndarray, np.nd
     at each root at a1 < 0 where the half-plane flips. Im delta_S is q
     times the edge phases summed in row order; Re delta_S is
     q ln|zeta(last) / zeta(first)| on an open path, 0 on a closed one.
+
+    The points are solved as one table of C * N rows, and the split edges
+    as (charge, edge) pairs whose samples are solved for every charge, of
+    which each sample keeps its own charge's row: every value is that of
+    the charge's pass alone.
     """
-    n = len(stack.sizes)
+    table = system.segments
+    _, first, last = table
+    c, n, N = len(system), len(stack.sizes), len(stack.points)
     P, owner, i0, i1 = stack.points, stack.owner, stack.edges, stack.ends
-    errors: dict = {}
-    z = _path_zetas(charge, P, owner, errors)
+    roots = _a2_roots(table, stack)
+    z, point_failure = _table_zetas(table, P, slice(None), c)
+    z = z.reshape(c, N)
     with np.errstate(invalid="ignore"):  # a failed path's zeta may be NaN
-        phase = np.angle(z[i1] / z[i0])
-    roots = _a2_roots(charge.line, stack)
-    split = np.flatnonzero((roots < 1.0).any(axis=0) | (np.abs(phase) >= _MAX_RATIO_ARG))
+        phase = np.angle(z[:, i1] / z[:, i0])
+    hit = (roots < 1.0).any(axis=0)
+    rooted = np.array([hit[f:l + 1].any(axis=0) for f, l in zip(first.tolist(), last.tolist())])
+    # the split (charge, edge) pairs, charge after charge
+    ks, split = np.divmod(np.flatnonzero(rooted | (np.abs(phase) >= _MAX_RATIO_ARG)), len(i0))
+    # each pair's roots, padded with 1 (no root) to the most knots of a line
+    knots = last - first + 1
+    col = np.arange(knots.max())
+    seg = np.minimum(first[ks, None] + col, last[ks, None])
+    own = np.where(col < knots[ks, None], roots[:, seg, split[:, None]], 1.0)
     # breakpoints: the ends and the sorted roots (a missing root is 1);
     # samples midway along each interval, then at each root
-    B = np.pad(np.sort(roots[:, split].T, axis=1), ((0, 0), (1, 1)), constant_values=(0, 1))
+    m = 2 * len(col)  # roots per pair
+    B = np.pad(np.sort(own.transpose(1, 0, 2).reshape(len(ks), m), axis=1),
+               ((0, 0), (1, 1)), constant_values=(0, 1))
     T = np.concatenate([0.5 * (B[:, 1:] + B[:, :-1]), B[:, 1:-1]], axis=1)
     inner = T < 1.0
     e0, e1, row, t = i0[split], i1[split], np.nonzero(inner)[0], T[inner][:, None]
+    X = (1.0 - t) * P[e0[row]] + t * P[e1[row]]
+    # each sample keeps its own charge's row
+    kr = ks[row]
     Z = np.ones(T.shape, dtype=complex)
-    Z[inner] = _path_zetas(charge, (1.0 - t) * P[e0[row]] + t * P[e1[row]],
-                           owner[e0[row]], errors)
+    Z[inner], sample_failure = _table_zetas(
+        table, X, kr * len(X) + np.arange(len(X)), np.cumsum(np.bincount(kr, minlength=c))[:-1])
     # the half-plane of (a1, -a2) on each interval; an end's angle more than
     # pi/2 off the one next to it is there by rounding, a turn round
-    side = np.where(Z[:, :len(roots) + 1].imag < 0.0, -1.0, 1.0)
+    side = np.where(Z[:, :m + 1].imag < 0.0, -1.0, 1.0)
     h = np.stack([side[:, 0], side[np.arange(len(split)), (B < 1.0).sum(axis=1) - 1]])
-    theta = np.angle(np.stack([z[e0], z[e1]]))
+    theta = np.angle(np.stack([z[ks, e0], z[ks, e1]]))
     theta = np.where(h * theta < -math.pi / 2, theta + 2.0 * math.pi * h, theta)
-    cuts = ((side[:, :-1] - side[:, 1:]) * (Z[:, len(roots) + 1:].real < 0.0)).sum(axis=1)
-    phase[split] = theta[1] - theta[0] + math.pi * cuts
-    turned = np.bincount(owner[i0], phase, minlength=n)
+    cuts = ((side[:, :-1] - side[:, 1:]) * (Z[:, m + 1:].real < 0.0)).sum(axis=1)
+    phase[ks, split] = theta[1] - theta[0] + math.pi * cuts
+    # bins offset by charge: each adds its charge's edges in row order
+    bins = owner[i0] + n * np.arange(c)[:, None]
+    turned = np.bincount(bins.ravel(), phase.ravel(), minlength=c * n).reshape(c, n)
     with np.errstate(invalid="ignore"):  # a failed path's samples may be NaN
-        stretched = np.log(np.abs(z[stack.last] / z[stack.last - stack.sizes + 1]))
-    delta = np.empty(n, dtype=complex)
+        stretched = np.log(np.abs(z[:, stack.last] / z[:, stack.last - stack.sizes + 1]))
+    q = np.array([charge.q for charge in system])[:, None]
+    delta = np.empty((c, n), dtype=complex)
     # + 0.0 turns -0.0 into 0.0, so a closed path never reads "-0"
-    delta.real = charge.q * np.where(stack.closed, 0.0, stretched) + 0.0
-    delta.imag = charge.q * turned + 0.0
-    return delta, stack.sizes + np.bincount(owner[e0[row]], minlength=n), errors
+    delta.real = q * np.where(stack.closed, 0.0, stretched) + 0.0
+    delta.imag = q * turned + 0.0
+    sample_owner = owner[e0[row]]
+    pb, sb = np.flatnonzero(point_failure), np.flatnonzero(sample_failure)
+    errors = _path_failures(np.concatenate([point_failure[pb], sample_failure[sb]]),
+                            np.concatenate([pb // N, kr[sb]]),
+                            np.concatenate([owner[pb % N], sample_owner[sb]]), len(pb))
+    return delta, c * stack.sizes + np.bincount(sample_owner, minlength=n), errors
 
 
 def delta_S_along_path(charge: Charge, path: Path) -> complex:
@@ -637,7 +696,10 @@ def delta_S_along_path(charge: Charge, path: Path) -> complex:
 
     For closed paths the result is 2*pi*i*q times an integer winding.
     """
-    delta, _, errors = _delta_S_paths(charge, _stack_paths([path]))
+    try:
+        delta, _, errors = _delta_S_paths(ChargeSystem((charge,)), _stack_paths([path]))
+    except ChargeSystemError as exc:  # a lone charge's error is its own
+        raise exc.__cause__ from None
     if errors:
-        raise errors[0]
-    return complex(delta[0])
+        raise errors[0][1]
+    return complex(delta[0, 0])

@@ -231,10 +231,15 @@ def build_loop(raw: dict, where: str) -> Path:
         phi = sign * 2.0 * math.pi * abs(turns) * np.arange(total) / total
         points = np.empty((total, 4))
         points[:, 0] = time
-        points[:, 1] = center[0] + radius * np.cos(phi)
-        points[:, 2] = center[1] + radius * np.sin(phi)
+        # a sample past the float limit comes out inf, which Path refuses
+        with np.errstate(over="ignore"):
+            points[:, 1] = center[0] + radius * np.cos(phi)
+            points[:, 2] = center[1] + radius * np.sin(phi)
         points[:, 3] = center[2]
-        return Path(points, closed=True)
+        try:
+            return Path(points, closed=True)
+        except ValueError as exc:
+            raise ScenarioError(f"{where}: {exc}") from exc
     if kind == "points":
         events = raw.get("events")
         _require(isinstance(events, list) and len(events) >= 2,

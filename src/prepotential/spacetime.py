@@ -283,7 +283,7 @@ def _retarded_table_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """retarded_rows for every line of a segment table (_segment_table) in
     one solve, on C * N rows laid line after line: row c * N + i is event
-    i seen from line c.
+    i seen from line c. U alone comes as (C, N, 4), U[c, i] for that row.
 
     Every line kind moves uniformly within a segment, so one formula
     solves them all. For an event R of the segment, its parameter t and
@@ -336,8 +336,10 @@ def _retarded_table_rows(
     if failure.any():
         A[failure != 0] = np.nan
         tau[failure != 0] = np.nan
-    return (tau.reshape(c * n), A.reshape(c * n, 4),
-            np.broadcast_to(U, (c, n, 4)).reshape(c * n, 4), failure.reshape(c * n))
+    # U stays (C, N, 4): flattening a broadcast frame copies it for C > 1,
+    # and only the jet pass reads it
+    return (tau.reshape(c * n), A.reshape(c * n, 4), np.broadcast_to(U, (c, n, 4)),
+            failure.reshape(c * n))
 
 
 def retarded_rows(
@@ -351,7 +353,9 @@ def retarded_rows(
     The line's segments are a table of one line for _retarded_table_rows.
     """
     segments = line.segments
-    return _retarded_table_rows((segments, np.array([0]), np.array([len(segments[0]) - 1])), X)
+    tau, A, U, failure = _retarded_table_rows(
+        (segments, np.array([0]), np.array([len(segments[0]) - 1])), X)
+    return tau, A, U[0], failure
 
 
 def retarded_null_vectors(line: WorldLine, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

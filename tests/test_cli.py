@@ -1306,11 +1306,49 @@ class TestLoopPhaseCommand:
         records = json.loads(out.read_text())["records"]
         assert [r["winding"] for r in records] == [-1, 0, 2]
 
+    @pytest.mark.parametrize("circle, message", [
+        # its samples overflow to inf (numpy's overflow warning stays quiet)
+        ({"center": [1e308, 0, 0], "radius": 1e308, "samples": 8},
+         "path points must be finite"),
+        # its samples round to one point
+        ({"center": [1e10, 1e10, 0], "radius": 1e-10}, "consecutive path samples 0, 1 coincide"),
+    ])
+    def test_degenerate_circle_is_a_configuration_error(self, tmp_path, capsys, circle,
+                                                       message):
+        scen = _written(tmp_path, {
+            "version": 1,
+            "charges": [{"q": 1.0, "line": {"kind": "rest", "position": [0, 0, 0]}}],
+            "loops": [{"kind": "circle", "center": [0, 0, 0.4], "radius": 1.0},
+                      dict(circle, kind="circle")],
+        })
+        out = tmp_path / "l.csv"
+        assert main(["loop-phase", "--scenario", scen, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr() == ("", f"configuration error: loops[1]: {message}\n")
+
+    def test_batch_error_names_its_charge(self, tmp_path, capsys):
+        # behind charge 1, at |v| = 0.999, a = P + r U cancels and misses
+        # null by more than NULL_TOL (ROADMAP item 12): the quotients raise
+        # for the batch, and the error names the charge, as field-grid's does
+        scen = _written(tmp_path, {
+            "version": 1,
+            "charges": [
+                {"q": 1.0, "line": {"kind": "rest", "position": [2.0, 0.0, 0.0]}},
+                {"q": 1.0, "line": {"kind": "uniform", "event": [0, 0, 0, 0],
+                                    "velocity": [0, 0, 0.999]}},
+            ],
+            "loops": [{"kind": "circle", "center": [0, 0, -3.0], "radius": 1.0},
+                      {"kind": "circle", "center": [0.5, 0, -1.0], "radius": 0.5}],
+        })
+        assert main(["loop-phase", "--scenario", scen, "--out", str(tmp_path / "l.csv")]) == 3
+        assert capsys.readouterr().err.startswith(
+            "runtime error: charge 1: vector is not null: |a.a| = ")
+
     def test_at_most_two_solves_per_charge(self, tmp_path, monkeypatch):
         # 32 loops round 3 charges: 16 circles and 16 polygons with one
         # edge 1e-6 to 1e-3 of its length from charge 0's axis. The call
-        # solves the loops' points once per charge, and once more the
-        # samples of the edges on which a2 may vanish.
+        # solves the loops' points once for the whole system, and once more
+        # the samples of the edges on which a2 may vanish.
         rng = np.random.default_rng(5)
         loops = []
         for i in range(16):
@@ -1339,17 +1377,21 @@ class TestLoopPhaseCommand:
         scen.write_text(json.dumps(doc))
         calls = []
 
-        def counting(line, X):
-            calls.append(len(X))
-            return solve(line, X)
+        def counting(table, X):
+            out = solve(table, X)
+            calls.append(len(out[1]))
+            return out
 
-        solve = potential.retarded_rows
-        monkeypatch.setattr(potential, "retarded_rows", counting)
+        def single(line, X):
+            raise AssertionError("a charge of the system was solved on its own")
+
+        solve = potential._retarded_table_rows
+        monkeypatch.setattr(potential, "_retarded_table_rows", counting)
+        monkeypatch.setattr(potential, "retarded_rows", single)
         points = sum(len(loop.points) for loop in load_scenario(str(scen)).loops)
         assert main(["loop-phase", "--scenario", str(scen),
                      "--out", str(tmp_path / "l.csv")]) == 0
-        assert calls.count(points) == 3
-        assert len(calls) <= 2 * 3
+        assert len(calls) == 2 and calls[0] == 3 * points and calls[1] % 3 == 0
 
     def test_empty_loop_list(self, tmp_path):
         # a bare header would be a vacuous success, as field-grid without

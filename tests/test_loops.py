@@ -26,8 +26,16 @@ from prepotential import (
     zetas_of,
 )
 from prepotential import loops as loops_module
+from prepotential import potential
+from prepotential.errors import (
+    ROW_FAILURES,
+    NoRetardedIntersectionError,
+    NotNullError,
+    ObserverOnWorldLineError,
+    SingularAxisError,
+)
 from prepotential.scenario import bundled_scenario_path, load_scenario
-from prepotential.spacetime import retarded_null_vectors
+from prepotential.spacetime import retarded_null_vectors, retarded_rows
 
 
 def V(*c):
@@ -808,15 +816,16 @@ class TestPhaseOnlyAccumulation:
         assert abs(got - q * np.log(np.abs(z[1:] / z[:-1])).sum()) < 1e-13
 
     def test_one_stack_for_all_charges(self, monkeypatch):
+        # one stack of the loops, and one pass over it for the whole system
         built, seen = [], []
 
         def stack_paths(paths):
             built.append(real_stack(paths))
             return built[-1]
 
-        def delta_S_paths(charge, stack):
-            seen.append(stack)
-            return real_delta(charge, stack)
+        def delta_S_paths(charges, stack):
+            seen.append((charges, stack))
+            return real_delta(charges, stack)
 
         real_stack, real_delta = loops_module._stack_paths, loops_module._delta_S_paths
         monkeypatch.setattr(loops_module, "_stack_paths", stack_paths)
@@ -831,4 +840,206 @@ class TestPhaseOnlyAccumulation:
         reports = ab_phase_reports(system, paths)
         assert all(rep.status == "ok" for rep in reports)
         assert len(built) == 1
-        assert len(seen) == 3 and all(stack is built[0] for stack in seen)
+        assert len(seen) == 1 and seen[0][0] is system and seen[0][1] is built[0]
+
+
+def per_charge_delta_S_paths(charge, stack):
+    """The loop pass of one charge, as it ran before the pass over the
+    charge system: per path its delta_S and samples, and the error of each
+    failed path (path index -> error). Kept as the reference of the system
+    pass, on the package's retarded_rows, _zeta_quotients and _a2_roots of
+    the charge's own segment table."""
+    n = len(stack.sizes)
+    P, owner, i0, i1 = stack.points, stack.owner, stack.edges, stack.ends
+    errors = {}
+
+    def path_zetas(X, owner):
+        _, A, _, failure = retarded_rows(charge.line, X)
+        num, den, _, on_axis = potential._zeta_quotients(A)
+        failure = np.where(failure != 0, failure, on_axis)
+        bad = np.flatnonzero(failure)
+        paths, first = np.unique(owner[bad], return_index=True)
+        for path, code in zip(paths.tolist(), failure[bad[first]].tolist()):
+            cls, message = ROW_FAILURES[code]
+            if cls is SingularAxisError:
+                cls = PathThroughSingularAxisError
+            errors.setdefault(path, cls(message))
+        with np.errstate(invalid="ignore"):
+            return num / den
+
+    z = path_zetas(P, owner)
+    with np.errstate(invalid="ignore"):
+        phase = np.angle(z[i1] / z[i0])
+    segments = charge.line.segments
+    knots = len(segments[0])
+    table = (segments, np.array([0]), np.array([knots - 1]))
+    roots = potential._a2_roots(table, stack).reshape(2 * knots, len(i0))
+    split = np.flatnonzero((roots < 1.0).any(axis=0) | (np.abs(phase) >= math.pi / 2))
+    B = np.pad(np.sort(roots[:, split].T, axis=1), ((0, 0), (1, 1)), constant_values=(0, 1))
+    T = np.concatenate([0.5 * (B[:, 1:] + B[:, :-1]), B[:, 1:-1]], axis=1)
+    inner = T < 1.0
+    e0, e1, row, t = i0[split], i1[split], np.nonzero(inner)[0], T[inner][:, None]
+    Z = np.ones(T.shape, dtype=complex)
+    Z[inner] = path_zetas((1.0 - t) * P[e0[row]] + t * P[e1[row]], owner[e0[row]])
+    side = np.where(Z[:, :len(roots) + 1].imag < 0.0, -1.0, 1.0)
+    h = np.stack([side[:, 0], side[np.arange(len(split)), (B < 1.0).sum(axis=1) - 1]])
+    theta = np.angle(np.stack([z[e0], z[e1]]))
+    theta = np.where(h * theta < -math.pi / 2, theta + 2.0 * math.pi * h, theta)
+    cuts = ((side[:, :-1] - side[:, 1:]) * (Z[:, len(roots) + 1:].real < 0.0)).sum(axis=1)
+    phase[split] = theta[1] - theta[0] + math.pi * cuts
+    turned = np.bincount(owner[i0], phase, minlength=n)
+    with np.errstate(invalid="ignore"):
+        stretched = np.log(np.abs(z[stack.last] / z[stack.last - stack.sizes + 1]))
+    delta = np.empty(n, dtype=complex)
+    delta.real = charge.q * np.where(stack.closed, 0.0, stretched) + 0.0
+    delta.imag = charge.q * turned + 0.0
+    return delta, stack.sizes + np.bincount(owner[e0[row]], minlength=n), errors
+
+
+def per_charge_pass(system, stack):
+    """per_charge_delta_S_paths charge after charge, combined as the system
+    pass returns them: each failed path keeps its lowest failing charge."""
+    deltas = np.empty((len(system), len(stack.sizes)), dtype=complex)
+    samples = np.zeros(len(stack.sizes), dtype=np.intp)
+    errors = {}
+    for k, charge in enumerate(system):
+        deltas[k], used, failed = per_charge_delta_S_paths(charge, stack)
+        samples += used
+        for j, exc in failed.items():
+            errors.setdefault(j, (k, exc))
+    return deltas, samples, errors
+
+
+def sampled_line(position, v, knots):
+    """A sampled line at (0, position) at t = 0 with knots from t = -40 to
+    10, its velocity v with its components rotated by one more place on
+    each segment."""
+    t = np.linspace(-40.0, 10.0, knots)
+    vs = np.array([np.roll(v, k) for k in range(knots - 1)])
+    x = np.concatenate([np.zeros((1, 3)), np.cumsum(np.diff(t)[:, None] * vs, axis=0)])
+    j = int(np.searchsorted(t, 0.0, side="right")) - 1
+    x += np.asarray(position) - (x[j] - t[j] * vs[j])
+    events = np.column_stack([t, x])
+    d = np.diff(events, axis=0)
+    taus = np.concatenate([[0.0], np.cumsum(np.sqrt(d[:, 0] ** 2 - (d[:, 1:] ** 2).sum(axis=1)))])
+    return SampledLine(tuple(taus), tuple(FourVector.from_array(e) for e in events))
+
+
+_pass_charge_specs = st.tuples(
+    st.sampled_from(["rest", "uniform", "sampled"]),
+    st.floats(0.4, 2.0) | st.floats(-2.0, -0.4),
+    st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+    st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+    st.sampled_from([2, 3, 5, 9]),
+)
+_failing_loop_specs = st.tuples(
+    st.sampled_from(["on-axis", "edge-on-axis", "on-line", "edge-on-axis+on-line", "early",
+                     "late"]),
+    st.integers(0, 2),
+    st.floats(0.5, 2.0),
+)
+
+
+def _pass_charge_of(kind, q, pos, v, knots):
+    if kind == "sampled":
+        return Charge(q, sampled_line((pos[0], pos[1], 0.0), v, knots))
+    return _charge_of(kind, q, pos, v)
+
+
+def _failing_loop_of(system, kind, index, d):
+    """A triangle that fails on charge index (mod the system's size): a
+    vertex or an edge's midpoint on its singular axis, a vertex on its
+    line, or both of the last two; or, on a sampled line, at x0 = -1000 or
+    1000, outside its range."""
+    if kind in ("early", "late"):
+        x0 = -1000.0 if kind == "early" else 1000.0
+        return Path(np.array([[x0, 1.0, 0.0, 0.4], [x0, -0.5, 0.8, 0.4], [x0, -0.5, -0.8, 0.4]]),
+                    closed=True)
+    _, E, _, _ = system.charges[index % len(system)].line.segments
+    x = E[len(E) // 2] + (0.0 if kind == "on-line" else np.array([d, 0.0, 0.0, d]))
+    if kind.startswith("edge-on-axis"):
+        third = E[len(E) // 2] if kind.endswith("on-line") else x + [0, 0, -1, 0]
+        return Path(np.array([x - [0, 1, 0, 0], x + [0, 1, 0, 0], third]), closed=True)
+    return Path(np.array([x, x + [0, 0.7, 0.2, 0], x + [0, -0.3, 0.8, 0]]), closed=True)
+
+
+def _error_keys(errors):
+    return {j: (k, type(exc), str(exc)) for j, (k, exc) in errors.items()}
+
+
+class TestSystemPass:
+    """_delta_S_paths evaluates every charge of a system in one pass; it
+    returns, bit for bit, what the one-charge passes of its charges give,
+    failing loops included."""
+
+    @given(
+        charges=st.lists(_pass_charge_specs, min_size=1, max_size=3),
+        loops=st.lists(_loop_specs | _failing_loop_specs, min_size=1, max_size=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    # a rest and a 9-knot sampled line: 1 and 9 knots, so ragged roots
+    @example(charges=[("rest", 1.0, (0.2, 0.1), (0.0, 0.0, 0.0), 2),
+                      ("sampled", -0.7, (-0.4, 0.3), (0.3, -0.2, 0.1), 9),
+                      ("uniform", 1.3, (0.5, -0.5), (-0.2, 0.1, 0.3), 2)],
+             loops=[("circle", (0.0, 0.0), 1.5, 1, [1.0, 1.0, 1.0], 0.4),
+                    ("on-axis", 1, 1.0), ("edge-on-axis", 0, 1.0), ("early", 0, 1.0),
+                    ("polygon", (0.1, -0.2), 1.0, -2, [0.8, 1.2, 1.0, 0.9], 0.2)])
+    def test_system_pass_is_the_per_charge_passes(self, charges, loops):
+        system = ChargeSystem(tuple(_pass_charge_of(*c) for c in charges))
+        paths = [_loop_of(*lp) if lp[0] in ("circle", "polygon") else _failing_loop_of(system, *lp)
+                 for lp in loops]
+        stack = potential._stack_paths(paths)
+        deltas, samples, errors = potential._delta_S_paths(system, stack)
+        want_deltas, want_samples, want_errors = per_charge_pass(system, stack)
+        assert deltas.tobytes() == want_deltas.tobytes()
+        assert samples.tolist() == want_samples.tolist()
+        assert _error_keys(errors) == _error_keys(want_errors)
+
+    def test_failing_loops_are_drawn(self):
+        # the failing triangles fail as their names say, at a point or at an
+        # edge sample, so the property above compares errors
+        system = ChargeSystem((rest_charge(1.0), Charge(-0.5, sampled_line((1.0, 0.5, 0.0),
+                                                                           (0.3, 0.0, 0.1), 5))))
+        # a failing point comes before a failing edge sample of its charge
+        causes = {"on-axis": PathThroughSingularAxisError,
+                  "edge-on-axis": PathThroughSingularAxisError,
+                  "on-line": ObserverOnWorldLineError,
+                  "edge-on-axis+on-line": ObserverOnWorldLineError}
+        for kind, cause in causes.items():
+            for index in (0, 1):
+                loop = _failing_loop_of(system, kind, index, 1.0)
+                _, _, errors = potential._delta_S_paths(system, potential._stack_paths([loop]))
+                assert (errors[0][0], type(errors[0][1])) == (index, cause)
+        for kind in ("early", "late"):
+            _, _, errors = potential._delta_S_paths(
+                system, potential._stack_paths([_failing_loop_of(system, kind, 0, 1.0)]))
+            assert (errors[0][0], type(errors[0][1])) == (1, NoRetardedIntersectionError)
+
+    @pytest.mark.parametrize("stage", ["points", "samples"])
+    def test_batch_error_names_its_charge(self, monkeypatch, stage):
+        # charge 1 sits 50 away along x1, so only its retarded vectors have
+        # a1 < -40; the quotients raise for the batch on its rows, at the
+        # loops' points or at their edge samples only
+        zeta_quotients = potential._zeta_quotients
+        points = 2 * 48
+
+        def failing(A):
+            if (len(A) != points * 2 if stage == "samples" else True) and (A[:, 1] < -40).any():
+                raise NotNullError("vector is not null")
+            return zeta_quotients(A)
+
+        far = Charge(-0.5, RestLine((50.0, 0.0, 0.0)))
+        system = ChargeSystem((rest_charge(1.0), far))
+        paths = [Path(circle_points((0.0, 0.0), 1.0, 1, samples=48), closed=True),
+                 Path(circle_points((0.5, 0.0), 2.0, -1, samples=48), closed=True)]
+        monkeypatch.setattr(potential, "_zeta_quotients", failing)
+        with pytest.raises(ChargeSystemError) as info:
+            ab_phase_reports(system, paths)
+        assert info.value.index == 1 and str(info.value) == "charge 1: vector is not null"
+        assert type(info.value.__cause__) is NotNullError
+        # a lone charge's error is its own
+        with pytest.raises(NotNullError) as lone:
+            ab_phase_reports(far, paths)
+        assert str(lone.value) == "vector is not null"
+        with pytest.raises(NotNullError):
+            delta_S_along_path(far, paths[0])
