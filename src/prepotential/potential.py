@@ -517,7 +517,7 @@ def _stack_paths(paths) -> _PathStack:
 
 def _a2_roots(table: tuple, stack: _PathStack) -> np.ndarray:
     """Per segment of a segment table (spacetime._segment_table) and per
-    edge (columns), the parameters t in [0, 1) (2, M, E) of the points
+    edge, the two parameters t in [0, 1) (2, M, E) of the points
     (1 - t) x_start + t x_end where a2 of the retarded null vector may
     vanish, else 1. On a segment through R with unit velocity u, Q = D - s u
     (D = x - R, s = D.u) is affine in t and a = Q + r u, r^2 = -Q.Q:
@@ -634,6 +634,9 @@ def _delta_S_paths(system: ChargeSystem, stack: _PathStack) -> tuple[np.ndarray,
     _, first, last = table
     c, n, N = len(system), len(stack.sizes), len(stack.points)
     P, owner, i0, i1 = stack.points, stack.owner, stack.edges, stack.ends
+    # _a2_roots before the solve: its temporaries, freed below its result,
+    # then hold the solve's work arrays, where glibc would otherwise trim
+    # the heap between the two and fault it back in
     roots = _a2_roots(table, stack)
     z, point_failure = _table_zetas(table, P, slice(None), c)
     z = z.reshape(c, N)

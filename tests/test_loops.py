@@ -1021,10 +1021,10 @@ class TestSystemPass:
         # a1 < -40; the quotients raise for the batch on its rows, at the
         # loops' points or at their edge samples only
         zeta_quotients = potential._zeta_quotients
-        points = 2 * 48
+        point_rows = 2 * 2 * 48  # two charges, two circles of 48 points
 
         def failing(A):
-            if (len(A) != points * 2 if stage == "samples" else True) and (A[:, 1] < -40).any():
+            if (stage == "points" or len(A) != point_rows) and (A[:, 1] < -40).any():
                 raise NotNullError("vector is not null")
             return zeta_quotients(A)
 
