@@ -21,7 +21,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from .errors import ROW_FAILURES, PrepotentialError, ScenarioError
-from .loops import ab_phase_reports
+from .loops import _stack_reports
 from .matrices import validate_relations
 from .potential import prepotential_jets
 from .scenario import CHECK_NAMES, Scenario, load_scenario
@@ -173,7 +173,7 @@ def _cmd_loop_phase(scenario: Scenario, fmt: str, out: str | None) -> int:
     had_error = False
     nan = float("nan")
     # all loops and charges in one pass; a failing loop fails only its row
-    for i, rep in enumerate(ab_phase_reports(scenario.charges, scenario.loops)):
+    for i, rep in enumerate(_stack_reports(scenario.charges, scenario.loop_stack)):
         if isinstance(rep, PrepotentialError):
             had_error = True
             rows.append([i, nan, nan, 0, nan, 0, f"ERROR: {rep}"])

@@ -20,6 +20,7 @@ from .potential import (
     Charge,
     ChargeSystem,
     Path,
+    _PathStack,
     _delta_S_paths,
     _stack_paths,
     _stacked,
@@ -104,13 +105,20 @@ def ab_phase_reports(
     only its own loop."""
     if not all(loop.closed for loop in loops):
         raise ValueError("ab_phase_report requires a closed loop")
+    return _stack_reports(charges, _stack_paths(loops)) if loops else []
+
+
+def _stack_reports(
+    charges: Charge | ChargeSystem, stack: _PathStack
+) -> list[LoopPhaseReport | PrepotentialError]:
+    """ab_phase_reports of the closed paths of a _PathStack."""
     lone = not isinstance(charges, ChargeSystem)
     system = ChargeSystem((charges,)) if lone else charges
     tolerance = 1e-8 * max(abs(c.q) for c in system)
-    if not loops:
+    if not len(stack.sizes):
         return []
     try:
-        deltas, samples, failed = _delta_S_paths(system, _stack_paths(loops))
+        deltas, samples, failed = _delta_S_paths(system, stack)
     except ChargeSystemError as exc:  # a lone charge's error is its own
         if lone:
             raise exc.__cause__ from None
@@ -130,7 +138,7 @@ def ab_phase_reports(
     windings = np.rint(np.where(np.isfinite(turns), turns, 0.0)).astype(np.intp)
     expected = (2j * math.pi * q[:, None] * windings).sum(axis=0)
     reports: list = []
-    for j in range(len(loops)):
+    for j in range(len(stack.sizes)):
         if j in errors:
             reports.append(errors[j])
             continue

@@ -201,6 +201,38 @@ class ChargeSystem:
         return _segment_table([charge.line for charge in self.charges])
 
 
+def _path_failure(P: np.ndarray, sizes: np.ndarray, closed: np.ndarray):
+    """The first path of a stack (rows P, sizes[j] rows and closedness
+    closed[j] for path j, as in _PathStack) that is not a valid Path, with
+    its error message, else None. A path fails on the first of: too few
+    samples, points not an (N, 4) array (a lone path's only), a point not
+    finite, two consecutive samples that coincide."""
+    few = np.flatnonzero(sizes < np.where(closed, 3, 2))
+
+    def too_few(j):
+        return "a closed path needs at least 3 samples" if closed[j] else (
+            "a path needs at least 2 samples")
+
+    if P.ndim != 2 or P.shape[1] != 4:
+        return 0, too_few(0) if len(few) else (
+            f"path points must be an (N, 4) array, got shape {P.shape}")
+    start = np.cumsum(sizes) - sizes
+    wild = np.flatnonzero(~_reduce_rows(np.logical_and, np.isfinite(P)))
+    same = _reduce_rows(np.logical_and, P[1:] == P[:-1])
+    same[start[1:] - 1] = False  # a path's last row against the next one's first
+    same = np.flatnonzero(same)
+    # the earliest path that fails, on its earliest check
+    fails = [(int(few[0]), 0)] if len(few) else []
+    fails += [(int(np.searchsorted(start, rows[0], side="right")) - 1, rank)
+              for rank, rows in ((1, wild), (2, same)) if len(rows)]
+    if not fails:
+        return None
+    j, rank = min(fails)
+    k = int(same[0] - start[j]) if rank == 2 else 0
+    return j, (too_few(j), "path points must be finite",
+               f"consecutive path samples {k}, {k + 1} coincide")[rank]
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class Path:
     """Polyline of spacetime events, stored as a read-only (N, 4) array of
@@ -217,21 +249,21 @@ class Path:
         if not isinstance(events, np.ndarray):
             events = [e.as_array() if isinstance(e, FourVector) else e for e in events]
         pts = np.array(events, dtype=float)
-        n = len(pts)
-        if closed and n < 3:
-            raise ValueError("a closed path needs at least 3 samples")
-        if n < 2:
-            raise ValueError("a path needs at least 2 samples")
-        if pts.ndim != 2 or pts.shape[1] != 4:
-            raise ValueError(f"path points must be an (N, 4) array, got shape {pts.shape}")
-        if not np.isfinite(pts).all():
-            raise ValueError("path points must be finite")
-        same = _reduce_rows(np.logical_and, pts[1:] == pts[:-1])
-        if same.any():
-            k = int(np.argmax(same))
-            raise ValueError(f"consecutive path samples {k}, {k + 1} coincide")
+        failure = _path_failure(pts, np.array([len(pts)]), np.array([bool(closed)]))
+        if failure is not None:
+            raise ValueError(failure[1])
         pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        self._set(pts, closed)
+
+    @classmethod
+    def _of_rows(cls, points: np.ndarray, closed: bool) -> Path:
+        """The path of read-only points that _path_failure passed."""
+        path = object.__new__(cls)
+        path._set(points, closed)
+        return path
+
+    def _set(self, points: np.ndarray, closed: bool) -> None:
+        object.__setattr__(self, "points", points)
         object.__setattr__(self, "closed", bool(closed))
 
     def __eq__(self, other):
@@ -499,20 +531,26 @@ class _PathStack:
     last: np.ndarray
 
 
-def _stack_paths(paths) -> _PathStack:
-    """The _PathStack of a list of paths, built once for all charges."""
-    sizes = np.array([len(p.points) for p in paths])
-    P = np.concatenate([p.points for p in paths])
+def _path_stack(P: np.ndarray, sizes: np.ndarray, closed: np.ndarray) -> _PathStack:
+    """The _PathStack of the paths stacked as the rows of P, sizes[j] rows
+    and closedness closed[j] for path j, built once for all charges."""
     owner, nxt = _stacked(sizes)
     last = np.cumsum(sizes) - 1
-    closed = np.array([p.closed for p in paths])
     # edge i runs from point i to point nxt[i]; a closed path wraps from
     # its last point to its first unless the two coincide
-    edge = _reduce_rows(np.logical_or, P != P[nxt])
+    edge = _reduce_rows(np.logical_or, P != np.take(P, nxt, axis=0))
     edge[last[~closed]] = False
     edges = np.flatnonzero(edge)
-    chord = P[nxt[edges]] - P[edges]
-    return _PathStack(P, owner, edges, nxt[edges], _mdot_rows(chord, chord), sizes, closed, last)
+    ends = np.take(nxt, edges)
+    chord = np.take(P, ends, axis=0) - np.take(P, edges, axis=0)
+    return _PathStack(P, owner, edges, ends, _mdot_rows(chord, chord), sizes, closed, last)
+
+
+def _stack_paths(paths) -> _PathStack:
+    """The _PathStack of a list of paths."""
+    sizes = np.array([len(p.points) for p in paths], dtype=np.intp)
+    P = np.concatenate([p.points for p in paths]) if len(sizes) else np.empty((0, 4))
+    return _path_stack(P, sizes, np.array([p.closed for p in paths], dtype=bool))
 
 
 def _a2_roots(table: tuple, stack: _PathStack) -> np.ndarray:
@@ -536,14 +574,14 @@ def _a2_roots(table: tuple, stack: _PathStack) -> np.ndarray:
     for m in range(4):
         Q[m] -= s * U[:, m, None]
     r2 = Q[1] * Q[1] + Q[2] * Q[2] + Q[3] * Q[3] - Q[0] * Q[0]
-    r0 = r2[:, i0]
+    r0 = np.take(r2, i0, axis=1)
     # r^2 along the edge is r0 + dr2 t + L t^2, with L = -dQ.dQ
-    L = (s[:, i1] - s[:, i0]) ** 2 - stack.chord_sq
-    dr2 = r2[:, i1] - r0 - L
+    L = (np.take(s, i1, axis=1) - np.take(s, i0, axis=1)) ** 2 - stack.chord_sq
+    dr2 = np.take(r2, i1, axis=1) - r0 - L
 
     def quadratic(j):  # f = a t^2 + 2 b t + c for component j
-        uu, q0 = U[:, j, None] ** 2, Q[j][:, i0]
-        dq = Q[j][:, i1] - q0
+        uu, q0 = U[:, j, None] ** 2, np.take(Q[j], i0, axis=1)
+        dq = np.take(Q[j], i1, axis=1) - q0
         return uu * L - dq * dq, 0.5 * uu * dr2 - q0 * dq, uu * r0 - q0 * q0
 
     a, b, c = quadratic(2)
@@ -641,7 +679,7 @@ def _delta_S_paths(system: ChargeSystem, stack: _PathStack) -> tuple[np.ndarray,
     z, point_failure = _table_zetas(table, P, slice(None), c)
     z = z.reshape(c, N)
     with np.errstate(invalid="ignore"):  # a failed path's zeta may be NaN
-        phase = np.angle(z[:, i1] / z[:, i0])
+        phase = np.angle(np.take(z, i1, axis=1) / np.take(z, i0, axis=1))
     hit = (roots < 1.0).any(axis=0)
     rooted = np.array([hit[f:l + 1].any(axis=0) for f, l in zip(first.tolist(), last.tolist())])
     # the split (charge, edge) pairs, charge after charge
@@ -659,7 +697,7 @@ def _delta_S_paths(system: ChargeSystem, stack: _PathStack) -> tuple[np.ndarray,
     T = np.concatenate([0.5 * (B[:, 1:] + B[:, :-1]), B[:, 1:-1]], axis=1)
     inner = T < 1.0
     e0, e1, row, t = i0[split], i1[split], np.nonzero(inner)[0], T[inner][:, None]
-    X = (1.0 - t) * P[e0[row]] + t * P[e1[row]]
+    X = (1.0 - t) * np.take(P, e0[row], axis=0) + t * np.take(P, e1[row], axis=0)
     # each sample keeps its own charge's row
     kr = ks[row]
     Z = np.ones(T.shape, dtype=complex)

@@ -35,14 +35,24 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path as FsPath
 
 import numpy as np
 
 from .errors import ScenarioError
-from .potential import Charge, ChargeSystem, Path
+from .potential import (
+    Charge,
+    ChargeSystem,
+    Path,
+    _path_failure,
+    _path_stack,
+    _PathStack,
+    _stack_paths,
+)
 from .spacetime import (
     FourVector,
     RestLine,
@@ -129,6 +139,11 @@ class Scenario:
     checks: tuple[str, ...] = ()
     output: OutputSpec = field(default_factory=OutputSpec)
 
+    @cached_property
+    def loop_stack(self) -> _PathStack:
+        """The loops stacked for the loop pass (potential._PathStack)."""
+        return _stack_paths(self.loops)
+
 
 def _require(cond: bool, msg: str):
     if not cond:
@@ -214,7 +229,16 @@ def _parse_line(raw: dict, where: str):
     raise ScenarioError(f"{where}: unknown line kind {kind!r}")
 
 
-def build_loop(raw: dict, where: str) -> Path:
+try:  # loop samples, 4 float64 coordinates each, that physical memory holds
+    _MAX_LOOP_ROWS = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 32
+except (AttributeError, ValueError, OSError):  # the host does not say
+    _MAX_LOOP_ROWS = np.iinfo(np.intp).max // 32
+
+
+def _loop_fields(raw: dict, where: str, rows: int) -> tuple:
+    """A loop's size, closedness and either its points (a points loop) or
+    its circle's (time, x1, x2, x3, radius, 2 pi turns), read from the
+    document; the loops before it hold `rows` samples."""
     _require(isinstance(raw, dict), f"{where}: loop must be an object")
     kind = raw.get("kind", "circle")
     if kind == "circle":
@@ -227,19 +251,10 @@ def build_loop(raw: dict, where: str) -> Path:
         samples = _integer(raw.get("samples", 240), f"{where}.samples")
         _require(samples >= 8, f"{where}.samples must be >= 8")
         total = samples * abs(turns)
+        _require(rows + total <= _MAX_LOOP_ROWS,
+                 f"{where}: {samples} samples x {abs(turns)} turns do not fit in memory")
         sign = 1.0 if turns > 0 else -1.0
-        phi = sign * 2.0 * math.pi * abs(turns) * np.arange(total) / total
-        points = np.empty((total, 4))
-        points[:, 0] = time
-        # a sample past the float limit comes out inf, which Path refuses
-        with np.errstate(over="ignore"):
-            points[:, 1] = center[0] + radius * np.cos(phi)
-            points[:, 2] = center[1] + radius * np.sin(phi)
-        points[:, 3] = center[2]
-        try:
-            return Path(points, closed=True)
-        except ValueError as exc:
-            raise ScenarioError(f"{where}: {exc}") from exc
+        return total, True, (time, *center, radius, sign * 2.0 * math.pi * abs(turns))
     if kind == "points":
         events = raw.get("events")
         _require(isinstance(events, list) and len(events) >= 2,
@@ -248,11 +263,58 @@ def build_loop(raw: dict, where: str) -> Path:
         closed = raw.get("closed", True)
         _require(isinstance(closed, bool),
                  f"{where}.closed: expected true or false, got {closed!r}")
-        try:
-            return Path(points, closed=closed)
-        except ValueError as exc:
-            raise ScenarioError(f"{where}: {exc}") from exc
+        return len(points), closed, points
     raise ScenarioError(f"{where}: unknown loop kind {kind!r}")
+
+
+def _stack_loops(loops: list, wheres) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Loops read by _loop_fields as one read-only (N, 4) array, loop after
+    loop, with each loop's size and closedness. Every circle is sampled in
+    one pass, k of n samples at angle (2 pi turns) k / n, and every points
+    loop copied in; ScenarioError names the first loop, in order, whose
+    points _path_failure refuses."""
+    sizes = np.array([n for n, _, _ in loops], dtype=np.intp)
+    closed = np.array([c for _, c, _ in loops], dtype=bool)
+    # a points loop's rows are sampled as a circle of radius 0, then copied over
+    circles = np.array([f if isinstance(f, tuple) else (0.0,) * 6 for _, _, f in loops])
+    time, x1, x2, x3, radius, coef = (np.repeat(col, sizes) for col in circles.reshape(-1, 6).T)
+    start = np.cumsum(sizes) - sizes
+    phi = coef * (np.arange(len(coef)) - np.repeat(start, sizes)) / np.repeat(sizes, sizes)
+    P = np.empty((len(phi), 4))
+    P[:, 0] = time
+    # a sample past the float limit comes out inf, which _path_failure refuses
+    with np.errstate(over="ignore"):
+        P[:, 1] = x1 + radius * np.cos(phi)
+        P[:, 2] = x2 + radius * np.sin(phi)
+    P[:, 3] = x3
+    for (n, _, f), a in zip(loops, start.tolist()):
+        if not isinstance(f, tuple):
+            P[a:a + n] = f
+    failure = _path_failure(P, sizes, closed)
+    if failure is not None:
+        raise ScenarioError(f"{wheres[failure[0]]}: {failure[1]}")
+    P.setflags(write=False)
+    return P, sizes, closed
+
+
+def _build_loops(raws: list, wheres) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_stack_loops of the loop documents raws, loop j named wheres[j]. A
+    loop whose fields fail is named only when no loop before it fails at
+    its points."""
+    loops, rows = [], 0
+    for raw, where in zip(raws, wheres):
+        try:
+            loops.append(_loop_fields(raw, where, rows))
+        except ScenarioError:
+            _stack_loops(loops, wheres)
+            raise
+        rows += loops[-1][0]
+    return _stack_loops(loops, wheres)
+
+
+def build_loop(raw: dict, where: str) -> Path:
+    P, _, closed = _build_loops([raw], [where])
+    return Path._of_rows(P, closed[0])
 
 
 def parse_scenario(doc: dict) -> Scenario:
@@ -301,7 +363,11 @@ def parse_scenario(doc: dict) -> Scenario:
 
     raw_loops = doc.get("loops", [])
     _require(isinstance(raw_loops, list), "loops: need a list")
-    loops = tuple(build_loop(raw, f"loops[{i}]") for i, raw in enumerate(raw_loops))
+    stack, loops = None, ()
+    if raw_loops:
+        P, sizes, closed = _build_loops(raw_loops, [f"loops[{i}]" for i in range(len(raw_loops))])
+        stack = _path_stack(P, sizes, closed)
+        loops = tuple(map(Path._of_rows, np.split(P, np.cumsum(sizes)[:-1]), closed.tolist()))
 
     raw_checks = doc.get("checks", [])
     _require(isinstance(raw_checks, list), "checks: need a list of family names")
@@ -317,13 +383,16 @@ def parse_scenario(doc: dict) -> Scenario:
     _require(path is None or isinstance(path, str), "output.path must be a string")
     output = OutputSpec(format=fmt, path=path)
 
-    return Scenario(
+    scenario = Scenario(
         charges=ChargeSystem(tuple(charges)),
         grid=grid,
         loops=loops,
         checks=checks,
         output=output,
     )
+    if stack is not None:  # the loops' own stack, not stacked again
+        vars(scenario)["loop_stack"] = stack
+    return scenario
 
 
 def load_scenario(path: str | FsPath) -> Scenario:

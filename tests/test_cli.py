@@ -728,7 +728,7 @@ class TestExitCodes:
                                                         monkeypatch, argv, target):
         # the path is checked before anything is evaluated, not after
         called = []
-        for name in ("run_checks", "prepotential_jets", "ab_phase_reports",
+        for name in ("run_checks", "prepotential_jets", "_stack_reports",
                      "validate_relations"):
             monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: called.append(_name))
         out = tmp_path / "missing" / "out.csv" if target == "missing-dir" else tmp_path
@@ -1325,6 +1325,54 @@ class TestLoopPhaseCommand:
         assert main(["loop-phase", "--scenario", scen, "--out", str(out)]) == 2
         assert not out.exists()
         assert capsys.readouterr() == ("", f"configuration error: loops[1]: {message}\n")
+
+    @pytest.mark.parametrize("argv", [["loop-phase"], ["field-grid"],
+                                      ["verify", "--checks", "loop-phase"]],
+                             ids=["loop-phase", "field-grid", "verify"])
+    def test_oversized_circle_is_a_configuration_error(self, tmp_path, capsys, argv):
+        # 8 samples x 2^62 turns: every subcommand parses the loops, and the
+        # loader refuses them from their sizes before it allocates
+        scen = _written(tmp_path, {
+            "version": 1,
+            "charges": [{"q": 1.0, "line": {"kind": "rest", "position": [0, 0, 0]}}],
+            "grid": {"origin": [1, 1, 0], "axes": [[1, 0, 0]], "extents": [1.0],
+                     "resolution": [2]},
+            "loops": [{"kind": "circle", "center": [0, 0, 0.4], "radius": 1.0},
+                      {"kind": "circle", "samples": 8, "turns": 2 ** 62}],
+        })
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--scenario", scen, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr() == (
+            "", f"configuration error: loops[1]: 8 samples x {2 ** 62} turns do not fit in memory\n")
+
+    def test_one_stack_per_scenario_load(self, tmp_path, monkeypatch):
+        # the loops are stacked once, as the scenario loads, and the loop
+        # pass gets that stack and builds none
+        built, loaded, seen = [], [], []
+
+        def stack(*args):
+            built.append(real_stack(*args))
+            return built[-1]
+
+        def load(path):
+            sc = real_load(path)
+            loaded.append(len(built))
+            return sc
+
+        def delta_S_paths(system, paths):
+            seen.append(paths)
+            return real_delta(system, paths)
+
+        real_stack, real_load = potential._PathStack, cli.load_scenario
+        real_delta = prepotential.loops._delta_S_paths
+        monkeypatch.setattr(potential, "_PathStack", stack)
+        monkeypatch.setattr(cli, "load_scenario", load)
+        monkeypatch.setattr(prepotential.loops, "_delta_S_paths", delta_S_paths)
+        assert main(["loop-phase", "--scenario", REST, "--out", str(tmp_path / "l.csv")]) == 0
+        assert loaded == [1] and len(built) == 1
+        assert len(seen) == 1 and seen[0] is built[0]
+        assert seen[0].sizes.tolist() == [240, 240, 480]
 
     def test_batch_error_names_its_charge(self, tmp_path, capsys):
         # behind charge 1, at |v| = 0.999, a = P + r U cancels and misses

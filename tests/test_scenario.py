@@ -1,13 +1,14 @@
 """Scenario schema parsing and validation diagnostics."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prepotential import ScenarioError, load_scenario, parse_scenario, scenario
+from prepotential import ScenarioError, load_scenario, parse_scenario, potential, scenario
 from prepotential.scenario import GridSpec, _floats, bundled_scenario_path
 
 
@@ -249,3 +250,131 @@ class TestGridCorners:
             parse_scenario(minimal_doc(grid={
                 "time": 0.0, "origin": [1e308, 0.5, 0.5], "axes": [[1e308, 0, 0]],
                 "extents": [10.0], "resolution": [3]}))
+
+
+def _reference_loop(raw: dict, closed: bool) -> np.ndarray:
+    """A loop's points as build_loop sampled them one loop at a time, before
+    the loops were stacked: the reference for the stacked loader."""
+    if raw["kind"] == "points":
+        return np.array(raw["events"], dtype=float)
+    center, radius, turns = raw["center"], raw["radius"], raw["turns"]
+    total = raw["samples"] * abs(turns)
+    sign = 1.0 if turns > 0 else -1.0
+    phi = sign * 2.0 * math.pi * abs(turns) * np.arange(total) / total
+    points = np.empty((total, 4))
+    points[:, 0] = raw["time"]
+    with np.errstate(over="ignore"):
+        points[:, 1] = center[0] + radius * np.cos(phi)
+        points[:, 2] = center[1] + radius * np.sin(phi)
+    points[:, 3] = center[2]
+    return points
+
+
+def _scaled(draw, lo=-10, hi=10):
+    """A number of magnitude 1e-10 to 1e10 of either sign."""
+    return draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1.0, 10.0)) * 10.0 ** draw(
+        st.integers(lo, hi))
+
+
+@st.composite
+def _loop_docs(draw):
+    loops = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            loops.append({"kind": "circle", "center": [_scaled(draw) for _ in range(3)],
+                          "radius": abs(_scaled(draw)), "time": _scaled(draw),
+                          "turns": draw(st.sampled_from([-3, -2, -1, 1, 2, 3])),
+                          "samples": draw(st.integers(8, 600))})
+        else:
+            n = draw(st.integers(2, 6))
+            events = [[_scaled(draw) for _ in range(4)] for _ in range(n)]
+            loops.append({"kind": "points", "closed": draw(st.booleans()), "events": events})
+    return loops
+
+
+class TestStackedLoops:
+    @given(loops=_loop_docs())
+    @settings(max_examples=300, deadline=None)
+    def test_points_are_the_per_loop_reference(self, loops):
+        # every loop's points, bit for bit, or the first failing loop's
+        # message, as a loop at a time gave them
+        want = []
+        for i, raw in enumerate(loops):
+            closed = raw.get("closed", True)
+            try:
+                want.append(potential.Path(_reference_loop(raw, closed), closed=closed))
+            except ValueError as exc:
+                want = f"loops[{i}]: {exc}"
+                break
+        try:
+            sc = parse_scenario(minimal_doc(loops=loops))
+        except ScenarioError as exc:
+            assert str(exc) == want
+            return
+        assert [p.points.tobytes() for p in sc.loops] == [p.points.tobytes() for p in want]
+        stack = sc.loop_stack
+        for got, ref in zip(sc.loops, want):
+            # a read-only view into the one stacked array
+            assert not got.points.flags.writeable and not got.points.flags.owndata
+            assert np.shares_memory(got.points, stack.points)
+            assert got.closed == ref.closed
+            assert got == ref and hash(got) == hash(ref)
+            assert [e.as_array().tobytes() for e in got.events] == [
+                r.tobytes() for r in ref.points]
+        again = potential._stack_paths(want)
+        for name in ("points", "owner", "edges", "ends", "chord_sq", "sizes", "closed", "last"):
+            assert getattr(stack, name).tobytes() == getattr(again, name).tobytes(), name
+
+    def test_build_loop_is_the_one_loop_case(self):
+        raw = {"kind": "circle", "center": [0.5, -0.25, 0.4], "radius": 1.5, "time": 2.0,
+               "turns": -2, "samples": 40}
+        loop = scenario.build_loop(raw, "x")
+        assert loop.points.tobytes() == _reference_loop(raw, True).tobytes()
+        assert loop.closed and not loop.points.flags.writeable
+        assert loop == parse_scenario(minimal_doc(loops=[raw])).loops[0]
+
+    @pytest.mark.parametrize("loops, message", [
+        # a point error of an earlier loop comes before a field error of a later one
+        ([{"kind": "circle", "center": [1e10, 1e10, 0], "radius": 1e-10},
+          {"kind": "circle", "radius": -1}],
+         "loops[0]: consecutive path samples 0, 1 coincide"),
+        ([{"kind": "circle", "center": [1e308, 0, 0], "radius": 1e308, "samples": 8},
+          {"kind": "circle", "turns": 0}],
+         "loops[0]: path points must be finite"),
+        # and a field error of an earlier loop before a point error of a later one
+        ([{"kind": "circle", "turns": 1.5},
+          {"kind": "circle", "center": [1e308, 0, 0], "radius": 1e308, "samples": 8}],
+         "loops[0].turns: expected an integer, got 1.5"),
+        ([{"kind": "circle", "turns": "x"},
+          {"kind": "points", "events": [[0, 0, 0, 0], [0, 1, 0, math.inf], [0, 1, 1, 0]]}],
+         "loops[0].turns: expected a number, got 'x'"),
+        # the first of two loops that fail at their points
+        ([{"kind": "circle"},
+          {"kind": "points", "events": [[0, 0, 0, 0], [0, 1, 0, 0], [0, 1, 0, 0]]},
+          {"kind": "circle", "center": [1e308, 0, 0], "radius": 1e308, "samples": 8}],
+         "loops[1]: consecutive path samples 1, 2 coincide"),
+        ([{"kind": "points", "closed": True, "events": [[0, 0, 0, 0], [0, 1, 0, 0]]}],
+         "loops[0]: a closed path needs at least 3 samples"),
+        # within one loop, too few samples before coinciding ones
+        ([{"kind": "circle"},
+          {"kind": "points", "closed": True, "events": [[0, 0, 0, 0], [0, 0, 0, 0]]}],
+         "loops[1]: a closed path needs at least 3 samples"),
+    ])
+    def test_first_failing_loop_in_document_order(self, loops, message):
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(minimal_doc(loops=loops))
+        assert str(info.value) == message
+
+    def test_next_loop_may_start_where_one_ends(self):
+        # samples coincide only within a loop, not across two stacked loops
+        ends = [[0, 0, 0, 0], [0, 1, 0, 0], [0, 1, 1, 0]]
+        sc = parse_scenario(minimal_doc(loops=[
+            {"kind": "points", "events": ends}, {"kind": "points", "events": ends[::-1]}]))
+        assert [len(loop.points) for loop in sc.loops] == [3, 3]
+
+    def test_oversized_circle_is_refused_before_it_is_built(self):
+        # 8 samples x 2^62 turns is 2^65 samples: refused from the sizes alone
+        loops = [{"kind": "circle"}, {"kind": "circle", "samples": 8, "turns": 2 ** 62}]
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(minimal_doc(loops=loops))
+        assert str(info.value) == f"loops[1]: 8 samples x {2 ** 62} turns do not fit in memory"
