@@ -313,6 +313,7 @@ def _build_loops(raws: list, wheres) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def build_loop(raw: dict, where: str) -> Path:
+    """The Path of one loop document: _build_loops of that loop alone."""
     P, _, closed = _build_loops([raw], [where])
     return Path._of_rows(P, closed[0])
 
