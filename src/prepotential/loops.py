@@ -103,15 +103,16 @@ def ab_phase_reports(
     charges are evaluated in one pass of two batches (their points, then
     their edge samples; 2 retarded solves per call), and a failure affects
     only its own loop."""
-    if not all(loop.closed for loop in loops):
-        raise ValueError("ab_phase_report requires a closed loop")
     return _stack_reports(charges, _stack_paths(loops)) if loops else []
 
 
 def _stack_reports(
     charges: Charge | ChargeSystem, stack: _PathStack
 ) -> list[LoopPhaseReport | PrepotentialError]:
-    """ab_phase_reports of the closed paths of a _PathStack."""
+    """ab_phase_reports of the closed paths of a _PathStack; ValueError
+    for a stack with an open path."""
+    if not stack.closed.all():
+        raise ValueError("ab_phase_report requires a closed loop")
     lone = not isinstance(charges, ChargeSystem)
     system = ChargeSystem((charges,)) if lone else charges
     tolerance = 1e-8 * max(abs(c.q) for c in system)

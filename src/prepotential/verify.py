@@ -21,10 +21,17 @@ from .fields import (
     faraday_from_hessian_rows,
     second_partials_rows,
 )
-from .loops import _crossing_counts, ab_phase_reports
+from .loops import _crossing_counts, _stack_reports
 from .matrices import _worst, upsilon, validate_relations
-from .potential import Charge, ChargeSystem, Path, _stacked, _velocity_fields, zetas_of
-from .scenario import CHECK_NAMES, Scenario, build_loop
+from .potential import (
+    Charge,
+    ChargeSystem,
+    _PathStack,
+    _path_stack,
+    _velocity_fields,
+    zetas_of,
+)
+from .scenario import CHECK_NAMES, Scenario, _build_loops
 from .spacetime import (
     FourVector,
     RestLine,
@@ -235,14 +242,14 @@ def check_claim1_covariance(rng, scenario) -> _Outcome:
     return worst, tol, worst < tol, "100 random field vectors x 3 boost axes"
 
 
-def _default_loops() -> list[Path]:
+def _default_loops() -> _PathStack:
     specs = [
         {"kind": "circle", "center": [0, 0, 0.4], "radius": 1.0, "turns": t, "samples": 240}
         for t in (-2, -1, 1, 2)
     ]
     specs.append({"kind": "circle", "center": [2.5, 0, 0.4], "radius": 0.8,
                   "turns": 1, "samples": 240})
-    return [build_loop(s, "default-loops") for s in specs]
+    return _path_stack(*_build_loops(specs, ["default-loops"] * len(specs)))
 
 
 # chords per loop for the crossing-count oracle: 256 for each edge of a
@@ -251,19 +258,20 @@ def _default_loops() -> list[Path]:
 _ORACLE_CHORDS = 768
 
 
-def _resampled_loops(loops) -> tuple[np.ndarray, np.ndarray]:
-    """The closed loops cut into about _ORACLE_CHORDS chords each, spread
-    over each loop's edges in proportion to their lengths: the (N, 4)
-    chord starts, loop after loop, and the number of chords per loop."""
-    sizes = np.array([len(loop.points) for loop in loops])
-    P = np.concatenate([loop.points for loop in loops])
-    owner, nxt = _stacked(sizes)
-    chord = P[nxt] - P
+def _resampled_loops(stack: _PathStack) -> tuple[np.ndarray, np.ndarray]:
+    """The closed loops of a _PathStack cut into about _ORACLE_CHORDS
+    chords each, spread over each loop's edges in proportion to their
+    lengths: the (N, 4) chord starts, loop after loop, and the number of
+    chords per loop."""
+    start = np.take(stack.points, stack.edges, axis=0)
+    chord = np.take(stack.points, stack.ends, axis=0) - start
+    owner = np.take(stack.owner, stack.edges)
     length = np.linalg.norm(chord, axis=1)
     cuts = np.ceil(_ORACLE_CHORDS * length / np.bincount(owner, length)[owner]).astype(np.intp)
-    edge = np.repeat(np.arange(len(P)), cuts)
+    edge = np.repeat(np.arange(len(start)), cuts)
     t = (np.arange(len(edge)) - np.repeat(np.cumsum(cuts) - cuts, cuts)) / cuts[edge]
-    return P[edge] + t[:, None] * chord[edge], np.bincount(owner[edge], minlength=len(loops))
+    return (start[edge] + t[:, None] * chord[edge],
+            np.bincount(owner[edge], minlength=len(stack.sizes)))
 
 
 def check_loop_phase(rng, scenario: Scenario | None) -> _Outcome:
@@ -273,18 +281,17 @@ def check_loop_phase(rng, scenario: Scenario | None) -> _Outcome:
     can still misread a loop with a vertex within about 1e-3 of a
     world-line, where the curve turns within one chord."""
     if scenario is not None and scenario.loops:
-        charges = scenario.charges
-        loops = list(scenario.loops)
+        charges, stack = scenario.charges, scenario.loop_stack
     else:
         charges = ChargeSystem((Charge(1.0, RestLine((0.0, 0.0, 0.0))),))
-        loops = _default_loops()
-    reports = ab_phase_reports(charges, loops)
+        stack = _default_loops()
+    reports = _stack_reports(charges, stack)
     for rep in reports:
         if isinstance(rep, PrepotentialError):
             raise rep
     tol = reports[0].tolerance
     # one solve per charge over every loop's chords
-    P, sizes = _resampled_loops(loops)
+    P, sizes = _resampled_loops(stack)
     oracle = np.array([_crossing_counts(retarded_null_vectors(c.line, P)[1], sizes)
                        for c in charges])
     agree = all(rep.windings == tuple(w) for rep, w in zip(reports, oracle.T.tolist()))

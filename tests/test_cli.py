@@ -2,13 +2,16 @@
 
 import csv
 import dataclasses
+import errno
 import hashlib
 import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
+import types
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -776,6 +779,75 @@ class TestExitCodes:
         assert "ERROR" in rows[1]
 
 
+class TestOutputFile:
+    """--out rewrites its file in place and cuts it to the new length."""
+
+    ARGV = {
+        "field-grid": ["field-grid", "--scenario", REST],
+        "verify": ["verify", "--checks", "matrix-relations,loop-phase"],
+        "loop-phase": ["loop-phase", "--scenario", REST],
+        "relations-dump": ["relations-dump"],
+    }
+
+    @pytest.fixture(autouse=True)
+    def fixed_seconds(self, monkeypatch):
+        # two verify runs would differ in their seconds column
+        monkeypatch.setattr(verify, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_existing_file_ends_as_the_output(self, tmp_path, capsys, command, fmt):
+        argv = self.ARGV[command] + ["--format", fmt]
+        assert main(argv) == 0
+        want = capsys.readouterr().out.encode()
+        out = tmp_path / "out"
+        for old in (want + b"stale row\n" * 500, want[:len(want) // 2], b"x"):
+            out.write_bytes(old)
+            assert main(argv + ["--out", str(out)]) == 0
+            assert out.read_bytes() == want
+
+    def test_device_takes_the_output(self):
+        # /dev/null takes no truncate
+        assert main(["relations-dump", "--out", os.devnull]) == 0
+
+    def test_link_rewritten_through_and_cut(self, tmp_path, capsys):
+        assert main(["relations-dump"]) == 0
+        want = capsys.readouterr().out.encode()
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(want + b"stale row\n" * 500)
+        link.symlink_to(target)
+        assert main(["relations-dump", "--out", str(link)]) == 0
+        assert link.is_symlink() and target.read_bytes() == want
+
+    def test_new_file_mode_follows_the_umask(self, tmp_path):
+        out = tmp_path / "new.csv"
+        umask = os.umask(0o027)
+        try:
+            assert main(["relations-dump", "--out", str(out)]) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~0o027
+
+    def test_failing_open_is_a_configuration_error(self, tmp_path, monkeypatch, capsys):
+        # the probe passes; the writer's own open then fails
+        out = tmp_path / "out.csv"
+        out.write_text("kept\n")
+        real_open = os.open
+
+        def refuse(path, flags, *args):
+            if flags == os.O_WRONLY | os.O_CREAT:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return real_open(path, flags, *args)
+
+        monkeypatch.setattr(os, "open", refuse)
+        assert main(["relations-dump", "--out", str(out)]) == 2
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err == (f"configuration error: cannot write output {out}: "
+                           f"{os.strerror(errno.EACCES)}\n")
+        assert out.read_text() == "kept\n"
+
+
 class TestCheckNames:
     def test_no_family_runs_for_a_bad_list(self, monkeypatch, capsys):
         ran = []
@@ -1082,7 +1154,7 @@ class TestVerifyFamilies:
         ("uniform-motion-triangle", "_boosted_coulomb_rows", 2),
         ("wave-residual", "second_partials_rows", 2),
         ("claim1-covariance", "claim1_covariance_rows", 1),
-        ("loop-phase", "ab_phase_reports", 1),
+        ("loop-phase", "_stack_reports", 1),
     ])
     def test_nan_deviation_fails_its_family(self, monkeypatch, tmp_path, name, kernel,
                                             call):
@@ -1094,7 +1166,7 @@ class TestVerifyFamilies:
             calls.append(kernel)
             if len(calls) != call:
                 return out
-            if kernel == "ab_phase_reports":
+            if kernel == "_stack_reports":
                 return out[:-1] + [dataclasses.replace(out[-1], residual=math.nan)]
             out = out.copy()
             out.flat[-1] = math.nan

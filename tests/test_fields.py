@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -50,7 +50,12 @@ from prepotential import (
     vacuum_maxwell_residual,
     wave_residual,
 )
-from prepotential.fields import RESIDUAL_STEP_FACTOR, _contract_dA, _diagonal_partials
+from prepotential.fields import (
+    RESIDUAL_STEP_FACTOR,
+    _contract_dA,
+    _diagonal_partials,
+    _hessian_level,
+)
 from prepotential.matrices import METRIC
 from prepotential.spacetime import METRIC_SIGNS
 
@@ -574,6 +579,41 @@ class TestStencilRows:
             assert type(info.value) is type(first)
             assert isinstance(first, (SingularStencilError, StepTooLargeError))
             assert str(info.value) == str(first)
+
+
+def _termwise_events(X, h):
+    """The 33 stencil events per row of X at steps h, built one term at
+    a time as the stencil's comment writes them (x + h e_m, then
+    + h e_n, ...): the reference for _hessian_level's offset table."""
+    C = X[:, None, :]
+    E = h[:, None, None] * np.eye(4)
+    plus, minus = C + E, C - E
+    m, n = np.triu_indices(4, 1)
+    pm, mm, En = plus[:, m], minus[:, m], E[:, n]
+    return np.concatenate([C, plus, minus, pm + En, pm - En, mm + En, mm - En], axis=1)
+
+
+_coordinate = st.floats(min_value=-1e300, max_value=1e300)
+
+
+@given(X=st.lists(st.lists(_coordinate, min_size=4, max_size=4), min_size=1, max_size=5),
+       h=st.floats(min_value=1e-150, max_value=1e150))
+@example(X=[[-0.0, -0.0, -0.0, -0.0], [0.0, -0.0, 1.5, -0.0], [2.0, -0.0, 0.0, -3.0]], h=1e-3)
+@settings(max_examples=200, deadline=None)
+def test_stencil_events_have_the_termwise_bits(X, h):
+    # signed zeros included: a coordinate -0.0 stays -0.0 exactly in the
+    # events where the termwise sums keep it
+    X = np.array(X)
+    steps = np.full(len(X), h)
+    seen = []
+
+    def delta(events, ib, ia):
+        seen.append(events.copy())
+        return np.zeros(len(ib), dtype=complex)
+
+    _hessian_level(ScalarField(value=None, delta=delta, scale=None), X, steps)
+    want = _termwise_events(X, steps).reshape(-1, 4)
+    assert np.array_equal(seen[0].view(np.int64), want.view(np.int64))
 
 
 def _plain_diagonal(field, x, step):
