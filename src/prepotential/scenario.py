@@ -69,7 +69,6 @@ __all__ = [
     "parse_scenario",
     "load_scenario",
     "bundled_scenario_path",
-    "build_loop",
 ]
 
 SCHEMA_VERSION = 1
@@ -310,12 +309,6 @@ def _build_loops(raws: list, wheres) -> tuple[np.ndarray, np.ndarray, np.ndarray
             raise
         rows += loops[-1][0]
     return _stack_loops(loops, wheres)
-
-
-def build_loop(raw: dict, where: str) -> Path:
-    """The Path of one loop document: _build_loops of that loop alone."""
-    P, _, closed = _build_loops([raw], [where])
-    return Path._of_rows(P, closed[0])
 
 
 def parse_scenario(doc: dict) -> Scenario:

@@ -23,14 +23,7 @@ from .fields import (
 )
 from .loops import _crossing_counts, _stack_reports
 from .matrices import _worst, upsilon, validate_relations
-from .potential import (
-    Charge,
-    ChargeSystem,
-    _PathStack,
-    _path_stack,
-    _velocity_fields,
-    zetas_of,
-)
+from .potential import Charge, ChargeSystem, _PathStack, _path_stack, _velocity_fields, zetas_of
 from .scenario import CHECK_NAMES, Scenario, _build_loops
 from .spacetime import (
     FourVector,

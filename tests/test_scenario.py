@@ -253,8 +253,8 @@ class TestGridCorners:
 
 
 def _reference_loop(raw: dict, closed: bool) -> np.ndarray:
-    """A loop's points as build_loop sampled them one loop at a time, before
-    the loops were stacked: the reference for the stacked loader."""
+    """A loop's points sampled one loop at a time, as before the loops were
+    stacked: the reference for the stacked loader."""
     if raw["kind"] == "points":
         return np.array(raw["events"], dtype=float)
     center, radius, turns = raw["center"], raw["radius"], raw["turns"]
@@ -324,14 +324,6 @@ class TestStackedLoops:
         again = potential._stack_paths(want)
         for name in ("points", "owner", "edges", "ends", "chord_sq", "sizes", "closed", "last"):
             assert getattr(stack, name).tobytes() == getattr(again, name).tobytes(), name
-
-    def test_build_loop_is_the_one_loop_case(self):
-        raw = {"kind": "circle", "center": [0.5, -0.25, 0.4], "radius": 1.5, "time": 2.0,
-               "turns": -2, "samples": 40}
-        loop = scenario.build_loop(raw, "x")
-        assert loop.points.tobytes() == _reference_loop(raw, True).tobytes()
-        assert loop.closed and not loop.points.flags.writeable
-        assert loop == parse_scenario(minimal_doc(loops=[raw])).loops[0]
 
     @pytest.mark.parametrize("loops, message", [
         # a point error of an earlier loop comes before a field error of a later one
